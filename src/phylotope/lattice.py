@@ -5,15 +5,30 @@ description over exact rationals, lattice-point enumeration in dilates, the
 integer decomposition property check, and the fiber product that mirrors
 tree gluing.
 
-Heavy enumeration runs on int64 numpy arrays; magnitude bounds are computed
-with Python integers first and the run aborts (ScaleExceeded) rather than
-risk wraparound, so every reported number is exact.
+Dilates are enumerated by project and lift, in the intrinsic lattice
+coordinates y of a polytope P: a point of nP is x = n*anchor + y.B. The
+facets of every projection of P onto y[:j] are computed once per polytope,
+and level j of the scan of nP keeps exactly the integer points of the
+projection of nP, for every n.
+
+The IDP check decides each split q = v + p (v in P, p in (n-1)P) on one
+int64 mixed-radix code per point, in lattice coordinates: at degree n,
+digit j is y[j] - n*min y[j] with radix n*span_j + 1, so the codes of v and
+p add without carry to the code of q. Rows return to ambient coordinates
+only for a witness and for lattice_points_in_dilate.
+
+Overflow guards: the scan and the codes run on int64 numpy arrays, each
+bounded first in Python integers. The scan's values must stay below 2**62
+and a degree's codes below 2**63; an instance beyond a bound raises
+ScaleExceededError instead of wrapping. Rows go back to ambient coordinates
+in Python integers, so every reported number is exact.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 
 import numpy as np
@@ -131,29 +146,33 @@ class HRep:
 
 
 def _row_reduce_pivots(rows):
-    """Gaussian elimination over Fraction; returns (reduced rows, pivot cols)."""
-    work = [[Fraction(x) for x in r] for r in rows]
-    pivots = []
-    r = 0
-    ncols = len(work[0]) if work else 0
-    for c in range(ncols):
-        piv = None
-        for i in range(r, len(work)):
-            if work[i][c] != 0:
-                piv = i
-                break
+    """Gauss-Jordan elimination in integers, one row at a time, stopping
+    once the rank is full. Returns (reduced rows sorted by pivot column,
+    their pivot columns, indices of the input rows that raised the rank).
+    Each reduced row is primitive, positive at its pivot and zero at the
+    other rows' pivots."""
+    ncols = len(rows[0]) if rows else 0
+    basis = []
+    kept = []
+    for idx, row in enumerate(rows):
+        if len(basis) == ncols:
+            break
+        v = tuple(row)
+        for p, b in basis:
+            if v[p]:
+                v = _primitive([b[p] * x - v[p] * y for x, y in zip(v, b)])
+        piv = next((c for c, x in enumerate(v) if x), None)
         if piv is None:
             continue
-        work[r], work[piv] = work[piv], work[r]
-        inv = work[r][c]
-        work[r] = [x / inv for x in work[r]]
-        for i in range(len(work)):
-            if i != r and work[i][c] != 0:
-                f = work[i][c]
-                work[i] = [x - f * y for x, y in zip(work[i], work[r])]
-        pivots.append(c)
-        r += 1
-    return work[:r], pivots
+        if v[piv] < 0:
+            v = tuple(-x for x in v)
+        basis = [(p, _primitive([v[piv] * x - b[piv] * y
+                                 for x, y in zip(b, v)]) if b[piv] else b)
+                 for p, b in basis]
+        basis.append((piv, v))
+        kept.append(idx)
+    basis.sort(key=lambda pb: pb[0])
+    return [b for _, b in basis], [p for p, _ in basis], kept
 
 
 def _affine_hull(points):
@@ -161,7 +180,7 @@ def _affine_hull(points):
     and a coordinate subset that restricts to a full-dimensional copy."""
     base = points[0]
     diffs = [[x - b for x, b in zip(p, base)] for p in points[1:]]
-    reduced, pivots = _row_reduce_pivots(diffs) if diffs else ([], [])
+    reduced, pivots, _ = _row_reduce_pivots(diffs)
     ambient = len(base)
     free = [c for c in range(ambient) if c not in pivots]
     equalities = []
@@ -170,7 +189,7 @@ def _affine_hull(points):
         coeff = [Fraction(0)] * ambient
         coeff[f] = Fraction(1)
         for row, p in zip(reduced, pivots):
-            coeff[p] = -row[f]
+            coeff[p] = -Fraction(row[f], row[p])
         den = 1
         for x in coeff:
             den = den * x.denominator // gcd(den, x.denominator)
@@ -183,17 +202,12 @@ def _affine_hull(points):
 
 def _initial_simplex(zpoints, d):
     """Indices of d+1 affinely independent points (greedy)."""
-    idx = [0]
-    rows = []
-    for i in range(1, len(zpoints)):
-        cand = [a - b for a, b in zip(zpoints[i], zpoints[0])]
-        test, _ = _row_reduce_pivots(rows + [cand])
-        if len(test) > len(rows):
-            rows = test
-            idx.append(i)
-            if len(idx) == d + 1:
-                return idx
-    raise AssertionError("points are not full-dimensional after restriction")
+    base = zpoints[0]
+    _, _, kept = _row_reduce_pivots(
+        [[a - b for a, b in zip(z, base)] for z in zpoints[1:]])
+    if len(kept) < d:
+        raise AssertionError("points are not full-dimensional after restriction")
+    return [0] + [i + 1 for i in kept]
 
 
 def _invert_fraction_matrix(mat):
@@ -216,14 +230,18 @@ def _invert_fraction_matrix(mat):
 def _dual_dd(zpoints, d):
     """Facets of conv(zpoints) in R^d (full-dimensional case) by double
     description on the polar cone {v : (z_i, 1).v <= 0}: one constraint per
-    point, extreme rays of the cone are the facets."""
+    point, extreme rays of the cone are the facets.
+
+    A ray's zero set (its tight constraints) is a bitset. Two rays of the
+    (d+1)-dimensional cone can be adjacent only when they share at least
+    d-1 tight constraints, which spares most pairs the combinatorial test."""
     cons = [tuple(z) + (1,) for z in zpoints]
     start = _initial_simplex(zpoints, d)
     amat = [cons[i] for i in start]
     ainv = _invert_fraction_matrix(amat)
     rays = []
     zero_sets = []
-    start_set = set(start)
+    start_bits = sum(1 << i for i in start)
     for j in range(d + 1):
         col = [-ainv[i][j] for i in range(d + 1)]
         den = 1
@@ -231,36 +249,38 @@ def _dual_dd(zpoints, d):
             den = den * x.denominator // gcd(den, x.denominator)
         ray = _primitive([int(x * den) for x in col])
         rays.append(ray)
-        zero_sets.append(frozenset(start_set - {start[j]}))
+        zero_sets.append(start_bits & ~(1 << start[j]))
 
+    start_set = set(start)
     order = [i for i in range(len(cons)) if i not in start_set]
     for t in order:
         a = cons[t]
+        bit = 1 << t
         vals = [sum(x * y for x, y in zip(a, r)) for r in rays]
         plus = [i for i, v in enumerate(vals) if v > 0]
         if not plus:
-            zero_sets = [zs | {t} if vals[i] == 0 else zs
-                         for i, zs in enumerate(zero_sets)]
+            zero_sets = [zs | bit if v == 0 else zs
+                         for zs, v in zip(zero_sets, vals)]
             continue
         minus = [i for i, v in enumerate(vals) if v < 0]
         zero = [i for i, v in enumerate(vals) if v == 0]
         new_rays = [rays[i] for i in minus + zero]
         new_zero = [zero_sets[i] for i in minus] + \
-            [zero_sets[i] | {t} for i in zero]
+            [zero_sets[i] | bit for i in zero]
         for i in plus:
+            zi = zero_sets[i]
             for j in minus:
-                common = zero_sets[i] & zero_sets[j]
-                adjacent = True
-                for k, zs in enumerate(zero_sets):
-                    if k != i and k != j and common <= zs:
-                        adjacent = False
-                        break
-                if not adjacent:
+                common = zi & zero_sets[j]
+                if common.bit_count() < d - 1:
                     continue
-                comb = [vals[i] * rj - vals[j] * ri
-                        for ri, rj in zip(rays[i], rays[j])]
-                new_rays.append(_primitive(comb))
-                new_zero.append(common | {t})
+                for k, zs in enumerate(zero_sets):
+                    if (zs & common) == common and k != i and k != j:
+                        break
+                else:
+                    comb = [vals[i] * rj - vals[j] * ri
+                            for ri, rj in zip(rays[i], rays[j])]
+                    new_rays.append(_primitive(comb))
+                    new_zero.append(common | bit)
         rays, zero_sets = new_rays, new_zero
 
     facets = []
@@ -360,87 +380,117 @@ def _dilate_points_py(W, offs, n, lo, hi):
     return out
 
 
-_CHUNK = 200_000
+# Cells (rows x constraints) of one chunk's bound table in the scan.
+_CHUNK_CELLS = 1 << 22
+# Enumeration values stay below this bound; it leaves a bit of headroom in
+# int64 for the subtractions of the bound computation.
+_SCAN_BOUND = 2 ** 62
 
 
-def _dilate_points_np(W, offs, n, lo, hi, row_cap):
-    """Level-wise frontier scan on int64 arrays. Bounds are conservative at
-    inner levels and exact at the last, so no post-filter is needed."""
-    r = len(lo)
-    F = len(W)
-    # magnitude guard, computed exactly before touching numpy
-    biggest = 0
-    for f in range(F):
-        tot = abs(n * offs[f])
-        for j in range(r):
-            tot += max(abs(W[f][j] * lo[j]), abs(W[f][j] * hi[j]))
-        biggest = max(biggest, tot)
-    if biggest >= 2 ** 60:
-        raise ScaleExceededError("dilate enumeration would overflow int64")
-    Wn = np.array(W, dtype=np.int64).reshape(F, r) if F else np.zeros((0, r), np.int64)
-    bn = np.array([n * o for o in offs], dtype=np.int64)
-    minrest = np.zeros((F, r + 1), dtype=np.int64)
-    for j in range(r - 1, -1, -1):
-        w = Wn[:, j]
-        minrest[:, j] = minrest[:, j + 1] + np.minimum(w * lo[j], w * hi[j])
+@dataclass(frozen=True)
+class _DilateScan:
+    """Per-polytope data of the project-and-lift scan, reused for every
+    dilate. A point of nP is x = n*anchor + y.B in lattice coordinates y.
 
-    frontier = np.zeros((1, 0), dtype=np.int64)
+    levels[j] bounds y[j] given y[:j]: the facets c.y <= b of the
+    projection of P onto y[:j+1] with c[j] != 0, as (coefficient rows,
+    right sides, count of upper bounds c[j] > 0, which come first). low and
+    span are each coordinate's minimum and range over P; magnitude bounds
+    every value the scan of P computes, and scales with n."""
+
+    levels: tuple
+    low: tuple
+    span: tuple
+    magnitude: int
+
+
+# The last polytope's scan is kept: idp_check's witness re-certification
+# (decompose) enumerates the same polytope again.
+@lru_cache(maxsize=1)
+def _dilate_scan(points: tuple, lat: AffineLattice,
+                 hrep: HRep) -> _DilateScan:
+    """Facets of every coordinate projection of P, computed once. The last
+    level is P itself, whose facets hrep already gives."""
+    W, offs, low, high, ys = _dilate_setup(points, lat, hrep, 1)
+    r = lat.rank
+    levels = []
+    magnitude = max((max(abs(a), abs(b)) for a, b in zip(low, high)),
+                    default=0)
     for j in range(r):
-        pieces = []
-        total = 0
-        for s in range(0, len(frontier), _CHUNK):
-            chunk = frontier[s:s + _CHUNK]
-            if F:
-                dots = chunk @ Wn[:, :j].T if j else \
-                    np.zeros((len(chunk), F), dtype=np.int64)
-                slack = bn[None, :] - dots - minrest[:, j + 1][None, :]
-                lo_j = np.full(len(chunk), lo[j], dtype=np.int64)
-                hi_j = np.full(len(chunk), hi[j], dtype=np.int64)
-                for f in range(F):
-                    w = int(Wn[f, j])
-                    if w > 0:
-                        np.minimum(hi_j, slack[:, f] // w, out=hi_j)
-                    elif w < 0:
-                        np.maximum(lo_j, -((-slack[:, f]) // w), out=lo_j)
-            else:
-                lo_j = np.full(len(chunk), lo[j], dtype=np.int64)
-                hi_j = np.full(len(chunk), hi[j], dtype=np.int64)
-            counts = hi_j - lo_j + 1
+        if j + 1 < r:
+            facets = facet_description([y[:j + 1] for y in ys]).inequalities
+        else:
+            # a facet holds integer vertices, so its gcd divides the side
+            facets = [(row[:-1], row[-1]) for row in
+                      (_primitive(c + (b,)) for c, b in zip(W, offs))]
+        upper = [(c, b) for c, b in facets if c[j] > 0]
+        rows = upper + [(c, b) for c, b in facets if c[j] < 0]
+        levels.append((tuple(c for c, _ in rows), tuple(b for _, b in rows),
+                       len(upper)))
+        for c, b in rows:
+            magnitude = max(magnitude, abs(b) + sum(
+                abs(ci) * max(abs(lo), abs(hi))
+                for ci, lo, hi in zip(c, low, high)))
+    return _DilateScan(levels=tuple(levels), low=tuple(low),
+                       span=tuple(h - lo for h, lo in zip(high, low)),
+                       magnitude=magnitude)
+
+
+def _dilate_array(scan: _DilateScan, n, row_cap):
+    """Points of nP as int64 rows of lattice coordinates y, in
+    lexicographic order.
+
+    Level j extends each kept prefix y[:j] by the integers between its
+    bounds from the projection onto y[:j+1], so it keeps exactly the
+    integer points of that projection of nP."""
+    if n * scan.magnitude >= _SCAN_BOUND:
+        raise ScaleExceededError(
+            f"dilate enumeration at degree {n} reaches "
+            f"{n * scan.magnitude}, beyond the int64 scan bound 2**62")
+    frontier = np.zeros((1, 0), dtype=np.int64)
+    for j, (coef, rhs, upper) in enumerate(scan.levels):
+        a = np.array(coef, dtype=np.int64)
+        prefix = a[:, :j].T
+        step = np.abs(a[:, j])
+        divided = np.flatnonzero(step > 1)
+        bn = n * np.array(rhs, dtype=np.int64)
+        chunk = max(1, _CHUNK_CELLS // len(rhs))
+        starts = range(0, len(frontier), chunk)
+        bounds = []
+        for s in starts:
+            q = bn - frontier[s:s + chunk] @ prefix
+            if len(divided):
+                q[:, divided] //= step[divided]
+            lo = -q[:, upper:].min(axis=1)
+            counts = q[:, :upper].min(axis=1) - lo + 1
             np.maximum(counts, 0, out=counts)
-            keep = counts > 0
-            m = int(counts[keep].sum())
-            total += m
-            if total > row_cap:
-                raise ScaleExceededError(
-                    f"dilate frontier exceeded {row_cap} rows")
-            if m == 0:
-                continue
-            rows = chunk[keep]
-            cts = counts[keep]
-            starts = lo_j[keep]
-            idx = np.repeat(np.arange(len(rows)), cts)
-            ends = np.cumsum(cts)
-            within = np.arange(m) - np.repeat(ends - cts, cts)
-            vals = np.repeat(starts, cts) + within
-            pieces.append(np.concatenate(
-                [rows[idx], vals[:, None]], axis=1))
-        frontier = np.concatenate(pieces, axis=0) if pieces else \
-            np.zeros((0, j + 1), dtype=np.int64)
+            bounds.append((lo, counts))
+        total = sum(int(counts.sum()) for _, counts in bounds)
+        if total > row_cap:
+            raise ScaleExceededError(
+                f"dilate frontier of {total} rows exceeds row_cap {row_cap}")
+        out = np.empty((total, j + 1), dtype=np.int64)
+        pos = 0
+        for s, (lo, counts) in zip(starts, bounds):
+            m = int(counts.sum())
+            ends = np.cumsum(counts)
+            out[pos:pos + m, :j] = np.repeat(frontier[s:s + len(counts)],
+                                             counts, axis=0)
+            out[pos:pos + m, j] = np.arange(m) + np.repeat(
+                lo - ends + counts, counts)
+            pos += m
+        frontier = out
     return frontier
 
 
-def _dilate_array(points, n, lat, hrep, row_cap):
-    """Points of nP on the dilated lattice, as an int64 array (rows x)."""
-    pts = [tuple(p) for p in points]
-    if lat.rank == 0:
-        x = tuple(n * a for a in lat.anchor)
-        return np.array([x] if hrep.contains(x, n) else [],
-                        dtype=np.int64).reshape(-1, len(lat.anchor))
-    W, offs, lo, hi, _ = _dilate_setup(pts, lat, hrep, n)
-    ys = _dilate_points_np(W, offs, n, lo, hi, row_cap)
-    basis = np.array(lat.basis, dtype=np.int64)
-    anchor = np.array(lat.anchor, dtype=np.int64)
-    return ys @ basis + n * anchor[None, :]
+def _ambient_rows(ys, n, lat: AffineLattice) -> list:
+    """Rows x = n*anchor + y.B of an int64 array ys, as tuples of Python
+    integers: the product runs on object arrays, so it cannot wrap."""
+    basis = np.array(lat.basis, dtype=object).reshape(lat.rank,
+                                                      len(lat.anchor))
+    xs = ys.astype(object) @ basis + np.array([n * a for a in lat.anchor],
+                                              dtype=object)
+    return list(map(tuple, xs.tolist()))
 
 
 def lattice_points_in_dilate(points, n: int, lat: AffineLattice = None,
@@ -453,34 +503,50 @@ def lattice_points_in_dilate(points, n: int, lat: AffineLattice = None,
         lat = spanned_lattice(pts)
     if hrep is None:
         hrep = facet_description(pts)
-    xs = _dilate_array(pts, n, lat, hrep, row_cap)
-    out = [tuple(int(v) for v in row) for row in xs]
-    out.sort()
-    return out
+    ys = _dilate_array(_dilate_scan(tuple(pts), lat, hrep), n, row_cap)
+    return sorted(_ambient_rows(ys, n, lat))
 
 
-def _undecomposable(sn, s1a, prev, d):
-    """Rows of the array sn admitting no split q = v + p with v a row of s1a
-    and p a row of prev.
+def _code_weights(span, n):
+    """Weights of the degree-n mixed-radix code of a row y: digit j is
+    y[j] - n*low[j] in [0, n*span[j]], radix n*span[j] + 1, the first
+    coordinate most significant. Raises unless every code fits in int64."""
+    weights = []
+    size = 1
+    for s in reversed(span):
+        weights.append(size)
+        size *= n * s + 1
+    if size >= 2 ** 63:
+        raise ScaleExceededError(
+            f"lattice-coordinate codes at degree {n} take {size} values, "
+            "beyond the int64 bound 2**63")
+    return np.array(weights[::-1], dtype=np.int64).reshape(len(span))
 
-    Uses radix-16 packing, valid because the caller guarantees
-    max digit of s1 + max digit of prev <= 15: then code(v) + code(p) is the
-    canonical code of v + p (no carries), so code equality alone certifies a
-    digitwise decomposition."""
-    radix = np.int64(16) ** np.arange(d, dtype=np.int64)
-    prev_sorted = np.sort(prev @ radix)
-    codes = sn @ radix
+
+def _undecomposable(sn, s1, prev, n, scan: _DilateScan):
+    """Rows of sn (points of nP) that are no sum v + p of a row v of s1
+    (points of P) and a row p of prev (points of (n-1)P), all in lattice
+    coordinates.
+
+    With the shifted digits of _code_weights, the digits of v and p add
+    without carry to those of v + p, and any two digit vectors whose
+    entries differ by at most n*span[j] have equal codes only when they are
+    equal, so code(q) - code(v) == code(p) certifies q = v + p. Rows of
+    prev come in lexicographic order, so their codes ascend."""
+    weights = _code_weights(scan.span, n)
+    low = np.array(scan.low, dtype=np.int64).reshape(len(scan.span))
+    prev_codes = np.append((prev - (n - 1) * low) @ weights,
+                           np.iinfo(np.int64).max)
+    codes = (sn - n * low) @ weights
     undecided = np.arange(len(sn))
-    for vcode in s1a @ radix:
+    for vcode in (s1 - low) @ weights:
         t = codes - vcode
-        pos = np.searchsorted(prev_sorted, t)
-        pos_c = np.minimum(pos, len(prev_sorted) - 1)
-        hit = prev_sorted[pos_c] == t
-        undecided = undecided[~hit]
-        codes = codes[~hit]
+        split = prev_codes[np.searchsorted(prev_codes, t)] == t
+        undecided = undecided[~split]
+        codes = codes[~split]
         if not len(undecided):
-            return []
-    return [tuple(int(v) for v in sn[i]) for i in undecided]
+            break
+    return sn[undecided]
 
 
 @dataclass(frozen=True)
@@ -573,27 +639,18 @@ def idp_check(poly, lat: AffineLattice = None, max_degree: int = None,
         hrep = facet_description(pts)
     if max_degree is None:
         max_degree = max(2, lat.rank - 1)
-    s1 = _dilate_array(pts, 1, lat, hrep, row_cap)
+    scan = _dilate_scan(tuple(pts), lat, hrep)
+    s1 = _dilate_array(scan, 1, row_cap)
     counts = [(1, len(s1))]
-    d = len(pts[0])
     prev = s1
     degrees = []
     for n in range(2, max_degree + 1):
-        sn = _dilate_array(pts, n, lat, hrep, row_cap)
+        sn = _dilate_array(scan, n, row_cap)
         counts.append((n, len(sn)))
-        packable = (d <= 16 and int(sn.max()) <= 15 and int(sn.min()) >= 0
-                    and int(s1.min()) >= 0 and int(prev.min()) >= 0
-                    and int(s1.max()) + int(prev.max()) <= 15)
-        if packable:
-            bad = _undecomposable(sn, s1, prev, d)
-        else:
-            bad = _undecomposable_py(
-                [tuple(int(v) for v in row) for row in sn],
-                [tuple(int(v) for v in row) for row in s1],
-                set(tuple(int(v) for v in row) for row in prev))
+        bad = _undecomposable(sn, s1, prev, n, scan)
         degrees.append(n)
-        if bad:
-            witness = min(bad)
+        if len(bad):
+            witness = min(_ambient_rows(bad, n, lat))
             if not hrep.contains(witness, n):
                 raise AssertionError("witness fails the halfspace check")
             if not lat.contains(witness, n):
@@ -606,14 +663,6 @@ def idp_check(poly, lat: AffineLattice = None, max_degree: int = None,
         prev = sn
     return IdpReport(verdict="Normal", degrees_checked=tuple(degrees),
                      points_per_degree=tuple(counts))
-
-
-def _undecomposable_py(sn, s1, prev_set):
-    bad = []
-    for q in sn:
-        if not any(tuple(a - b for a, b in zip(q, v)) in prev_set for v in s1):
-            bad.append(q)
-    return bad
 
 
 def fiber_product(p1: ModelPolytope, block1: int, p2: ModelPolytope,

@@ -95,6 +95,28 @@ def test_row_cap_raises():
         lattice_points_in_dilate(poly.vertices, 3, row_cap=10)
 
 
+def test_ambient_rows_beyond_int64_are_exact():
+    # 2 * 2**62 does not fit in int64, where it would wrap to -2**63
+    assert lattice_points_in_dilate([(2 ** 62, 0), (2 ** 62, 1)], 2) \
+        == [(2 ** 63, 0), (2 ** 63, 1), (2 ** 63, 2)]
+
+
+def test_code_width_guard_raises():
+    # a unimodular simplex, long in three lattice coordinates: few lattice
+    # points, but the degree-2 codes need prod(2*span_j + 1) >= 2**63 values
+    a, blocks = 2 ** 20, 3
+    verts = [(0,) * (2 * blocks)]
+    for i in range(blocks):
+        for v in ((0, 1), (1, a)):
+            row = [0] * (2 * blocks)
+            row[2 * i:2 * i + 2] = v
+            verts.append(tuple(row))
+    assert ((2 * a + 1) * 3) ** blocks >= 2 ** 63
+    assert len(lattice_points_in_dilate(verts, 2)) == 28
+    with pytest.raises(ScaleExceededError, match=r"degree 2 .*2\*\*63"):
+        idp_check(verts)
+
+
 def test_claw_polytopes_are_normal():
     for orders in ([2], [3], [2, 2]):
         poly = build_polytope(CLAW, abelian_model(orders))
