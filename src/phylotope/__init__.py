@@ -17,9 +17,10 @@ from .polytope import (ModelPolytope, build_polytope, enumerate_networks,
 from .fourier import (appendix_demo, f_o, l_chi, monomial_socket_vector,
                       params_to_matrices, raw_leaf_tensor, socket_coordinates,
                       what_dimension)
-from .lattice import (AffineLattice, HRep, IdpReport, decompose,
-                      facet_description, fiber_product, glued_polytope,
-                      idp_check, lattice_points_in_dilate, spanned_lattice)
+from .lattice import (AffineLattice, HRep, IdpReport, LatticePolytope,
+                      decompose, facet_description, fiber_product,
+                      glued_polytope, idp_check, lattice_points_in_dilate,
+                      spanned_lattice)
 from .verify import run_checks
 
 __version__ = "0.1.0"

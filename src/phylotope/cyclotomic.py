@@ -348,9 +348,6 @@ class CycRational:
     def __hash__(self):
         return hash((self.num, self.den))
 
-    def as_fraction(self) -> Fraction:
-        return Fraction(self.num.as_int(), self.den)
-
     def __repr__(self):
         if self.den == 1:
             return f"CycRational({self.num!r})"

@@ -12,12 +12,12 @@ back as CycRational.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import product
 
 from .cyclotomic import CycRational, CyclotomicInt, field_rank
 from .errors import NotInvariantError, ShapeMismatchError
 from .groups import GroupModel, character_eval, unique_transporter
+from .lattice import _row_reduce_pivots
 from .polytope import enumerate_networks, socket_of_network
 from .trees import Tree
 
@@ -75,8 +75,9 @@ def g_invariance_check(model: GroupModel, matrix) -> bool:
 
 
 def _fixed_space_dimension(model: GroupModel) -> int:
-    """Exact dimension of {M : M[g(a)][g(b)] = M[a][b] for all g in G},
-    via rank of the constraint system over the rationals."""
+    """Exact dimension of {M : M[g(a)][g(b)] = M[a][b] for all g in G}:
+    the variable count minus the rank of the constraint system, found by
+    integer elimination."""
     n = model.n_states
     nvar = n * n
     rows = []
@@ -88,27 +89,11 @@ def _fixed_space_dimension(model: GroupModel) -> int:
                 i, j = g(a) * n + g(b), a * n + b
                 if i == j:
                     continue
-                row = [Fraction(0)] * nvar
+                row = [0] * nvar
                 row[i] += 1
                 row[j] -= 1
                 rows.append(row)
-    rank = 0
-    for col in range(nvar):
-        piv = None
-        for r in range(rank, len(rows)):
-            if rows[r][col] != 0:
-                piv = r
-                break
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        prow = rows[rank]
-        for r in range(rank + 1, len(rows)):
-            if rows[r][col] != 0:
-                fac = rows[r][col] / prow[col]
-                rows[r] = [x - fac * y for x, y in zip(rows[r], prow)]
-        rank += 1
-    return nvar - rank
+    return nvar - len(_row_reduce_pivots(rows)[0])
 
 
 def what_dimension(model: GroupModel) -> int:

@@ -238,10 +238,6 @@ class GroupModel:
         """The state h(base)."""
         return self.perm_of(h)(self.base_state)
 
-    def elem_of_perm(self, p: Permutation) -> tuple:
-        i = self.h_perms.index(p)
-        return self.group.element(i)
-
 
 def character_eval(model_or_group, chi: tuple, h: tuple) -> CyclotomicInt:
     """chi(h), exact, in Z[zeta_m] with m the exponent of H."""
@@ -253,14 +249,6 @@ def unique_transporter(model: GroupModel, a, b) -> tuple:
     """The unique h in H with h(a) = b; equals h_b - h_a."""
     ia, ib = model.state_index(a), model.state_index(b)
     return model.group.sub(model.elem_of_state[ib], model.elem_of_state[ia])
-
-
-def conjugation_orbits(model: GroupModel) -> tuple:
-    return model.conj_orbits
-
-
-def dual_orbits(model: GroupModel) -> tuple:
-    return model.dual_orbits
 
 
 def _char_pullback(group, model_perms, elem_lookup, chi, g):

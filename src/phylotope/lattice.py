@@ -1,9 +1,10 @@
 """Exact lattice geometry for integer polytopes.
 
 Hermite-normal-form lattices, facet descriptions via incremental double
-description over exact rationals, lattice-point enumeration in dilates, the
+description in exact integers, lattice-point enumeration in dilates, the
 integer decomposition property check, and the fiber product that mirrors
-tree gluing.
+tree gluing. A LatticePolytope carries a polytope with the data these
+derive from it, each computed once.
 
 Dilates are enumerated by project and lift, in the intrinsic lattice
 coordinates y of a polytope P: a point of nP is x = n*anchor + y.B. The
@@ -27,9 +28,8 @@ in Python integers, so every reported number is exact.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from functools import lru_cache
-from math import gcd
+from functools import cached_property
+from math import gcd, lcm
 
 import numpy as np
 
@@ -175,28 +175,35 @@ def _row_reduce_pivots(rows):
     return [b for _, b in basis], [p for p, _ in basis], kept
 
 
+def _kernel(rows, ncols):
+    """(pivot columns, kernel basis) of an integer matrix with ncols
+    columns. The basis has one primitive integer vector per non-pivot
+    column f of _row_reduce_pivots: positive at f, zero at the other
+    non-pivot columns."""
+    reduced, pivots, _ = _row_reduce_pivots(rows)
+    den = 1
+    for row, p in zip(reduced, pivots):
+        den = lcm(den, row[p])
+    basis = []
+    for f in range(ncols):
+        if f in pivots:
+            continue
+        x = [0] * ncols
+        x[f] = den
+        for row, p in zip(reduced, pivots):
+            x[p] = -row[f] * (den // row[p])
+        basis.append(_primitive(x))
+    return pivots, basis
+
+
 def _affine_hull(points):
     """(equalities, pivot columns): primitive integer equations of the hull
     and a coordinate subset that restricts to a full-dimensional copy."""
     base = points[0]
-    diffs = [[x - b for x, b in zip(p, base)] for p in points[1:]]
-    reduced, pivots, _ = _row_reduce_pivots(diffs)
-    ambient = len(base)
-    free = [c for c in range(ambient) if c not in pivots]
-    equalities = []
-    for f in free:
-        # direction-space normal with 1 at the free column
-        coeff = [Fraction(0)] * ambient
-        coeff[f] = Fraction(1)
-        for row, p in zip(reduced, pivots):
-            coeff[p] = -Fraction(row[f], row[p])
-        den = 1
-        for x in coeff:
-            den = den * x.denominator // gcd(den, x.denominator)
-        ints = [int(x * den) for x in coeff]
-        ints = list(_primitive(ints))
-        rhs = sum(c * x for c, x in zip(ints, base))
-        equalities.append((tuple(ints), rhs))
+    pivots, normals = _kernel([[x - b for x, b in zip(p, base)]
+                               for p in points[1:]], len(base))
+    equalities = [(c, sum(ci * x for ci, x in zip(c, base)))
+                  for c in normals]
     return equalities, pivots
 
 
@@ -210,44 +217,27 @@ def _initial_simplex(zpoints, d):
     return [0] + [i + 1 for i in kept]
 
 
-def _invert_fraction_matrix(mat):
-    n = len(mat)
-    aug = [[Fraction(x) for x in row] + [Fraction(1 if i == j else 0)
-                                         for j in range(n)]
-           for i, row in enumerate(mat)]
-    for c in range(n):
-        piv = next(i for i in range(c, n) if aug[i][c] != 0)
-        aug[c], aug[piv] = aug[piv], aug[c]
-        inv = aug[c][c]
-        aug[c] = [x / inv for x in aug[c]]
-        for i in range(n):
-            if i != c and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[c])]
-    return [row[n:] for row in aug]
-
-
 def _dual_dd(zpoints, d):
     """Facets of conv(zpoints) in R^d (full-dimensional case) by double
     description on the polar cone {v : (z_i, 1).v <= 0}: one constraint per
     point, extreme rays of the cone are the facets.
 
-    A ray's zero set (its tight constraints) is a bitset. Two rays of the
-    (d+1)-dimensional cone can be adjacent only when they share at least
-    d-1 tight constraints, which spares most pairs the combinatorial test."""
+    The initial rays are those of the simplex cone of d+1 independent
+    constraints: ray j spans the kernel of all of them but the j-th, on
+    which it is negative. A ray's zero set (its tight constraints) is a
+    bitset. Two rays of the (d+1)-dimensional cone can be adjacent only
+    when they share at least d-1 tight constraints, which spares most pairs
+    the combinatorial test."""
     cons = [tuple(z) + (1,) for z in zpoints]
     start = _initial_simplex(zpoints, d)
     amat = [cons[i] for i in start]
-    ainv = _invert_fraction_matrix(amat)
     rays = []
     zero_sets = []
     start_bits = sum(1 << i for i in start)
     for j in range(d + 1):
-        col = [-ainv[i][j] for i in range(d + 1)]
-        den = 1
-        for x in col:
-            den = den * x.denominator // gcd(den, x.denominator)
-        ray = _primitive([int(x * den) for x in col])
+        _, (ray,) = _kernel(amat[:j] + amat[j + 1:], d + 1)
+        if sum(a * x for a, x in zip(amat[j], ray)) > 0:
+            ray = tuple(-x for x in ray)
         rays.append(ray)
         zero_sets.append(start_bits & ~(1 << start[j]))
 
@@ -318,137 +308,129 @@ def facet_description(points, point_cap: int = 1500, dim_cap: int = 24) -> HRep:
     return rep
 
 
-def _dilate_setup(points, lat: AffineLattice, hrep: HRep, n: int):
-    """Constraints and box in intrinsic lattice coordinates y, where a point
-    is x = n*anchor + y.B. Equalities vanish identically there (checked)."""
-    basis = lat.basis
-    r = len(basis)
-    for c, b in hrep.equalities:
-        if any(sum(bi * ci for bi, ci in zip(row, c)) for row in basis):
-            raise AssertionError("equality not constant on the lattice span")
-        if sum(ci * ai for ci, ai in zip(c, lat.anchor)) != b:
-            raise AssertionError("anchor violates an equality")
-    W = []
-    offs = []
-    for c, b in hrep.inequalities:
-        W.append(tuple(sum(bi * ci for bi, ci in zip(row, c))
-                       for row in basis))
-        offs.append(b - sum(ci * ai for ci, ai in zip(c, lat.anchor)))
-    ys = []
-    for p in points:
-        y = lat.coordinates(p)
-        if y is None:
-            raise AssertionError("input point outside its own lattice")
-        ys.append(y)
-    lo = [n * min(y[j] for y in ys) for j in range(r)]
-    hi = [n * max(y[j] for y in ys) for j in range(r)]
-    return W, offs, lo, hi, ys
-
-
-def _dilate_points_py(W, offs, n, lo, hi):
-    """Reference enumeration: depth-first with per-level bound propagation,
-    Python integers throughout."""
-    r = len(lo)
-    F = len(W)
-    minrest = [[0] * (r + 1) for _ in range(F)]
-    for f in range(F):
-        for j in range(r - 1, -1, -1):
-            w = W[f][j]
-            minrest[f][j] = minrest[f][j + 1] + min(w * lo[j], w * hi[j])
-    out = []
-    y = [0] * r
-
-    def rec(j, dots):
-        if j == r:
-            out.append(tuple(y))
-            return
-        lo_j, hi_j = lo[j], hi[j]
-        for f in range(F):
-            w = W[f][j]
-            if w == 0:
-                continue
-            slack = n * offs[f] - dots[f] - minrest[f][j + 1]
-            if w > 0:
-                hi_j = min(hi_j, slack // w)
-            else:
-                lo_j = max(lo_j, -((-slack) // w))
-        for v in range(lo_j, hi_j + 1):
-            y[j] = v
-            rec(j + 1, [dots[f] + W[f][j] * v for f in range(F)])
-
-    rec(0, [0] * F)
-    return out
-
-
 # Cells (rows x constraints) of one chunk's bound table in the scan.
 _CHUNK_CELLS = 1 << 22
 # Enumeration values stay below this bound; it leaves a bit of headroom in
 # int64 for the subtractions of the bound computation.
 _SCAN_BOUND = 2 ** 62
+# Default cap on the rows of one level of a dilate's scan.
+_ROW_CAP = 20_000_000
 
 
 @dataclass(frozen=True)
-class _DilateScan:
-    """Per-polytope data of the project-and-lift scan, reused for every
-    dilate. A point of nP is x = n*anchor + y.B in lattice coordinates y.
+class LatticePolytope:
+    """The convex hull P of integer points, in the affine lattice they span.
 
-    levels[j] bounds y[j] given y[:j]: the facets c.y <= b of the
-    projection of P onto y[:j+1] with c[j] != 0, as (coefficient rows,
-    right sides, count of upper bounds c[j] > 0, which come first). low and
-    span are each coordinate's minimum and range over P; magnitude bounds
-    every value the scan of P computes, and scales with n."""
+    Derived data is computed once, on first use: the lattice, the facets,
+    the project-and-lift scan data and the lattice points of P. A point of
+    the dilate nP is x = n*anchor + y.B in lattice coordinates y."""
 
-    levels: tuple
-    low: tuple
-    span: tuple
-    magnitude: int
+    points: tuple   # sorted, distinct integer tuples
+
+    def __post_init__(self):
+        pts = tuple(sorted(set(map(tuple, self.points))))
+        if not pts:
+            raise ValueError("need at least one point")
+        object.__setattr__(self, "points", pts)
+
+    @cached_property
+    def lattice(self) -> AffineLattice:
+        return spanned_lattice(self.points)
+
+    @cached_property
+    def hrep(self) -> HRep:
+        return facet_description(self.points)
+
+    @cached_property
+    def _coordinates(self) -> list:
+        ys = [self.lattice.coordinates(p) for p in self.points]
+        if None in ys:
+            raise AssertionError("input point outside its own lattice")
+        return ys
+
+    @cached_property
+    def low(self) -> tuple:
+        """Each lattice coordinate's minimum over P."""
+        return tuple(map(min, zip(*self._coordinates)))
+
+    @cached_property
+    def span(self) -> tuple:
+        """Each lattice coordinate's range over P."""
+        return tuple(max(c) - lo
+                     for c, lo in zip(zip(*self._coordinates), self.low))
+
+    @cached_property
+    def levels(self) -> tuple:
+        """levels[j] bounds y[j] given y[:j]: the facets c.y <= b of the
+        projection of P onto y[:j+1] with c[j] != 0, as (coefficient rows,
+        right sides, count of upper bounds c[j] > 0, which come first). The
+        last level is P itself, whose facets hrep gives."""
+        lat, hrep, ys = self.lattice, self.hrep, self._coordinates
+        r = lat.rank
+
+        def in_y(c, b):
+            """c.x <= b at x = anchor + y.B, as (w, b') with w.y <= b'."""
+            return ([sum(bi * ci for bi, ci in zip(row, c))
+                     for row in lat.basis],
+                    b - sum(ci * ai for ci, ai in zip(c, lat.anchor)))
+
+        if any(in_y(c, b) != ([0] * r, 0) for c, b in hrep.equalities):
+            raise AssertionError("an equality is not constant on the lattice")
+        levels = []
+        for j in range(r):
+            if j + 1 < r:
+                facets = facet_description(
+                    [y[:j + 1] for y in ys]).inequalities
+            else:
+                # a facet holds integer vertices, so its gcd divides the side
+                facets = [(row[:-1], row[-1]) for row in
+                          (_primitive(w + [b]) for w, b in
+                           (in_y(c, b) for c, b in hrep.inequalities))]
+            upper = [(c, b) for c, b in facets if c[j] > 0]
+            rows = upper + [(c, b) for c, b in facets if c[j] < 0]
+            levels.append((tuple(c for c, _ in rows),
+                           tuple(b for _, b in rows), len(upper)))
+        return tuple(levels)
+
+    @cached_property
+    def magnitude(self) -> int:
+        """A bound on every value the scan of P computes; it scales with n."""
+        bound = [max(abs(lo), abs(lo + s))
+                 for lo, s in zip(self.low, self.span)]
+        return max(bound + [abs(b) + sum(abs(ci) * m
+                                         for ci, m in zip(c, bound))
+                            for coef, rhs, _ in self.levels
+                            for c, b in zip(coef, rhs)], default=0)
+
+    @cached_property
+    def lattice_points(self) -> np.ndarray:
+        """The lattice points of P as int64 rows of lattice coordinates y,
+        in lexicographic order."""
+        return _dilate_array(self, 1)
 
 
-# The last polytope's scan is kept: idp_check's witness re-certification
-# (decompose) enumerates the same polytope again.
-@lru_cache(maxsize=1)
-def _dilate_scan(points: tuple, lat: AffineLattice,
-                 hrep: HRep) -> _DilateScan:
-    """Facets of every coordinate projection of P, computed once. The last
-    level is P itself, whose facets hrep already gives."""
-    W, offs, low, high, ys = _dilate_setup(points, lat, hrep, 1)
-    r = lat.rank
-    levels = []
-    magnitude = max((max(abs(a), abs(b)) for a, b in zip(low, high)),
-                    default=0)
-    for j in range(r):
-        if j + 1 < r:
-            facets = facet_description([y[:j + 1] for y in ys]).inequalities
-        else:
-            # a facet holds integer vertices, so its gcd divides the side
-            facets = [(row[:-1], row[-1]) for row in
-                      (_primitive(c + (b,)) for c, b in zip(W, offs))]
-        upper = [(c, b) for c, b in facets if c[j] > 0]
-        rows = upper + [(c, b) for c, b in facets if c[j] < 0]
-        levels.append((tuple(c for c, _ in rows), tuple(b for _, b in rows),
-                       len(upper)))
-        for c, b in rows:
-            magnitude = max(magnitude, abs(b) + sum(
-                abs(ci) * max(abs(lo), abs(hi))
-                for ci, lo, hi in zip(c, low, high)))
-    return _DilateScan(levels=tuple(levels), low=tuple(low),
-                       span=tuple(h - lo for h, lo in zip(high, low)),
-                       magnitude=magnitude)
+def _as_polytope(poly) -> LatticePolytope:
+    """poly itself when it is a LatticePolytope, else the lattice polytope
+    of a ModelPolytope's vertices or of a sequence of points."""
+    if isinstance(poly, LatticePolytope):
+        return poly
+    return LatticePolytope(poly.vertices if isinstance(poly, ModelPolytope)
+                           else poly)
 
 
-def _dilate_array(scan: _DilateScan, n, row_cap):
+def _dilate_array(poly: LatticePolytope, n, row_cap=_ROW_CAP):
     """Points of nP as int64 rows of lattice coordinates y, in
     lexicographic order.
 
     Level j extends each kept prefix y[:j] by the integers between its
     bounds from the projection onto y[:j+1], so it keeps exactly the
     integer points of that projection of nP."""
-    if n * scan.magnitude >= _SCAN_BOUND:
+    if n * poly.magnitude >= _SCAN_BOUND:
         raise ScaleExceededError(
             f"dilate enumeration at degree {n} reaches "
-            f"{n * scan.magnitude}, beyond the int64 scan bound 2**62")
+            f"{n * poly.magnitude}, beyond the int64 scan bound 2**62")
     frontier = np.zeros((1, 0), dtype=np.int64)
-    for j, (coef, rhs, upper) in enumerate(scan.levels):
+    for j, (coef, rhs, upper) in enumerate(poly.levels):
         a = np.array(coef, dtype=np.int64)
         prefix = a[:, :j].T
         step = np.abs(a[:, j])
@@ -493,18 +475,13 @@ def _ambient_rows(ys, n, lat: AffineLattice) -> list:
     return list(map(tuple, xs.tolist()))
 
 
-def lattice_points_in_dilate(points, n: int, lat: AffineLattice = None,
-                             hrep: HRep = None,
-                             row_cap: int = 20_000_000):
+def lattice_points_in_dilate(points, n: int, row_cap: int = _ROW_CAP):
     """All points of (the lattice anchored at n*anchor) inside n*conv(points),
-    sorted. Enumeration runs intrinsically in lattice coordinates."""
-    pts = [tuple(p) for p in points]
-    if lat is None:
-        lat = spanned_lattice(pts)
-    if hrep is None:
-        hrep = facet_description(pts)
-    ys = _dilate_array(_dilate_scan(tuple(pts), lat, hrep), n, row_cap)
-    return sorted(_ambient_rows(ys, n, lat))
+    sorted. points may be a point sequence, a ModelPolytope or a
+    LatticePolytope. Enumeration runs intrinsically in lattice coordinates."""
+    poly = _as_polytope(points)
+    return sorted(_ambient_rows(_dilate_array(poly, n, row_cap), n,
+                                poly.lattice))
 
 
 def _code_weights(span, n):
@@ -523,18 +500,18 @@ def _code_weights(span, n):
     return np.array(weights[::-1], dtype=np.int64).reshape(len(span))
 
 
-def _undecomposable(sn, s1, prev, n, scan: _DilateScan):
+def _undecomposable(sn, s1, prev, n, low, span):
     """Rows of sn (points of nP) that are no sum v + p of a row v of s1
     (points of P) and a row p of prev (points of (n-1)P), all in lattice
-    coordinates.
+    coordinates; low and span are those of P.
 
     With the shifted digits of _code_weights, the digits of v and p add
     without carry to those of v + p, and any two digit vectors whose
     entries differ by at most n*span[j] have equal codes only when they are
     equal, so code(q) - code(v) == code(p) certifies q = v + p. Rows of
     prev come in lexicographic order, so their codes ascend."""
-    weights = _code_weights(scan.span, n)
-    low = np.array(scan.low, dtype=np.int64).reshape(len(scan.span))
+    weights = _code_weights(span, n)
+    low = np.array(low, dtype=np.int64).reshape(len(span))
     prev_codes = np.append((prev - (n - 1) * low) @ weights,
                            np.iinfo(np.int64).max)
     codes = (sn - n * low) @ weights
@@ -582,17 +559,14 @@ class DecompositionResult:
     examined: int    # nodes visited; with found None this certifies the search
 
 
-def decompose(q, n: int, points, lat: AffineLattice = None,
-              hrep: HRep = None) -> DecompositionResult:
+def decompose(q, n: int, points) -> DecompositionResult:
     """Exhaustive search for q = p_1 + ... + p_n with each p_i a lattice
     point of conv(points); index-nondecreasing, so multisets are visited
-    once. Failure is a complete-search certificate."""
-    pts = [tuple(p) for p in points]
-    if lat is None:
-        lat = spanned_lattice(pts)
-    if hrep is None:
-        hrep = facet_description(pts)
-    s1 = lattice_points_in_dilate(pts, 1, lat, hrep)
+    once. Failure is a complete-search certificate. points may be a point
+    sequence, a ModelPolytope or a LatticePolytope."""
+    poly = _as_polytope(points)
+    lat, hrep = poly.lattice, poly.hrep
+    s1 = sorted(_ambient_rows(poly.lattice_points, 1, lat))
     q = tuple(q)
     examined = 0
     dead = set()
@@ -621,8 +595,8 @@ def decompose(q, n: int, points, lat: AffineLattice = None,
         found=None if found is None else tuple(found), examined=examined)
 
 
-def idp_check(poly, lat: AffineLattice = None, max_degree: int = None,
-              hrep: HRep = None, row_cap: int = 20_000_000) -> IdpReport:
+def idp_check(poly, max_degree: int = None,
+              row_cap: int = _ROW_CAP) -> IdpReport:
     """Integer decomposition property, degree by degree.
 
     For each n, every lattice point of nP must split as v + (point of
@@ -630,24 +604,20 @@ def idp_check(poly, lat: AffineLattice = None, max_degree: int = None,
     decomposability into n points. The default degree ceiling max(2, dim-1)
     suffices for full normality of a lattice polytope. A failure is
     re-verified independently (halfspaces, lattice membership, exhaustive
-    search) before it is reported."""
-    pts = list(poly.vertices) if isinstance(poly, ModelPolytope) else \
-        [tuple(p) for p in poly]
-    if lat is None:
-        lat = spanned_lattice(pts)
-    if hrep is None:
-        hrep = facet_description(pts)
+    search) before it is reported. poly may be a ModelPolytope, a
+    LatticePolytope or a sequence of points."""
+    poly = _as_polytope(poly)
+    lat, hrep = poly.lattice, poly.hrep
     if max_degree is None:
         max_degree = max(2, lat.rank - 1)
-    scan = _dilate_scan(tuple(pts), lat, hrep)
-    s1 = _dilate_array(scan, 1, row_cap)
+    s1 = poly.lattice_points
     counts = [(1, len(s1))]
     prev = s1
     degrees = []
     for n in range(2, max_degree + 1):
-        sn = _dilate_array(scan, n, row_cap)
+        sn = _dilate_array(poly, n, row_cap)
         counts.append((n, len(sn)))
-        bad = _undecomposable(sn, s1, prev, n, scan)
+        bad = _undecomposable(sn, s1, prev, n, poly.low, poly.span)
         degrees.append(n)
         if len(bad):
             witness = min(_ambient_rows(bad, n, lat))
@@ -655,7 +625,7 @@ def idp_check(poly, lat: AffineLattice = None, max_degree: int = None,
                 raise AssertionError("witness fails the halfspace check")
             if not lat.contains(witness, n):
                 raise AssertionError("witness fails the lattice check")
-            if decompose(witness, n, pts, lat, hrep).found is not None:
+            if decompose(witness, n, poly).found is not None:
                 raise AssertionError("witness decomposed on re-verification")
             return IdpReport(verdict="NotNormal", degrees_checked=tuple(degrees),
                              witness=witness, witness_degree=n,

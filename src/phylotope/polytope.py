@@ -15,7 +15,6 @@ the canonical character order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import product
 
 from .errors import BijectionFailureError, CapExceededError
@@ -40,13 +39,6 @@ def _elimination_order(tree: Tree):
             raise BijectionFailureError("inner vertex without outgoing edge")
         chosen[v] = min(i for i, _ in kids)
     return inner, chosen
-
-
-def leaf_sign(tree: Tree, leaf: int) -> int:
-    """+1 when the leaf is the child of its edge, -1 when it is the parent
-    (a degree-1 root)."""
-    i = tree.leaf_edges[tree.leaves.index(leaf)]
-    return 1 if tree.edges[i][1] == leaf else -1
 
 
 def socket_of_network(tree: Tree, group, assignment) -> tuple:
@@ -162,12 +154,6 @@ class ModelPolytope:
     @property
     def dim_ambient(self) -> int:
         return self.n_blocks * self.block_width
-
-    @cached_property
-    def block_structure(self) -> tuple:
-        """(block index, within-block index) per coordinate."""
-        return tuple((i // self.block_width, i % self.block_width)
-                     for i in range(self.dim_ambient))
 
     def block(self, vertex, b: int) -> tuple:
         w = self.block_width

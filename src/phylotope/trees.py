@@ -256,8 +256,6 @@ class GlueResult:
     merged_edge: int
     edge_map1: tuple
     edge_map2: tuple
-    vertex_map1: tuple
-    vertex_map2: tuple
     flipped1: frozenset
     flipped2: frozenset
     glued1: int
@@ -324,6 +322,5 @@ def glue(t1: Tree, leaf1, t2: Tree, leaf2) -> GlueResult:
     return GlueResult(tree=tree, merged_edge=i1,
                       edge_map1=tuple(range(len(t1.edges))),
                       edge_map2=tuple(emap2),
-                      vertex_map1=vmap1, vertex_map2=vmap2,
                       flipped1=flipped1, flipped2=flipped2,
                       glued1=i1, glued2=i2)

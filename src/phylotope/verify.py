@@ -13,7 +13,7 @@ from .cyclotomic import CyclotomicInt
 from .fourier import (appendix_demo, f_o, g_invariance_check, l_chi,
                       what_dimension, _gaussian_str)
 from .groups import abelian_model, character_eval, close_group, preset_model
-from .lattice import decompose, idp_check
+from .lattice import LatticePolytope, decompose, idp_check
 from .polytope import (build_polytope, enumerate_networks, enumerate_sockets,
                        project_orbits, vertex_file_text)
 from .trees import parse_newick
@@ -128,11 +128,12 @@ def _check_claw_normality():
     if not rep.normal:
         return False, "2-state claw flagged as not normal"
     k2p = preset_model("K2P")
-    proj = project_orbits(build_polytope(claw, k2p), k2p)
+    proj = LatticePolytope(
+        project_orbits(build_polytope(claw, k2p), k2p).vertices)
     repk = idp_check(proj)
     if repk.normal or repk.witness != (1, 0, 1, 1, 0, 1, 1, 0, 1):
         return False, f"projected claw verdict {repk.verdict}, witness {repk.witness}"
-    cert = decompose(repk.witness, 2, proj.vertices)
+    cert = decompose(repk.witness, 2, proj)
     if cert.found is not None:
         return False, "witness unexpectedly decomposed"
     return True, ("2-state claw normal; projected 2-parameter claw has the "

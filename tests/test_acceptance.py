@@ -119,8 +119,8 @@ def test_04_projected_claw_witness():
     for point in (report.witness, known):
         assert lat.contains(point, scale=2)
         assert hrep.contains(point, scale=2)
-        assert point in lattice_points_in_dilate(poly.vertices, 2, lat, hrep)
-        assert decompose(point, 2, poly.vertices, lat, hrep).found is None
+        assert point in lattice_points_in_dilate(poly.vertices, 2)
+        assert decompose(point, 2, poly.vertices).found is None
     elapsed = time.monotonic() - t0
     assert elapsed < 10.0
     _report(4, "projected claw witness certified", elapsed, 10)

@@ -4,8 +4,9 @@ from hypothesis import strategies as st
 
 from phylotope.cyclotomic import CycRational, CyclotomicInt
 from phylotope.errors import NotInvariantError, ShapeMismatchError
-from phylotope.fourier import (LeafTensor, appendix_demo, f_o,
-                               g_invariance_check, l_chi, l_f,
+from phylotope.fourier import (LeafTensor, _fixed_space_dimension,
+                               appendix_demo, f_o, g_invariance_check,
+                               l_chi, l_f,
                                monomial_socket_vector, params_to_matrices,
                                raw_leaf_tensor, socket_coordinates, w_chi,
                                what_dimension)
@@ -144,3 +145,17 @@ def test_appendix_demo_report():
     text = rep.to_text()
     assert "relation (1+i)*x1 - 2i*x2 + (i-1)*x3 = 0: verified" in text
     assert "image rank: 3" in text
+
+
+@pytest.mark.parametrize("model", [
+    *("CFN", "JC", "K2P", "K3P"),
+    *([k] for k in range(2, 9)), [2, 2], [2, 3], [2, 4], [2, 2, 2]])
+def test_fixed_space_dimension_counts_pair_orbits(model):
+    # a matrix fixed by G is constant on each G-orbit of state pairs (a, b),
+    # so the fixed space has one dimension per orbit
+    model = preset_model(model) if isinstance(model, str) \
+        else abelian_model(model)
+    n = model.n_states
+    orbits = {frozenset((g(a), g(b)) for g in model.g_elements)
+              for a in range(n) for b in range(n)}
+    assert _fixed_space_dimension(model) == len(orbits)

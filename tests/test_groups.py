@@ -6,7 +6,6 @@ from phylotope.errors import (CapExceededError, NotFreeError, NotNormalError,
                               NotTransitiveError, ParseError)
 from phylotope.groups import (CyclicFactorization, Permutation, abelian_model,
                               build_model, character_eval, close_group,
-                              conjugation_orbits, dual_orbits,
                               parse_group_file, parse_group_spec, preset_model,
                               unique_transporter)
 
@@ -99,8 +98,6 @@ def test_preset_orbits():
     assert k2p.conj_orbits == (((0, 0),), ((1, 0),), ((0, 1), (1, 1)))
     jc = preset_model("JC")
     assert jc.dual_orbits == (((0, 0),), ((1, 0), (0, 1), (1, 1)))
-    assert conjugation_orbits(k2p) == k2p.conj_orbits
-    assert dual_orbits(jc) == jc.dual_orbits
 
 
 def test_transporter():

@@ -1,23 +1,75 @@
-"""Differential tests of the dilate scan and the IDP check against
-independent oracles, on random small point sets."""
+"""Differential tests of the dilate scan, the facet description and the
+IDP check against independent oracles, on random small point sets."""
 
-from itertools import product
+from fractions import Fraction
+from itertools import combinations, product
+from math import gcd
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from phylotope.lattice import (_dilate_array, _dilate_points_py,
-                               _dilate_scan, _dilate_setup, _DilateScan,
+from phylotope.groups import abelian_model
+from phylotope.lattice import (LatticePolytope, _dilate_array,
                                _undecomposable, decompose,
                                facet_description, idp_check,
                                lattice_points_in_dilate, spanned_lattice)
+from phylotope.polytope import build_polytope
+from phylotope.trees import parse_newick
 
 # About a third of these sets in dimension 3 and 4 are not IDP.
 point_sets = st.integers(1, 4).flatmap(lambda d: st.lists(
     st.tuples(*[st.integers(0, 3)] * d), min_size=1, max_size=7,
     unique=True))
+
+
+def _dilate_setup(points, lat, hrep, n):
+    """Constraints W.y <= n*offs and the box [lo, hi] of nP in lattice
+    coordinates y, where a point is x = n*anchor + y.B."""
+    W = [tuple(sum(bi * ci for bi, ci in zip(row, c)) for row in lat.basis)
+         for c, _ in hrep.inequalities]
+    offs = [b - sum(ci * ai for ci, ai in zip(c, lat.anchor))
+            for c, b in hrep.inequalities]
+    ys = [lat.coordinates(p) for p in points]
+    lo = [n * min(y[j] for y in ys) for j in range(lat.rank)]
+    hi = [n * max(y[j] for y in ys) for j in range(lat.rank)]
+    return W, offs, lo, hi
+
+
+def _dilate_points_py(W, offs, n, lo, hi):
+    """Reference enumeration: depth-first with per-level bound propagation,
+    Python integers throughout."""
+    r = len(lo)
+    F = len(W)
+    minrest = [[0] * (r + 1) for _ in range(F)]
+    for f in range(F):
+        for j in range(r - 1, -1, -1):
+            w = W[f][j]
+            minrest[f][j] = minrest[f][j + 1] + min(w * lo[j], w * hi[j])
+    out = []
+    y = [0] * r
+
+    def rec(j, dots):
+        if j == r:
+            out.append(tuple(y))
+            return
+        lo_j, hi_j = lo[j], hi[j]
+        for f in range(F):
+            w = W[f][j]
+            if w == 0:
+                continue
+            slack = n * offs[f] - dots[f] - minrest[f][j + 1]
+            if w > 0:
+                hi_j = min(hi_j, slack // w)
+            else:
+                lo_j = max(lo_j, -((-slack) // w))
+        for v in range(lo_j, hi_j + 1):
+            y[j] = v
+            rec(j + 1, [dots[f] + W[f][j] * v for f in range(F)])
+
+    rec(0, [0] * F)
+    return out
 
 
 def _ambient(y, n, lat):
@@ -37,26 +89,124 @@ def _brute_idp(pts, max_degree):
     """(first failing degree, lex-least point of nP that decompose cannot
     split into n lattice points of P), or None when every degree up to
     max_degree passes."""
-    lat = spanned_lattice(pts)
-    hrep = facet_description(pts)
+    poly = LatticePolytope(pts)
     for n in range(2, max_degree + 1):
-        for q in _box_points(pts, n, lat, hrep):
-            if decompose(q, n, pts, lat, hrep).found is None:
+        for q in _box_points(pts, n, poly.lattice, poly.hrep):
+            if decompose(q, n, poly).found is None:
                 return n, q
     return None
+
+
+def _rank(rows):
+    """Rank over the rationals, by plain Gaussian elimination."""
+    rows = [[Fraction(x) for x in row] for row in rows]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        piv = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        for i in range(rank + 1, len(rows)):
+            f = rows[i][col] / rows[rank][col]
+            rows[i] = [a - f * b for a, b in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+def _det(m):
+    if not m:
+        return 1
+    return sum((-1) ** i * m[0][i] * _det([row[:i] + row[i + 1:]
+                                           for row in m[1:]])
+               for i in range(len(m)) if m[0][i])
+
+
+def _brute_facets(pts):
+    """Facet inequalities of conv(pts), restricted to the greedy
+    full-rank coordinate subset and written back in ambient coordinates:
+    every primitive hyperplane through d affinely independent restricted
+    points that has all of them on one side."""
+    diffs = [[x - b for x, b in zip(p, pts[0])] for p in pts[1:]]
+    cols = []
+    for c in range(len(pts[0])):
+        if _rank([[row[k] for k in cols + [c]] for row in diffs]) > len(cols):
+            cols.append(c)
+    d = len(cols)
+    zs = sorted({tuple(p[c] for c in cols) for p in pts})
+    facets = set()
+    for sub in combinations(zs, d) if d else ():
+        m = [[a - b for a, b in zip(z, sub[0])] for z in sub[1:]]
+        normal = [(-1) ** i * _det([row[:i] + row[i + 1:] for row in m])
+                  for i in range(d)]
+        g = 0
+        for x in normal:
+            g = gcd(g, x)
+        if not g:
+            continue
+        normal = [x // g for x in normal]
+        vals = [sum(a * x for a, x in zip(normal, z)) for z in zs]
+        rhs = sum(a * x for a, x in zip(normal, sub[0]))
+        for sign in (1, -1):
+            if all(sign * v <= sign * rhs for v in vals):
+                full = [0] * len(pts[0])
+                for a, c in zip(normal, cols):
+                    full[c] = sign * a
+                facets.add((tuple(full), sign * rhs))
+    return d, facets
+
+
+def test_dilate_enumeration_matches_reference():
+    z3 = abelian_model([3])
+    poly = build_polytope(parse_newick("(a,b,c);"), z3)
+    lat = spanned_lattice(poly.vertices)
+    hrep = facet_description(poly.vertices)
+    for n in (1, 2, 3):
+        fast = lattice_points_in_dilate(poly.vertices, n)
+        W, offs, lo, hi = _dilate_setup(sorted(poly.vertices), lat, hrep, n)
+        slow = _dilate_points_py(W, offs, n, lo, hi)
+        anchor = np.asarray(lat.anchor, dtype=np.int64)
+        basis = np.asarray(lat.basis, dtype=np.int64)
+        xs = {tuple(int(v) for v in n * anchor + np.asarray(y) @ basis)
+              for y in slow}
+        assert set(fast) == xs
+    assert set(lattice_points_in_dilate(poly.vertices, 1)) \
+        == set(poly.vertices)
+
+
+# Up to dimension 5, where the double description's adjacency test matters.
+facet_sets = st.integers(1, 5).flatmap(lambda d: st.lists(
+    st.tuples(*[st.integers(0, 2)] * d), min_size=1, max_size=10,
+    unique=True))
+
+
+@settings(max_examples=80, deadline=None)
+@given(facet_sets)
+def test_facets_match_brute_force(pts):
+    hrep = facet_description(pts)
+    d, facets = _brute_facets(sorted(pts))
+    assert set(hrep.inequalities) == facets
+    assert len(hrep.inequalities) == len(facets)
+    # the equalities: primitive, tight on every point, independent, and
+    # one per dimension the points do not span
+    normals = [c for c, _ in hrep.equalities]
+    assert all(gcd(*c) == 1 for c in normals)
+    assert all(sum(a * x for a, x in zip(c, p)) == b
+               for c, b in hrep.equalities for p in pts)
+    assert len(normals) == len(pts[0]) - d
+    assert _rank(normals) == len(normals)
 
 
 @settings(max_examples=60, deadline=None)
 @given(point_sets, st.integers(1, 4))
 def test_dilate_scan_matches_reference(pts, n):
-    lat = spanned_lattice(pts)
-    hrep = facet_description(pts)
-    W, offs, lo, hi, _ = _dilate_setup(sorted(pts), lat, hrep, n)
+    poly = LatticePolytope(pts)
+    lat = poly.lattice
+    W, offs, lo, hi = _dilate_setup(sorted(pts), lat, poly.hrep, n)
     ref = _dilate_points_py(W, offs, n, lo, hi)
-    rows = _dilate_array(_dilate_scan(tuple(pts), lat, hrep), n, 10 ** 6)
+    rows = _dilate_array(poly, n, 10 ** 6)
     # same points, in the lexicographic order the code kernel relies on
     assert rows.tolist() == [list(y) for y in ref]
-    assert lattice_points_in_dilate(pts, n, lat, hrep) == \
+    assert lattice_points_in_dilate(poly, n) == \
         sorted(_ambient(y, n, lat) for y in ref)
 
 
@@ -93,10 +243,8 @@ def test_code_kernel_matches_set_lookup(data):
                                          min_size=min_size, max_size=12)))
 
     s1, prev, sn = rows(1, min_size=1), rows(n - 1), rows(n)
-    scan = _DilateScan(levels=(), low=tuple(low), span=tuple(span),
-                       magnitude=0)
     got = _undecomposable(*(np.array(a, dtype=np.int64).reshape(-1, r)
-                            for a in (sn, s1, prev)), n, scan)
+                            for a in (sn, s1, prev)), n, low, span)
     prev_set = set(prev)
     want = [q for q in sn
             if not any(tuple(a - b for a, b in zip(q, v)) in prev_set
@@ -108,10 +256,10 @@ def test_code_kernel_top_digit_does_not_carry():
     # q = (0, 2) has the top digit n*span = 2. With a radix of 2 instead of
     # 3, code(q) - code(0) would equal code((1, 0)), a point of (n-1)P, and
     # q would wrongly count as decomposed.
-    scan = _DilateScan(levels=(), low=(0, 0), span=(1, 1), magnitude=0)
     sn, s1, prev = (np.array([p], dtype=np.int64)
                     for p in ((0, 2), (0, 0), (1, 0)))
-    assert _undecomposable(sn, s1, prev, 2, scan).tolist() == [[0, 2]]
+    assert _undecomposable(sn, s1, prev, 2, (0, 0), (1, 1)).tolist() \
+        == [[0, 2]]
 
 
 @pytest.mark.parametrize("r", [2, 3])

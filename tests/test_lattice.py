@@ -1,12 +1,10 @@
-import numpy as np
 import pytest
 
 from phylotope.errors import (BlockWidthMismatchError,
                               ProjectionNotInSimplexError,
                               ScaleExceededError)
 from phylotope.groups import abelian_model, preset_model
-from phylotope.lattice import (AffineLattice, _dilate_points_py,
-                               _dilate_setup, decompose, facet_description,
+from phylotope.lattice import (AffineLattice, decompose, facet_description,
                                fiber_product, glued_polytope,
                                hermite_normal_form, idp_check,
                                lattice_points_in_dilate, spanned_lattice)
@@ -69,25 +67,6 @@ def test_facets_of_an_embedded_segment():
     assert not hrep.contains((3, 3, 1))
 
 
-def test_dilate_enumeration_matches_reference():
-    z3 = abelian_model([3])
-    poly = build_polytope(CLAW, z3)
-    lat = spanned_lattice(poly.vertices)
-    hrep = facet_description(poly.vertices)
-    for n in (1, 2, 3):
-        fast = lattice_points_in_dilate(poly.vertices, n, lat, hrep)
-        W, offs, lo, hi, _ = _dilate_setup(sorted(poly.vertices), lat,
-                                           hrep, n)
-        slow = _dilate_points_py(W, offs, n, lo, hi)
-        anchor = np.asarray(lat.anchor, dtype=np.int64)
-        basis = np.asarray(lat.basis, dtype=np.int64)
-        xs = {tuple(int(v) for v in n * anchor + np.asarray(y) @ basis)
-              for y in slow}
-        assert set(fast) == xs
-    assert set(lattice_points_in_dilate(poly.vertices, 1)) \
-        == set(poly.vertices)
-
-
 def test_row_cap_raises():
     z3 = abelian_model([3])
     poly = build_polytope(CLAW, z3)
@@ -139,7 +118,7 @@ def test_projected_claw_is_not_normal_with_certificate():
     hrep = facet_description(poly.vertices)
     assert lat.contains(w, scale=2)
     assert hrep.contains(w, scale=2)
-    assert decompose(w, 2, poly.vertices, lat, hrep).found is None
+    assert decompose(w, 2, poly.vertices).found is None
     text = report.to_text()
     assert "verdict: NotNormal" in text
     assert "witness degree: 2" in text
