@@ -232,7 +232,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_glue)
 
     p = sub.add_parser("oracle-test", help="compare the monomial socket "
-                                           "parameterization with brute-force "
+                                           "parameterization with exact "
                                            "marginalization")
     add_group(p); add_tree(p); add_out(p)
     p.add_argument("--seed", type=int, default=20,

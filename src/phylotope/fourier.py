@@ -2,8 +2,9 @@
 
 Basis vectors w_chi, the matrices l_f built from functions on H, orbit sums
 l_{f_o}, symmetry checks, the dimension count for the space of G-invariant
-transition matrices, a brute-force leaf-tensor oracle with its socket
-decomposition, and the Z4 circulant demonstration.
+transition matrices, the leaf-tensor oracle (the marginal tensor of a tree
+by exact contraction, and its socket coordinates by the inverse character
+transform), and the Z4 circulant demonstration.
 
 Everything is exact: matrices carry CyclotomicInt entries, coefficients come
 back as CycRational.
@@ -12,9 +13,11 @@ back as CycRational.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from itertools import product
+from operator import add, mul
 
-from .cyclotomic import CycRational, CyclotomicInt, field_rank
+from .cyclotomic import CycRational, CyclotomicInt, _reduce, field_rank
 from .errors import NotInvariantError, ShapeMismatchError
 from .groups import GroupModel, character_eval, unique_transporter
 from .lattice import _row_reduce_pivots
@@ -139,75 +142,113 @@ class LeafTensor:
 
 
 def raw_leaf_tensor(model: GroupModel, tree: Tree, edge_matrices) -> LeafTensor:
-    """Brute-force marginalization: the tensor whose entry at a leaf-state
-    assignment is the sum over all inner-state extensions of the product of
-    edge matrix entries M_e[state(parent), state(child)].
+    """The tensor whose entry at a leaf-state assignment is the sum over all
+    inner-state extensions of the product of edge matrix entries
+    M_e[state(parent), state(child)].
+
+    Computed exactly by one bottom-up contraction of the tree (Felsenstein's
+    pruning, run on all leaf assignments at once). Each vertex gets one
+    table: per assignment to the leaves below it, in depth-first leaf order
+    with the first leaf most significant, a vector over its own states. A
+    leaf edge passes up a column of its matrix; any other edge passes up
+    matrix times vector. A vertex takes the entrywise product of its
+    children's messages over the outer product of their keys. At the root
+    the states are summed, or, when the root is itself a leaf, its state
+    becomes the first key digit. The table is then permuted into the global
+    leaf order.
 
     edge_matrices: one |A| x |A| matrix per edge position.
     """
     n = model.n_states
-    edges = tree.edges
-    if len(edge_matrices) != len(edges):
+    if len(edge_matrices) != len(tree.edges):
         raise ShapeMismatchError("need one matrix per edge")
     for mat in edge_matrices:
         if len(mat) != n or any(len(r) != n for r in mat):
             raise ShapeMismatchError(f"edge matrices must be {n}x{n}")
-    leaves = tree.leaves
-    leaf_pos = {v: i for i, v in enumerate(leaves)}
     kids = tree.children_map
 
-    def up(v, assignment):
-        """Vector over states x of v: the subtree below v contracted, with
-        leaf states pinned to `assignment`."""
-        if not kids[v]:
-            vec = [0] * n
-            vec[assignment[leaf_pos[v]]] = 1
-            return vec
-        vec = [1] * n
+    def contract(v):
+        """(leaves below v in depth-first order, one vector over the states
+        of v per assignment to those leaves, lexicographic)."""
+        order, rows = (), None
         for i, c in kids[v]:
-            sub = up(c, assignment)
             mat = edge_matrices[i]
-            for x in range(n):
-                acc = 0
-                for y in range(n):
-                    if sub[y] != 0:
-                        acc = acc + mat[x][y] * sub[y]
-                vec[x] = vec[x] * acc
-        return vec
+            if kids[c]:
+                below, sub = contract(c)
+                msg = [[reduce(add, map(mul, r, vec)) for r in mat]
+                       for vec in sub]
+            else:
+                below = (c,)
+                msg = [[r[a] for r in mat] for a in range(n)]
+            rows = msg if rows is None else \
+                [list(map(mul, x, y)) for x in rows for y in msg]
+            order += below
+        return order, rows
 
-    values = []
-    root_is_leaf = tree.degree[tree.root] == 1
-    for assignment in product(range(n), repeat=len(leaves)):
-        vec = up(tree.root, assignment)
-        if root_is_leaf:
-            values.append(vec[assignment[leaf_pos[tree.root]]])
-        else:
-            total = 0
-            for x in vec:
-                total = total + x
-            values.append(total)
-    return LeafTensor(n_states=n, n_leaves=len(leaves), values=tuple(values))
+    order, rows = contract(tree.root)
+    if tree.degree[tree.root] == 1:
+        order = (tree.root,) + order
+        local = [vec[a] for a in range(n) for vec in rows]
+    else:
+        local = [reduce(add, vec) for vec in rows]
+    stride = {v: n ** k for k, v in enumerate(reversed(order))}
+    index = [0]
+    for v in tree.leaves:
+        index = [i + a * stride[v] for i in index for a in range(n)]
+    return LeafTensor(n_states=n, n_leaves=len(tree.leaves),
+                      values=tuple(local[i] for i in index))
+
+
+def _digits(pos: int, base: int, length: int) -> tuple:
+    """pos written with `length` digits in `base`, most significant first."""
+    out = []
+    for _ in range(length):
+        pos, d = divmod(pos, base)
+        out.append(d)
+    return tuple(reversed(out))
 
 
 def _check_tensor_invariance(model: GroupModel, tensor: LeafTensor):
     n = model.n_states
+    values = tensor.values
     for g in model.g_elements:
         if g.is_identity():
             continue
-        for assignment in product(range(n), repeat=tensor.n_leaves):
-            moved = tuple(g(a) for a in assignment)
-            if tensor[moved] != tensor[assignment]:
+        image = [g(a) for a in range(n)]
+        moved = [0]  # moved[pos]: flat index of g applied to assignment pos
+        for _ in range(tensor.n_leaves):
+            moved = [i * n + b for i in moved for b in image]
+        for pos, dest in enumerate(moved):
+            if values[dest] != values[pos]:
                 raise NotInvariantError(
-                    f"tensor not fixed by {g!r} at {assignment}")
+                    f"tensor not fixed by {g!r} at "
+                    f"{_digits(pos, n, tensor.n_leaves)}")
+
+
+def _lift(m: int, v) -> list:
+    """An int or element of Z[zeta_m] as m integers: its power-basis
+    coefficients read in Z[x]/(x^m - 1)."""
+    if isinstance(v, CyclotomicInt):
+        if v.m != m:
+            raise ValueError(f"mixed rings: m={v.m} vs m={m}")
+        v = v.coeffs
+    else:
+        v = (v,)
+    return list(v) + [0] * (m - len(v))
 
 
 def socket_coordinates(model: GroupModel, tensor: LeafTensor) -> dict:
     """Coefficients of the tensor in the basis {(x)_l w_{chi_l}}.
 
     Checks G-invariance first, then transforms one leaf axis at a time with
-    the exact inverse character table. Coefficients on non-socket character
-    tuples must vanish (NotInvariant otherwise); the returned dict has one
-    CycRational entry per socket, zeros included.
+    the exact inverse character table. Each entry of that table is a root
+    of unity zeta_m^e, so tensor entries are carried in Z[x]/(x^m - 1) as m
+    integers and multiplied by zeta_m^e as a cyclic shift by e. Each
+    coefficient is reduced mod Phi_m once at the end; since Phi_m divides
+    x^m - 1 that quotient map is a ring homomorphism, so the result is
+    exact. Coefficients on non-socket character tuples must vanish
+    (NotInvariant otherwise); the returned dict has one CycRational entry
+    per socket, zeros included.
     """
     group = model.group
     n = model.n_states
@@ -216,11 +257,11 @@ def socket_coordinates(model: GroupModel, tensor: LeafTensor) -> dict:
     _check_tensor_invariance(model, tensor)
     m = group.exponent
     size = group.size
-    # inverse table: D[u][a] = (-chi_u)(h_a)
-    table = [[character_eval(model, group.neg(u), model.elem_of_state[a])
-              for a in range(n)] for u in group.characters()]
-    vals = [v if isinstance(v, CyclotomicInt) else CyclotomicInt.from_int(m, v)
-            for v in tensor.values]
+    characters = group.characters()
+    # inverse table: (-chi_u)(h_a) = zeta_m^shifts[u][a]
+    shifts = [[group.pairing_exponent(group.neg(u), model.elem_of_state[a])
+               for a in range(n)] for u in characters]
+    vals = [_lift(m, v) for v in tensor.values]
     L = tensor.n_leaves
     stride = len(vals)
     for _axis in range(L):
@@ -230,22 +271,17 @@ def socket_coordinates(model: GroupModel, tensor: LeafTensor) -> dict:
             for inner in range(stride):
                 base = outer + inner
                 col = [vals[base + k * stride] for k in range(n)]
-                for u in range(size):
-                    acc = CyclotomicInt.zero(m)
-                    for k in range(n):
-                        acc = acc + table[u][k] * col[k]
+                for u, row in enumerate(shifts):
+                    acc = [0] * m
+                    for e, c in zip(row, col):
+                        acc = list(map(add, acc, c[m - e:] + c[:m - e]))
                     new[base + u * stride] = acc
         vals = new
     den = size ** L
     out = {}
-    for pos, num in enumerate(vals):
-        digits = []
-        p = pos
-        for _ in range(L):
-            digits.append(p % size)
-            p //= size
-        digits.reverse()
-        chars = tuple(group.element(d) for d in digits)
+    for pos, acc in enumerate(vals):
+        num = CyclotomicInt(m, _reduce(acc, m))
+        chars = tuple(characters[d] for d in _digits(pos, size, L))
         total = group.zero()
         for c in chars:
             total = group.add(total, c)

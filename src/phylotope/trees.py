@@ -278,7 +278,9 @@ def glue(t1: Tree, leaf1, t2: Tree, leaf2) -> GlueResult:
     single merged edge. Edge positions of t1 are preserved (the merged edge
     sits where leaf1's edge was) and t2's remaining edges follow in their
     original order. The result is rooted at t1's root, or at leaf1's
-    neighbour when t1's root is the removed leaf.
+    neighbour when t1's root is the removed leaf. A leaf label of t2 that
+    a surviving leaf of t1 also carries gets the suffix "_2", repeated until
+    the label is unique, so the result's Newick string parses back.
     """
     l1 = _resolve_leaf(t1, leaf1)
     l2 = _resolve_leaf(t2, leaf2)
@@ -315,8 +317,16 @@ def glue(t1: Tree, leaf1, t2: Tree, leaf2) -> GlueResult:
             emap2.append(len(out_edges))
             out_edges.append((vmap2[a], vmap2[b]))
 
-    labels = tuple(x for v, x in enumerate(t1.labels) if v != l1) + \
-        tuple(x for v, x in enumerate(t2.labels) if v != l2)
+    labels1 = tuple(x for v, x in enumerate(t1.labels) if v != l1)
+    labels2 = [x for v, x in enumerate(t2.labels) if v != l2]
+    taken = set(labels1) | set(labels2)
+    for k, x in enumerate(labels2):
+        if x is not None and x in labels1:
+            while x in taken:
+                x += "_2"
+            taken.add(x)
+            labels2[k] = x
+    labels = labels1 + tuple(labels2)
     root = vmap1[p1] if t1.root == l1 else vmap1[t1.root]
     tree = Tree(root=root, edges=tuple(out_edges), labels=labels)
     return GlueResult(tree=tree, merged_edge=i1,

@@ -1,5 +1,6 @@
 import pytest
 
+import phylotope.cli
 import phylotope.verify
 from phylotope.cli import main
 
@@ -121,6 +122,22 @@ def test_oracle_test_agreement(capsys):
     assert "draws: 5" in out
     assert "agreement: exact" in out
     assert "derived scalar matches: yes" in out
+
+
+def test_oracle_test_reports_disagreement(capsys, monkeypatch):
+    exact = phylotope.cli.monomial_socket_vector
+
+    def off_by_one(*args, **kwargs):
+        out = exact(*args, **kwargs)
+        socket = min(out)
+        out[socket] = out[socket] + 1
+        return out
+
+    monkeypatch.setattr(phylotope.cli, "monomial_socket_vector", off_by_one)
+    code, out, _ = run(capsys, "oracle-test", "--group", "Z3",
+                       "--tree", "(a,b,c);", "--seed", "5")
+    assert code == 1
+    assert "agreement: FAILED at draw 0" in out
 
 
 def test_oracle_test_limits(capsys):

@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,10 +15,85 @@ from phylotope.fourier import (LeafTensor, _fixed_space_dimension,
 from phylotope.groups import (abelian_model, character_eval, preset_model,
                               unique_transporter)
 from phylotope.polytope import enumerate_sockets
-from phylotope.trees import parse_newick
+from phylotope.trees import parse_newick, reorient
 
 CLAW = parse_newick("(a,b,c);")
 QUARTET = parse_newick("((a,b),(c,d));")
+
+# trees of 2..5 leaves; each test re-roots them at any vertex, leaves included
+ORACLE_TREES = [parse_newick(t) for t in (
+    "(a,b);", "(a,b,c);", "((a,b),(c,d));", "(a,b,c,d);",
+    "((a,b),c,(d,e));", "(a,b,c,d,e);", "(((a,b),c),(d,e));",
+    "((a,b,c),(d,e));")]
+ORACLE_GROUPS = [[2], [3], [4], [2, 2]]
+
+
+def _leaf_tensor_by_definition(model, tree, mats):
+    """The definition raw_leaf_tensor implements: per leaf assignment, the
+    sum over all inner-state extensions of the product over edges (u, v) of
+    M_e[state(u)][state(v)]."""
+    n = model.n_states
+    values = []
+    for leaf_states in product(range(n), repeat=len(tree.leaves)):
+        state = dict(zip(tree.leaves, leaf_states))
+        total = 0
+        for inner_states in product(range(n), repeat=len(tree.inner)):
+            state.update(zip(tree.inner, inner_states))
+            term = 1
+            for (u, v), mat in zip(tree.edges, mats):
+                term = term * mat[state[u]][state[v]]
+            total = total + term
+        values.append(total)
+    return tuple(values)
+
+
+def _socket_coordinates_by_table(model, tensor):
+    """socket_coordinates with a dense table of CyclotomicInt characters and
+    ring products in place of shifts, and an invariance check that looks up
+    every moved assignment."""
+    group = model.group
+    n = model.n_states
+    for g in model.g_elements:
+        for assignment in product(range(n), repeat=tensor.n_leaves):
+            if tensor[tuple(g(a) for a in assignment)] != tensor[assignment]:
+                raise NotInvariantError(f"tensor not fixed by {g!r}")
+    m = group.exponent
+    table = [[character_eval(model, group.neg(u), model.elem_of_state[a])
+              for a in range(n)] for u in group.characters()]
+    vals = [v if isinstance(v, CyclotomicInt) else CyclotomicInt.from_int(m, v)
+            for v in tensor.values]
+    L = tensor.n_leaves
+    stride = len(vals)
+    for _axis in range(L):
+        stride //= n
+        new = [None] * len(vals)
+        for outer in range(0, len(vals), stride * n):
+            for inner in range(stride):
+                base = outer + inner
+                col = [vals[base + k * stride] for k in range(n)]
+                for u in range(group.size):
+                    acc = CyclotomicInt.zero(m)
+                    for k in range(n):
+                        acc = acc + table[u][k] * col[k]
+                    new[base + u * stride] = acc
+        vals = new
+    out = {}
+    for digits, num in zip(product(range(group.size), repeat=L), vals):
+        chars = tuple(group.element(d) for d in digits)
+        total = group.zero()
+        for c in chars:
+            total = group.add(total, c)
+        if total == group.zero():
+            out[chars] = CycRational(num, group.size ** L)
+        elif not num.is_zero():
+            raise NotInvariantError(f"nonzero coefficient on {chars}")
+    return out
+
+
+def _ring_elements(m):
+    deg = len(CyclotomicInt.zero(m).coeffs)
+    return st.lists(st.integers(-2, 2), min_size=deg, max_size=deg).map(
+        lambda cs: CyclotomicInt(m, cs))
 
 
 def test_l_chi_is_transporter_character():
@@ -118,6 +195,54 @@ def test_oracle_agreement_property(seed, order):
     assert set(coords) == set(mono)
     for socket, value in mono.items():
         assert coords[socket] == scalar * value
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.data())
+def test_leaf_tensor_contraction_matches_definition(data):
+    model = abelian_model(data.draw(st.sampled_from(ORACLE_GROUPS)))
+    n = model.n_states
+    # the definition costs n ** vertices products per edge
+    tree = data.draw(st.sampled_from(
+        [t for t in ORACLE_TREES if n ** t.n_vertices <= 4096]))
+    tree = reorient(tree, data.draw(st.integers(0, tree.n_vertices - 1)))
+    entry = _ring_elements(model.group.exponent)
+    square = st.lists(st.lists(entry, min_size=n, max_size=n),
+                      min_size=n, max_size=n)
+    mats = [data.draw(square) for _ in tree.edges]
+    tensor = raw_leaf_tensor(model, tree, mats)
+    assert tensor.n_leaves == len(tree.leaves)
+    assert tensor.values == _leaf_tensor_by_definition(model, tree, mats)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.data())
+def test_socket_shifts_match_table_transform(data):
+    model = data.draw(st.sampled_from(
+        [abelian_model(o) for o in ORACLE_GROUPS] + [preset_model("K2P")]))
+    n = model.n_states
+    n_leaves = data.draw(st.integers(1, {2: 6, 3: 4, 4: 3}[n]))
+    value = st.one_of(st.integers(-3, 3), _ring_elements(model.group.exponent))
+    # one value per G-orbit of assignments makes the tensor invariant
+    orbit_value = {}
+    values = []
+    for assignment in product(range(n), repeat=n_leaves):
+        orbit = min(tuple(g(a) for a in assignment) for g in model.g_elements)
+        if orbit not in orbit_value:
+            orbit_value[orbit] = data.draw(value)
+        values.append(orbit_value[orbit])
+    tensor = LeafTensor(n_states=n, n_leaves=n_leaves, values=tuple(values))
+    assert socket_coordinates(model, tensor) == \
+        _socket_coordinates_by_table(model, tensor)
+    # every G-orbit has at least |H| >= 2 members, so one changed entry
+    # breaks invariance
+    pos = data.draw(st.integers(0, len(values) - 1))
+    values[pos] = values[pos] + 1
+    broken = LeafTensor(n_states=n, n_leaves=n_leaves, values=tuple(values))
+    with pytest.raises(NotInvariantError):
+        socket_coordinates(model, broken)
+    with pytest.raises(NotInvariantError):
+        _socket_coordinates_by_table(model, broken)
 
 
 def test_monomial_vector_covers_all_sockets():

@@ -134,6 +134,20 @@ def test_glue_maps_cover_edges():
     assert res.edge_map2[res.glued2] is None
 
 
+@pytest.mark.parametrize("tree1, leaf1, tree2, leaf2, want", [
+    ("(a,b,c);", "c", "(a,b,c);", "a", ["a", "b", "b_2", "c"]),
+    ("(a,b,c);", "b", "(a,b,c);", "a", ["a", "b", "c", "c_2"]),
+    ("(a,b,b_2);", "a", "(b,b_2,x);", "x",
+     ["b", "b_2", "b_2_2", "b_2_2_2"]),
+])
+def test_glue_renames_colliding_leaves(tree1, leaf1, tree2, leaf2, want):
+    res = glue(parse_newick(tree1), leaf1, parse_newick(tree2), leaf2)
+    assert sorted(res.tree.leaf_labels) == want
+    back = parse_newick(res.tree.newick())
+    assert sorted(back.leaf_labels) == want
+    assert back.newick() == res.tree.newick()
+
+
 labels = st.lists(st.sampled_from("abcdefgh"), min_size=3, max_size=6,
                   unique=True)
 
