@@ -21,7 +21,7 @@ from .cyclotomic import CycRational, CyclotomicInt, _reduce, field_rank
 from .errors import NotInvariantError, ShapeMismatchError
 from .groups import GroupModel, character_eval, unique_transporter
 from .lattice import _row_reduce_pivots
-from .polytope import enumerate_networks, socket_of_network
+from .polytope import _index_networks
 from .trees import Tree
 
 
@@ -316,40 +316,28 @@ def params_to_matrices(model: GroupModel, params, by_orbit: bool = False):
     return mats
 
 
-def monomial_socket_vector(model: GroupModel, tree: Tree, params,
-                           by_orbit: bool = False) -> dict:
+def monomial_socket_vector(model: GroupModel, tree: Tree, params) -> dict:
     """The monomial parameterization on sockets: each network contributes the
     product of its per-edge parameters to its socket.
 
     params: per edge position, coefficients indexed by character (canonical
-    order) or, with by_orbit, by dual orbit. With abelian H each socket is
-    hit by exactly one network, so every value is a single monomial.
+    order). With abelian H each socket is hit by exactly one network, so
+    every value is a single monomial; keys follow the canonical network
+    order.
     """
     group = model.group
     if len(params) != len(tree.edges):
         raise ShapeMismatchError("need one parameter row per edge")
-    if by_orbit:
-        orbit_of = {}
-        for k, orb in enumerate(model.dual_orbits):
-            for chi in orb:
-                orbit_of[chi] = k
-        index = orbit_of.__getitem__
-        width = len(model.dual_orbits)
-    else:
-        index = group.index
-        width = group.size
     for row in params:
-        if len(row) != width:
+        if len(row) != group.size:
             raise ShapeMismatchError("parameter row has the wrong length")
+    chars = group.characters()
     out = {}
-    for assign in enumerate_networks(tree, group):
+    for net, sock in _index_networks(tree, group, 10 ** 6):
         term = 1
-        for i, chi in enumerate(assign):
-            term = term * params[i][index(chi)]
-        socket = socket_of_network(tree, group, assign)
-        if socket in out:
-            raise NotInvariantError("two networks share a socket")
-        out[socket] = term
+        for i, k in enumerate(net):
+            term = term * params[i][k]
+        out[tuple(chars[k] for k in sock)] = term
     return out
 
 

@@ -280,19 +280,19 @@ def _dual_dd(zpoints, d):
     return facets
 
 
-def facet_description(points, point_cap: int = 1500, dim_cap: int = 24) -> HRep:
+def facet_description(points) -> HRep:
     """Exact H-representation of conv(points): affine-hull equalities plus
     facet inequalities found by double description on a full-dimensional
     coordinate restriction."""
     pts = sorted(set(tuple(p) for p in points))
     if not pts:
         raise ValueError("need at least one point")
-    if len(pts) > point_cap:
-        raise ScaleExceededError(f"{len(pts)} points exceed cap {point_cap}")
+    if len(pts) > _POINT_CAP:
+        raise ScaleExceededError(f"{len(pts)} points exceed cap {_POINT_CAP}")
     equalities, pivots = _affine_hull(pts)
     d = len(pivots)
-    if d > dim_cap:
-        raise ScaleExceededError(f"dimension {d} exceeds cap {dim_cap}")
+    if d > _DIM_CAP:
+        raise ScaleExceededError(f"dimension {d} exceeds cap {_DIM_CAP}")
     inequalities = []
     if d > 0:
         zpoints = [tuple(p[c] for c in pivots) for p in pts]
@@ -315,6 +315,9 @@ _CHUNK_CELLS = 1 << 22
 _SCAN_BOUND = 2 ** 62
 # Default cap on the rows of one level of a dilate's scan.
 _ROW_CAP = 20_000_000
+# Caps on the input of facet_description: distinct points, affine dimension.
+_POINT_CAP = 1500
+_DIM_CAP = 24
 
 
 @dataclass(frozen=True)
@@ -539,12 +542,9 @@ class IdpReport:
         return self.verdict == "Normal"
 
     def to_text(self) -> str:
-        lines = [f"verdict: {self.verdict}"]
-        if self.degrees_checked:
-            lines.append("degrees checked: "
-                         f"{self.degrees_checked[0]}..{self.degrees_checked[-1]}")
-        else:
-            lines.append("degrees checked: none")
+        lines = [f"verdict: {self.verdict}",
+                 "degrees checked: "
+                 f"{self.degrees_checked[0]}..{self.degrees_checked[-1]}"]
         if self.witness is not None:
             lines.append(f"witness degree: {self.witness_degree}")
             lines.append("witness: " + " ".join(str(x) for x in self.witness))
@@ -602,10 +602,13 @@ def idp_check(poly, max_degree: int = None,
     For each n, every lattice point of nP must split as v + (point of
     (n-1)P) with v a lattice point of P; by induction that is exactly
     decomposability into n points. The default degree ceiling max(2, dim-1)
-    suffices for full normality of a lattice polytope. A failure is
+    suffices for full normality of a lattice polytope; a smaller ceiling
+    than 2 would certify nothing and raises ValueError. A failure is
     re-verified independently (halfspaces, lattice membership, exhaustive
     search) before it is reported. poly may be a ModelPolytope, a
     LatticePolytope or a sequence of points."""
+    if max_degree is not None and max_degree < 2:
+        raise ValueError(f"max_degree must be at least 2, got {max_degree}")
     poly = _as_polytope(poly)
     lat, hrep = poly.lattice, poly.hrep
     if max_degree is None:
@@ -667,8 +670,7 @@ def fiber_product(p1: ModelPolytope, block1: int, p2: ModelPolytope,
     verts = sorted(set(verts))
     return ModelPolytope(vertices=tuple(verts),
                          n_blocks=p1.n_blocks + p2.n_blocks - 1,
-                         block_width=w, flavor=p1.flavor,
-                         provenance=f"{p1.provenance}|{p2.provenance}")
+                         block_width=w, flavor=p1.flavor)
 
 
 def glued_polytope(model, t1, leaf1, t2, leaf2, cap: int = 10 ** 6):

@@ -5,7 +5,9 @@ each inner vertex is trivial (incoming negative, outgoing positive; the root
 has no incoming term). A socket assigns characters to the leaves, summing to
 trivial. Restriction of a network to the leaf edges, with a minus sign at a
 leaf that is its edge's parent (a degree-1 root), is a bijection onto
-sockets.
+sockets. Its inverse puts on each edge the sum of the socket's characters on
+the leaves on the edge's side away from the root; every network here is
+built that way, in character indices.
 
 The polytope of a model on a tree has one 0/1 vertex per network: per edge a
 block of |H| coordinates, holding the indicator of the edge's character in
@@ -22,23 +24,60 @@ from .groups import GroupModel
 from .trees import Tree
 
 
-def _elimination_order(tree: Tree):
-    """Inner vertices ordered root-outward, each with its chosen (lowest
-    numbered) outgoing edge; used to solve one edge per inner vertex."""
-    depth = {tree.root: 0}
-    order = [tree.root]
-    for v in order:
-        for _, c in tree.children_map[v]:
-            depth[c] = depth[v] + 1
-            order.append(c)
-    inner = sorted(tree.inner, key=lambda v: depth[v])
-    chosen = {}
-    for v in inner:
-        kids = tree.children_map[v]
-        if not kids:
-            raise BijectionFailureError("inner vertex without outgoing edge")
-        chosen[v] = min(i for i, _ in kids)
-    return inner, chosen
+def _index_sockets(tree: Tree, group):
+    """All sockets as character-index tuples in leaf order, sorted, and the
+    |H| x |H| index addition table. The first L-1 leaves run through every
+    value and the last leaf cancels their sum, so the tuples come out in
+    lexicographic order."""
+    elems = group.elements()
+    add = [[group.index(group.add(a, b)) for b in elems] for a in elems]
+    neg = [group.index(group.neg(a)) for a in elems]
+    sockets = []
+    for head in product(range(group.size), repeat=len(tree.leaves) - 1):
+        acc = 0
+        for k in head:
+            acc = add[acc][k]
+        sockets.append(head + (neg[acc],))
+    return sockets, add
+
+
+def _index_networks(tree: Tree, group, cap: int):
+    """(network, socket) index-tuple pairs, sorted by network: the canonical
+    network order.
+
+    Each edge carries the sum of the socket over the leaves on its child
+    side. This is the inverse of signed leaf restriction: a leaf edge
+    carries its leaf's character, and at every inner vertex the incoming
+    edge's leaves split into those of its outgoing edges, so chi_in =
+    sum chi_out (at an inner root the outgoing sums add up to the whole,
+    trivial socket). A degree-1 root lies on no edge's child side; its
+    socket entry is minus its edge's character, which the zero sum of the
+    socket already gives.
+    """
+    count = group.size ** (len(tree.leaves) - 1)
+    if count > cap:
+        raise CapExceededError(f"{count} networks exceed the cap of {cap}")
+    sockets, add = _index_sockets(tree, group)
+    leaf_pos = {v: j for j, v in enumerate(tree.leaves)}
+    kids = tree.children_map
+
+    def below(v):
+        if not kids[v]:
+            return (leaf_pos[v],)
+        return tuple(j for _, c in kids[v] for j in below(c))
+
+    sides = [below(c) for _, c in tree.edges]
+    pairs = []
+    for sock in sockets:
+        net = []
+        for side in sides:
+            acc = 0
+            for j in side:
+                acc = add[acc][sock[j]]
+            net.append(acc)
+        pairs.append((tuple(net), sock))
+    pairs.sort()
+    return pairs
 
 
 def socket_of_network(tree: Tree, group, assignment) -> tuple:
@@ -50,82 +89,42 @@ def socket_of_network(tree: Tree, group, assignment) -> tuple:
     return tuple(out)
 
 
-def iter_networks(tree: Tree, group):
-    """Yield all networks as tuples of characters in edge-position order.
-
-    Free edges (those not chosen by any inner vertex) run through all
-    |H|^(|E|-|N|) combinations in canonical order; each inner vertex's chosen
-    edge is then solved from the signed-sum condition, root first so every
-    chosen edge is determined exactly once.
-    """
-    inner, chosen = _elimination_order(tree)
-    chosen_pos = set(chosen.values())
-    free = [i for i in range(len(tree.edges)) if i not in chosen_pos]
-    parent_edge = {}
-    for i, (u, v) in enumerate(tree.edges):
-        parent_edge[v] = i
-    chars = group.characters()
-    for combo in product(chars, repeat=len(free)):
-        assign = [None] * len(tree.edges)
-        for i, chi in zip(free, combo):
-            assign[i] = chi
-        for v in inner:
-            # condition: -chi_in + sum chi_out = 0, solve the chosen edge
-            acc = group.zero()
-            if v != tree.root:
-                acc = group.add(acc, assign[parent_edge[v]])
-            for i, _ in tree.children_map[v]:
-                if i != chosen[v]:
-                    acc = group.sub(acc, assign[i])
-            if assign[chosen[v]] is not None:
-                raise BijectionFailureError("chosen edge already set")
-            assign[chosen[v]] = acc
-        yield tuple(assign)
-
-
 def enumerate_networks(tree: Tree, group, cap: int = 10 ** 6):
-    """All networks, sorted canonically. Raises CapExceeded past `cap`."""
-    expected = group.size ** (len(tree.edges) - len(tree.inner))
-    if expected > cap:
-        raise CapExceededError(
-            f"{expected} networks exceed the cap of {cap}")
-    nets = sorted(iter_networks(tree, group),
-                  key=lambda a: tuple(group.index(c) for c in a))
-    if len(nets) != expected:
-        raise BijectionFailureError(
-            f"enumerated {len(nets)} networks, expected {expected}")
-    return nets
+    """All networks as character tuples in edge-position order, sorted by
+    character index. Raises CapExceeded past `cap`."""
+    chars = group.characters()
+    return [tuple(chars[k] for k in net)
+            for net, _ in _index_networks(tree, group, cap)]
 
 
 def enumerate_sockets(tree: Tree, group, cap: int = 10 ** 6):
-    """All sockets (leaf assignments summing to trivial), sorted; independent
-    of the network enumeration."""
-    nl = len(tree.leaves)
-    expected = group.size ** (nl - 1)
-    if expected > cap:
-        raise CapExceededError(f"{expected} sockets exceed the cap of {cap}")
+    """All sockets (leaf assignments summing to trivial), sorted by
+    character index."""
+    count = group.size ** (len(tree.leaves) - 1)
+    if count > cap:
+        raise CapExceededError(f"{count} sockets exceed the cap of {cap}")
     chars = group.characters()
-    out = []
-    for combo in product(chars, repeat=nl - 1):
-        acc = group.zero()
-        for c in combo:
-            acc = group.sub(acc, c)
-        out.append(combo + (acc,))
-    out.sort(key=lambda s: tuple(group.index(c) for c in s))
-    return out
+    return [tuple(chars[k] for k in sock)
+            for sock in _index_sockets(tree, group)[0]]
 
 
 def network_socket_bijection(tree: Tree, group, cap: int = 10 ** 6):
     """Aligned (networks, sockets) lists under signed leaf restriction.
 
-    Verifies that restriction is a bijection onto the independently
-    enumerated socket set.
+    Verifies that every network restricts to the socket it was built from,
+    and that these restrictions are distinct and cover the socket set.
     """
-    nets = enumerate_networks(tree, group, cap=cap)
+    chars = group.characters()
+    nets, built = [], []
+    for net, sock in _index_networks(tree, group, cap):
+        nets.append(tuple(chars[k] for k in net))
+        built.append(tuple(chars[k] for k in sock))
     sockets = [socket_of_network(tree, group, a) for a in nets]
-    if len(set(sockets)) != len(sockets):
-        raise BijectionFailureError("two networks share a socket")
-    if sorted(sockets) != sorted(enumerate_sockets(tree, group, cap=cap)):
+    if sockets != built:
+        raise BijectionFailureError(
+            "a network does not restrict to its own socket")
+    if (len(set(sockets)) != len(sockets)
+            or set(sockets) != set(enumerate_sockets(tree, group, cap=cap))):
         raise BijectionFailureError(
             "network restrictions do not cover the socket set")
     return nets, sockets
@@ -144,7 +143,6 @@ class ModelPolytope:
     n_blocks: int
     block_width: int
     flavor: str              # "abelian" | "projected"
-    provenance: str = ""
 
     def __post_init__(self):
         for v in self.vertices:
@@ -160,21 +158,19 @@ class ModelPolytope:
         return tuple(vertex[b * w:(b + 1) * w])
 
 
-def build_polytope(tree: Tree, model: GroupModel, cap: int = 10 ** 6,
-                   provenance: str = "") -> ModelPolytope:
+def build_polytope(tree: Tree, model: GroupModel,
+                   cap: int = 10 ** 6) -> ModelPolytope:
     """One vertex per network; per edge, the indicator of its character."""
-    group = model.group
-    w = group.size
+    w = model.group.size
     verts = []
-    for assign in enumerate_networks(tree, group, cap=cap):
-        vec = [0] * (w * len(tree.edges))
-        for i, chi in enumerate(assign):
-            vec[i * w + group.index(chi)] = 1
+    for net, _ in _index_networks(tree, model.group, cap):
+        vec = [0] * (w * len(net))
+        for i, k in enumerate(net):
+            vec[i * w + k] = 1
         verts.append(tuple(vec))
     verts.sort()
     return ModelPolytope(vertices=tuple(verts), n_blocks=len(tree.edges),
-                         block_width=w, flavor="abelian",
-                         provenance=provenance)
+                         block_width=w, flavor="abelian")
 
 
 def decode_vertex(poly: ModelPolytope, model: GroupModel, vertex) -> tuple:
@@ -217,8 +213,7 @@ def project_orbits(poly: ModelPolytope, model: GroupModel) -> ModelPolytope:
             out.append(pv)
     out.sort()
     return ModelPolytope(vertices=tuple(out), n_blocks=poly.n_blocks,
-                         block_width=len(orbits), flavor="projected",
-                         provenance=poly.provenance)
+                         block_width=len(orbits), flavor="projected")
 
 
 def negate_block(poly: ModelPolytope, model: GroupModel, block: int) -> ModelPolytope:
@@ -238,8 +233,7 @@ def negate_block(poly: ModelPolytope, model: GroupModel, block: int) -> ModelPol
         verts.append(tuple(nv))
     verts.sort()
     return ModelPolytope(vertices=tuple(verts), n_blocks=poly.n_blocks,
-                         block_width=w, flavor=poly.flavor,
-                         provenance=poly.provenance)
+                         block_width=w, flavor=poly.flavor)
 
 
 def vertex_file_text(poly: ModelPolytope, group_spec: str, tree_text: str) -> str:

@@ -244,17 +244,15 @@ def reorient(tree: Tree, new_root: int) -> Tree:
 class GlueResult:
     """Glued tree plus the correspondence needed to transport per-edge data.
 
-    edge_map1/edge_map2 send original edge positions to result positions
-    (the two glued leaf edges map to the one merged edge; edge_map2 holds
-    None there). flipped1/flipped2 list the original edge positions whose
+    t1's edges keep their positions, so the merged edge sits at glued1.
+    edge_map2 sends t2's edge positions to result positions (None at
+    glued2, whose edge is the merged one). flipped1/flipped2 list the original edge positions whose
     direction had to be reversed to orient the result away from its root;
     per-edge data that is orientation-sensitive must be transported through
     the corresponding involution on those edges.
     """
 
     tree: Tree
-    merged_edge: int
-    edge_map1: tuple
     edge_map2: tuple
     flipped1: frozenset
     flipped2: frozenset
@@ -329,8 +327,6 @@ def glue(t1: Tree, leaf1, t2: Tree, leaf2) -> GlueResult:
     labels = labels1 + tuple(labels2)
     root = vmap1[p1] if t1.root == l1 else vmap1[t1.root]
     tree = Tree(root=root, edges=tuple(out_edges), labels=labels)
-    return GlueResult(tree=tree, merged_edge=i1,
-                      edge_map1=tuple(range(len(t1.edges))),
-                      edge_map2=tuple(emap2),
+    return GlueResult(tree=tree, edge_map2=tuple(emap2),
                       flipped1=flipped1, flipped2=flipped2,
                       glued1=i1, glued2=i2)

@@ -97,6 +97,16 @@ def test_normality_exit_codes(capsys):
     assert "witness degree: 2" in out
 
 
+@pytest.mark.parametrize("degree", ["1", "0", "-5"])
+def test_normality_degree_ceiling_below_two_is_input_error(capsys, degree):
+    code, out, err = run(capsys, "normality", "--group", "K2P",
+                         "--tree", "(a,b,c);", "--flavor", "projected",
+                         "--max-degree", degree)
+    assert code == 2
+    assert out == ""
+    assert "at least 2" in err
+
+
 def test_glue_emits_glued_polytope(capsys):
     code, out, _ = run(capsys, "glue", "--group", "Z2",
                        "--tree", "(a,b,c);",

@@ -135,6 +135,14 @@ def test_decompose_finds_a_certificate():
     assert tuple(sum(c) for c in zip(*res.found)) == target
 
 
+@pytest.mark.parametrize("max_degree", [1, 0, -5])
+def test_idp_check_rejects_degree_ceiling_below_two(max_degree):
+    k2p = preset_model("K2P")
+    poly = project_orbits(build_polytope(CLAW, k2p), k2p)
+    with pytest.raises(ValueError, match="at least 2"):
+        idp_check(poly, max_degree=max_degree)
+
+
 def test_idp_report_text_normal():
     z2 = abelian_model([2])
     poly = build_polytope(CLAW, z2)

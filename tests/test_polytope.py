@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,10 +11,80 @@ from phylotope.polytope import (ModelPolytope, build_polytope, decode_vertex,
                                 negate_block, network_socket_bijection,
                                 project_orbits, socket_of_network,
                                 vertex_file_text)
-from phylotope.trees import parse_newick
+from phylotope.trees import parse_newick, reorient
 
 TREES = ("(a,b,c);", "((a,b),(c,d));", "((a,b),c,(d,e));")
 GROUPS = ([2], [3], [4], [2, 2])
+
+
+def _rerooted_cases():
+    """(group, tree) for every GROUPS x TREES pair, the tree re-rooted at
+    each of its vertices, leaves included."""
+    for orders in GROUPS:
+        group = abelian_model(orders).group
+        for text in TREES:
+            tree = parse_newick(text)
+            for v in range(tree.n_vertices):
+                yield group, reorient(tree, v)
+
+
+def _solved_networks(tree, group):
+    """Oracle: networks by solving one chosen edge per inner vertex.
+
+    The edges no inner vertex chooses run through all characters; then,
+    root outward, each inner vertex solves its lowest-numbered outgoing
+    edge from the signed-sum condition. Sorted by character index."""
+    depth = {tree.root: 0}
+    order = [tree.root]
+    for v in order:
+        for _, c in tree.children_map[v]:
+            depth[c] = depth[v] + 1
+            order.append(c)
+    inner = sorted(tree.inner, key=lambda v: depth[v])
+    chosen = {v: min(i for i, _ in tree.children_map[v]) for v in inner}
+    free = [i for i in range(len(tree.edges)) if i not in chosen.values()]
+    parent_edge = {c: i for i, (_, c) in enumerate(tree.edges)}
+    nets = []
+    for combo in product(group.characters(), repeat=len(free)):
+        assign = [None] * len(tree.edges)
+        for i, chi in zip(free, combo):
+            assign[i] = chi
+        for v in inner:
+            acc = group.zero()
+            if v != tree.root:
+                acc = group.add(acc, assign[parent_edge[v]])
+            for i, _ in tree.children_map[v]:
+                if i != chosen[v]:
+                    acc = group.sub(acc, assign[i])
+            assert assign[chosen[v]] is None
+            assign[chosen[v]] = acc
+        nets.append(tuple(assign))
+    nets.sort(key=lambda a: tuple(group.index(c) for c in a))
+    return nets
+
+
+def test_networks_match_edge_solver():
+    for group, tree in _rerooted_cases():
+        nets = enumerate_networks(tree, group)
+        assert nets == _solved_networks(tree, group), (group, tree)
+        assert network_socket_bijection(tree, group) == (
+            nets, [socket_of_network(tree, group, a) for a in nets])
+
+
+def test_sockets_match_brute_force():
+    for orders in GROUPS:
+        group = abelian_model(orders).group
+        for text in TREES:
+            tree = parse_newick(text)
+            want = []
+            for combo in product(group.characters(),
+                                 repeat=len(tree.leaves)):
+                total = group.zero()
+                for chi in combo:
+                    total = group.add(total, chi)
+                if total == group.zero():
+                    want.append(combo)
+            assert enumerate_sockets(tree, group) == want, (orders, text)
 
 
 @settings(max_examples=24, deadline=None)
@@ -32,18 +104,16 @@ def test_network_socket_bijection_property(orders, tree_text):
 
 
 def test_network_condition_holds():
-    z3 = abelian_model([3])
-    tree = parse_newick("((a,b),(c,d));")
-    group = z3.group
-    for assignment in enumerate_networks(tree, group):
-        for v in tree.inner:
-            acc = group.zero()
-            for i, (p, c) in enumerate(tree.edges):
-                if c == v:
-                    acc = group.sub(acc, assignment[i])
-                elif p == v:
-                    acc = group.add(acc, assignment[i])
-            assert acc == group.zero()
+    for group, tree in _rerooted_cases():
+        for assignment in enumerate_networks(tree, group):
+            for v in tree.inner:
+                acc = group.zero()
+                for i, (p, c) in enumerate(tree.edges):
+                    if c == v:
+                        acc = group.sub(acc, assignment[i])
+                    elif p == v:
+                        acc = group.add(acc, assignment[i])
+                assert acc == group.zero()
 
 
 def test_socket_sums_trivial():
