@@ -11,7 +11,6 @@ import argparse
 import random
 import sys
 
-from .cyclotomic import CycRational
 from .errors import CapExceededError, PhylotopeError, ScaleExceededError
 from .fourier import (appendix_demo, monomial_socket_vector,
                       params_to_matrices, raw_leaf_tensor, socket_coordinates,
@@ -128,9 +127,8 @@ def cmd_oracle_test(args) -> int:
     group = model.group
     rng = random.Random(args.seed)
     draws = args.seed
-    m = group.exponent
-    predicted = CycRational.from_int(m, group.size ** len(tree.inner))
-    derived = None
+    scalar = group.size ** len(tree.inner)
+    seen_nonzero = False
     for k in range(draws):
         params = [[rng.randint(-3, 3) for _ in range(group.size)]
                   for _ in tree.edges]
@@ -138,17 +136,16 @@ def cmd_oracle_test(args) -> int:
         coords = socket_coordinates(model, raw_leaf_tensor(model, tree, mats))
         mono = monomial_socket_vector(model, tree, params)
         for socket, value in mono.items():
-            if coords[socket] != predicted * value:
+            if coords[socket] != scalar * value:
                 _emit(f"draws: {draws}\nagreement: FAILED at draw {k} "
                       f"socket {socket}\n", args.out)
                 return 1
-            if derived is None and value != 0:
-                derived = coords[socket] / value
+            seen_nonzero = seen_nonzero or value != 0
     lines = [f"group: {model.spec}",
              f"tree: {tree.newick()}",
              f"draws: {draws}",
-             f"scalar: {group.size ** len(tree.inner)}",
-             "derived scalar matches: " + ("yes" if derived == predicted
+             f"scalar: {scalar}",
+             "derived scalar matches: " + ("yes" if seen_nonzero
                                            else "no nonzero coordinate seen"),
              f"agreement: exact on all {draws} draws"]
     _emit("\n".join(lines) + "\n", args.out)
@@ -171,7 +168,7 @@ def cmd_appendix_demo(args) -> int:
 
 def cmd_verify_paper(args) -> int:
     only = None
-    if args.only:
+    if args.only is not None:
         only = [s.strip() for s in args.only.split(",") if s.strip()]
     results = run_checks(only=only)
     lines = [f"{'PASS' if ok else 'FAIL'} {name}: {detail}"
@@ -226,8 +223,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("glue", help="glue two trees at leaves and compare the "
                                     "fiber product with the direct build")
     add_group(p); add_tree(p, repeat=True); add_out(p)
-    p.add_argument("leaf1", help="leaf label or index in the first tree")
-    p.add_argument("leaf2", help="leaf label or index in the second tree")
+    p.add_argument("leaf1", help="leaf label in the first tree")
+    p.add_argument("leaf2", help="leaf label in the second tree")
     p.add_argument("--vertex-cap", type=int, default=10 ** 6)
     p.set_defaults(func=cmd_glue)
 

@@ -167,24 +167,8 @@ class CyclotomicInt:
             e >>= 1
         return out
 
-    def conjugate(self) -> "CyclotomicInt":
-        """Complex conjugation, zeta^j -> zeta^(m-j)."""
-        m = self.m
-        acc = [0] * _degree(m)
-        for i, c in enumerate(self.coeffs):
-            if c:
-                for k, p in enumerate(_power_basis(m, (m - i) % m)):
-                    acc[k] += c * p
-        return CyclotomicInt(m, acc)
-
     def is_zero(self) -> bool:
         return not any(self.coeffs)
-
-    def as_int(self) -> int:
-        """The value if it is a rational integer, else raise."""
-        if any(self.coeffs[1:]):
-            raise ValueError(f"{self!r} is not a rational integer")
-        return self.coeffs[0]
 
     def __eq__(self, other):
         if isinstance(other, int):
@@ -285,8 +269,8 @@ class CycRational:
         self.den = den
 
     @classmethod
-    def from_int(cls, m: int, k: int, den: int = 1) -> "CycRational":
-        return cls(CyclotomicInt.from_int(m, k), den)
+    def from_int(cls, m: int, k: int) -> "CycRational":
+        return cls(CyclotomicInt.from_int(m, k))
 
     @property
     def m(self):
@@ -353,32 +337,3 @@ class CycRational:
             return f"CycRational({self.num!r})"
         return f"CycRational({self.num!r} / {self.den})"
 
-
-def field_rank(rows) -> int:
-    """Rank over Q(zeta_m) of a matrix given as a list of equal-length rows
-    of CyclotomicInt or CycRational entries."""
-    work = []
-    for row in rows:
-        work.append([e if isinstance(e, CycRational) else CycRational(e) for e in row])
-    if not work:
-        return 0
-    ncols = len(work[0])
-    rank = 0
-    for col in range(ncols):
-        piv = None
-        for r in range(rank, len(work)):
-            if not work[r][col].is_zero():
-                piv = r
-                break
-        if piv is None:
-            continue
-        work[rank], work[piv] = work[piv], work[rank]
-        pivot = work[rank][col]
-        for r in range(rank + 1, len(work)):
-            if not work[r][col].is_zero():
-                f = work[r][col] / pivot
-                work[r] = [a - f * b for a, b in zip(work[r], work[rank])]
-        rank += 1
-        if rank == len(work):
-            break
-    return rank

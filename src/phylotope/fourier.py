@@ -1,13 +1,15 @@
 """Fourier-side linear algebra of group-based models.
 
-Basis vectors w_chi, the matrices l_f built from functions on H, orbit sums
-l_{f_o}, symmetry checks, the dimension count for the space of G-invariant
-transition matrices, the leaf-tensor oracle (the marginal tensor of a tree
-by exact contraction, and its socket coordinates by the inverse character
+The matrices l_f built from functions on H, orbit sums l_{f_o}, symmetry
+checks, the dimension count for the space of G-invariant transition
+matrices, the leaf-tensor oracle (the marginal tensor of a tree by exact
+contraction, and its socket coordinates by the inverse character
 transform), and the Z4 circulant demonstration.
 
 Everything is exact: matrices carry CyclotomicInt entries, coefficients come
-back as CycRational.
+back as CycRational. Ranks over the cyclotomic field Q(zeta_m) are rational
+ranks of the realified rows, so the integer elimination of lattice.py is
+the only elimination here.
 """
 
 from __future__ import annotations
@@ -17,42 +19,33 @@ from functools import reduce
 from itertools import product
 from operator import add, mul
 
-from .cyclotomic import CycRational, CyclotomicInt, _reduce, field_rank
+from .cyclotomic import CycRational, CyclotomicInt, _reduce
 from .errors import NotInvariantError, ShapeMismatchError
 from .groups import GroupModel, character_eval, unique_transporter
 from .lattice import _row_reduce_pivots
-from .polytope import _index_networks
+from .polytope import _CAP, _index_networks
 from .trees import Tree
-
-
-def w_chi(model: GroupModel, chi: tuple) -> tuple:
-    """The vector with entry chi(h_a) at state a."""
-    return tuple(character_eval(model, chi, model.elem_of_state[a])
-                 for a in range(model.n_states))
 
 
 def l_f(model: GroupModel, f) -> tuple:
     """Matrix with entry (a, b) = f(h_a^{-1} h_b); f maps residue tuples to
-    ring values (a dict or a callable)."""
-    get = f.__getitem__ if hasattr(f, "__getitem__") else f
+    ring values."""
     n = model.n_states
-    return tuple(tuple(get(unique_transporter(model, a, b)) for b in range(n))
+    return tuple(tuple(f(unique_transporter(model, a, b)) for b in range(n))
                  for a in range(n))
 
 
 def l_chi(model: GroupModel, chi: tuple) -> tuple:
-    """The rank-one projector w_{-chi} (x) w_chi, entry chi(h_b - h_a)."""
+    """The rank-one projector w_{-chi} (x) w_chi, w_chi the vector with
+    entry chi(h_a) at state a; its entry (a, b) is chi(h_b - h_a)."""
     return l_f(model, lambda h: character_eval(model, chi, h))
 
 
-def f_o(model: GroupModel, orbit) -> tuple:
-    """(function, matrix) for one dual orbit: f_o = sum of the orbit's
-    characters as functions on H, l_{f_o} the matching matrix sum.
-
-    `orbit` is an entry of model.dual_orbits or its index.
-    """
-    if isinstance(orbit, int):
-        orbit = model.dual_orbits[orbit]
+def f_o(model: GroupModel, k: int) -> tuple:
+    """(function, matrix) for the dual orbit model.dual_orbits[k]: f_o = sum
+    of the orbit's characters as functions on H, l_{f_o} the matching
+    matrix sum."""
+    orbit = model.dual_orbits[k]
     m = model.group.exponent
     func = {}
     for h in model.group.elements():
@@ -60,7 +53,7 @@ def f_o(model: GroupModel, orbit) -> tuple:
         for chi in orbit:
             acc = acc + character_eval(model, chi, h)
         func[h] = acc
-    return func, l_f(model, func)
+    return func, l_f(model, func.__getitem__)
 
 
 def g_invariance_check(model: GroupModel, matrix) -> bool:
@@ -99,6 +92,21 @@ def _fixed_space_dimension(model: GroupModel) -> int:
     return nvar - len(_row_reduce_pivots(rows)[0])
 
 
+def _field_rank(rows) -> int:
+    """Rank over Q(zeta_m) of a matrix of CyclotomicInt entries.
+
+    Since 1, zeta, ..., zeta^(deg-1) is a Q-basis of the field (deg the
+    degree of Phi_m), the rows times those powers span over Q what the rows
+    span over Q(zeta_m), a space of Q-dimension deg times the rank. Read on
+    the power basis, the products are integer rows for the one elimination
+    kernel."""
+    m, deg = rows[0][0].m, len(rows[0][0].coeffs)
+    powers = [CyclotomicInt.zeta(m, k) for k in range(deg)]
+    real = [[c for e in row for c in (e * z).coeffs]
+            for row in rows for z in powers]
+    return len(_row_reduce_pivots(real)[0]) // deg
+
+
 def what_dimension(model: GroupModel) -> int:
     """Number of dual orbits = dim of the G-invariant transition space.
 
@@ -111,7 +119,7 @@ def what_dimension(model: GroupModel) -> int:
     for i in range(d):
         _, mat = f_o(model, i)
         flat.append([e for row in mat for e in row])
-    if field_rank(flat) != d:
+    if _field_rank(flat) != d:
         raise AssertionError("orbit matrices are not independent")
     if _fixed_space_dimension(model) != d:
         raise AssertionError("fixed-space dimension disagrees with orbit count")
@@ -293,15 +301,12 @@ def socket_coordinates(model: GroupModel, tensor: LeafTensor) -> dict:
     return out
 
 
-def params_to_matrices(model: GroupModel, params, by_orbit: bool = False):
+def params_to_matrices(model: GroupModel, params):
     """Expand a parameter table into edge matrices: row e gives coefficients
-    of l_chi per character (abelian) or of l_{f_o} per orbit (by_orbit)."""
+    of l_chi per character."""
     group = model.group
     mats = []
-    if by_orbit:
-        basis = [f_o(model, i)[1] for i in range(len(model.dual_orbits))]
-    else:
-        basis = [l_chi(model, chi) for chi in group.characters()]
+    basis = [l_chi(model, chi) for chi in group.characters()]
     n = model.n_states
     m = group.exponent
     for row in params:
@@ -333,7 +338,7 @@ def monomial_socket_vector(model: GroupModel, tree: Tree, params) -> dict:
             raise ShapeMismatchError("parameter row has the wrong length")
     chars = group.characters()
     out = {}
-    for net, sock in _index_networks(tree, group, 10 ** 6):
+    for net, sock in _index_networks(tree, group, _CAP):
         term = 1
         for i, k in enumerate(net):
             term = term * params[i][k]
@@ -387,8 +392,6 @@ def _gaussian_combo(row, names) -> str:
             term = name
         elif s == "-1":
             term = f"-{name}"
-        elif any(c in s for c in "+-") and not s.startswith("-"):
-            term = f"({s})*{name}"
         elif "+" in s[1:] or "-" in s[1:]:
             term = f"({s})*{name}"
         else:
@@ -418,7 +421,7 @@ def appendix_demo() -> AppendixReport:
          + coeff[2] * matrix[3][c]).is_zero()
         for c in range(3))
 
-    rank = field_rank([list(col) for col in zip(*matrix)])
+    rank = _field_rank([list(col) for col in zip(*matrix)])
 
     def evaluate(j, a, b, d):
         row = matrix[j]

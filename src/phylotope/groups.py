@@ -203,14 +203,12 @@ class GroupModel:
     name: str
     states: tuple
     group: CyclicFactorization
-    base_state: int
     h_perms: tuple          # Permutation per element, canonical element order
     g_elements: tuple       # full closed G, sorted
-    extra_generators: tuple
     elem_of_state: tuple    # h_a per state index (residue tuples)
     conj_orbits: tuple      # partition of element tuples
     dual_orbits: tuple      # partition of character tuples
-    spec: str = ""          # parseable description for output headers
+    spec: str               # parseable description for output headers
 
     @property
     def n_states(self) -> int:
@@ -221,23 +219,6 @@ class GroupModel:
         """True when G is just (the image of) H, so the dual action is trivial."""
         return len(self.g_elements) == self.group.size
 
-    def state_index(self, a) -> int:
-        if isinstance(a, int):
-            if not 0 <= a < len(self.states):
-                raise ValueError(f"state index {a} out of range")
-            return a
-        try:
-            return self.states.index(a)
-        except ValueError:
-            raise ValueError(f"unknown state {a!r}") from None
-
-    def perm_of(self, h: tuple) -> Permutation:
-        return self.h_perms[self.group.index(h)]
-
-    def state_of_elem(self, h: tuple) -> int:
-        """The state h(base)."""
-        return self.perm_of(h)(self.base_state)
-
 
 def character_eval(model_or_group, chi: tuple, h: tuple) -> CyclotomicInt:
     """chi(h), exact, in Z[zeta_m] with m the exponent of H."""
@@ -245,10 +226,10 @@ def character_eval(model_or_group, chi: tuple, h: tuple) -> CyclotomicInt:
     return CyclotomicInt.zeta(fac.exponent, fac.pairing_exponent(chi, h))
 
 
-def unique_transporter(model: GroupModel, a, b) -> tuple:
-    """The unique h in H with h(a) = b; equals h_b - h_a."""
-    ia, ib = model.state_index(a), model.state_index(b)
-    return model.group.sub(model.elem_of_state[ib], model.elem_of_state[ia])
+def unique_transporter(model: GroupModel, a: int, b: int) -> tuple:
+    """The unique h in H with h(a) = b, for state indices a and b; equals
+    h_b - h_a."""
+    return model.group.sub(model.elem_of_state[b], model.elem_of_state[a])
 
 
 def _char_pullback(group, model_perms, elem_lookup, chi, g):
@@ -306,8 +287,6 @@ def build_model(states, orders, gen_images, extra_generators=(),
         h_perms.append(p)
     h_perms = tuple(h_perms)
 
-    if isinstance(base_state, str):
-        base_state = states.index(base_state)
     reached = {p(base_state) for p in h_perms}
     if len(reached) != n:
         raise NotTransitiveError(
@@ -355,15 +334,13 @@ def build_model(states, orders, gen_images, extra_generators=(),
     if len(conj) != len(dual):
         raise NotNormalError("orbit counts disagree; model data inconsistent")
 
-    return GroupModel(name=name, states=states, group=group,
-                      base_state=base_state, h_perms=h_perms,
-                      g_elements=g_elements, extra_generators=extra_generators,
-                      elem_of_state=tuple(elem_of_state),
+    return GroupModel(name=name, states=states, group=group, h_perms=h_perms,
+                      g_elements=g_elements, elem_of_state=tuple(elem_of_state),
                       conj_orbits=conj, dual_orbits=dual,
                       spec=spec or name)
 
 
-def abelian_model(orders, name=None, spec="") -> GroupModel:
+def abelian_model(orders, spec="") -> GroupModel:
     """The regular action of Z_m1 x ... x Z_mk on itself; G = H."""
     group = CyclicFactorization(orders)
     elems = group.elements()
@@ -372,8 +349,7 @@ def abelian_model(orders, name=None, spec="") -> GroupModel:
     for i in range(len(group.orders)):
         u = group.unit(i)
         gens.append(Permutation(group.index(group.add(u, h)) for h in elems))
-    if name is None:
-        name = "x".join(f"Z{m}" for m in group.orders) or "Z1"
+    name = "x".join(f"Z{m}" for m in group.orders) or "Z1"
     return build_model(states, group.orders, gens, name=name, spec=spec or name)
 
 
@@ -405,7 +381,9 @@ PRESETS = ("CFN", "JC", "K2P", "K3P")
 
 
 def parse_group_spec(text: str) -> GroupModel:
-    """"Z2", "Z3xZ4", ... for abelian groups, or a preset name."""
+    """"Z2", "Z3xZ4", ... for abelian groups, or a preset name. The spec
+    kept for output headers has its whitespace removed, so a header splits
+    on whitespace into its fields."""
     s = text.strip()
     if s.upper() in PRESETS:
         return preset_model(s)
@@ -420,7 +398,7 @@ def parse_group_spec(text: str) -> GroupModel:
             raise ParseError(f"bad cyclic order in {text!r}")
         if m > 1:
             orders.append(m)
-    return abelian_model(orders, spec=s)
+    return abelian_model(orders, spec="".join(s.split()))
 
 
 def _parse_cycles(text: str, n: int) -> Permutation:
@@ -464,7 +442,7 @@ def parse_group_file(text: str) -> GroupModel:
     h:      one permutation per factor, ';'-separated, cycle notation (1-based)
     g:      optional extra generators, same format
     base:   optional base state label (default: first state)
-    name:   optional display name
+    name:   optional display name, nonempty and without whitespace
     Lines starting with '#' are comments.
     """
     fields = {}
@@ -497,5 +475,7 @@ def parse_group_file(text: str) -> GroupModel:
     if base not in states:
         raise ParseError(f"base state {base!r} not in state list")
     name = fields.get("name", "custom")
+    if len(name.split()) != 1:
+        raise ParseError(f"name {name!r} is empty or contains whitespace")
     return build_model(states, orders, gens, extra_generators=extras,
                        base_state=states.index(base), name=name, spec=name)

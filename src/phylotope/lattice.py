@@ -595,8 +595,7 @@ def decompose(q, n: int, points) -> DecompositionResult:
         found=None if found is None else tuple(found), examined=examined)
 
 
-def idp_check(poly, max_degree: int = None,
-              row_cap: int = _ROW_CAP) -> IdpReport:
+def idp_check(poly, max_degree: int = None) -> IdpReport:
     """Integer decomposition property, degree by degree.
 
     For each n, every lattice point of nP must split as v + (point of
@@ -618,7 +617,7 @@ def idp_check(poly, max_degree: int = None,
     prev = s1
     degrees = []
     for n in range(2, max_degree + 1):
-        sn = _dilate_array(poly, n, row_cap)
+        sn = _dilate_array(poly, n)
         counts.append((n, len(sn)))
         bad = _undecomposable(sn, s1, prev, n, poly.low, poly.span)
         degrees.append(n)

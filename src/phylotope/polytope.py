@@ -23,6 +23,9 @@ from .errors import BijectionFailureError, CapExceededError
 from .groups import GroupModel
 from .trees import Tree
 
+# Cap on the networks, or sockets, that the listings below return.
+_CAP = 10 ** 6
+
 
 def _index_sockets(tree: Tree, group):
     """All sockets as character-index tuples in leaf order, sorted, and the
@@ -89,26 +92,26 @@ def socket_of_network(tree: Tree, group, assignment) -> tuple:
     return tuple(out)
 
 
-def enumerate_networks(tree: Tree, group, cap: int = 10 ** 6):
+def enumerate_networks(tree: Tree, group):
     """All networks as character tuples in edge-position order, sorted by
-    character index. Raises CapExceeded past `cap`."""
+    character index. Raises CapExceeded past _CAP."""
     chars = group.characters()
     return [tuple(chars[k] for k in net)
-            for net, _ in _index_networks(tree, group, cap)]
+            for net, _ in _index_networks(tree, group, _CAP)]
 
 
-def enumerate_sockets(tree: Tree, group, cap: int = 10 ** 6):
+def enumerate_sockets(tree: Tree, group):
     """All sockets (leaf assignments summing to trivial), sorted by
     character index."""
     count = group.size ** (len(tree.leaves) - 1)
-    if count > cap:
-        raise CapExceededError(f"{count} sockets exceed the cap of {cap}")
+    if count > _CAP:
+        raise CapExceededError(f"{count} sockets exceed the cap of {_CAP}")
     chars = group.characters()
     return [tuple(chars[k] for k in sock)
             for sock in _index_sockets(tree, group)[0]]
 
 
-def network_socket_bijection(tree: Tree, group, cap: int = 10 ** 6):
+def network_socket_bijection(tree: Tree, group):
     """Aligned (networks, sockets) lists under signed leaf restriction.
 
     Verifies that every network restricts to the socket it was built from,
@@ -116,7 +119,7 @@ def network_socket_bijection(tree: Tree, group, cap: int = 10 ** 6):
     """
     chars = group.characters()
     nets, built = [], []
-    for net, sock in _index_networks(tree, group, cap):
+    for net, sock in _index_networks(tree, group, _CAP):
         nets.append(tuple(chars[k] for k in net))
         built.append(tuple(chars[k] for k in sock))
     sockets = [socket_of_network(tree, group, a) for a in nets]
@@ -124,7 +127,7 @@ def network_socket_bijection(tree: Tree, group, cap: int = 10 ** 6):
         raise BijectionFailureError(
             "a network does not restrict to its own socket")
     if (len(set(sockets)) != len(sockets)
-            or set(sockets) != set(enumerate_sockets(tree, group, cap=cap))):
+            or set(sockets) != set(enumerate_sockets(tree, group))):
         raise BijectionFailureError(
             "network restrictions do not cover the socket set")
     return nets, sockets
@@ -171,20 +174,6 @@ def build_polytope(tree: Tree, model: GroupModel,
     verts.sort()
     return ModelPolytope(vertices=tuple(verts), n_blocks=len(tree.edges),
                          block_width=w, flavor="abelian")
-
-
-def decode_vertex(poly: ModelPolytope, model: GroupModel, vertex) -> tuple:
-    """Abelian vertex back to its character assignment."""
-    if poly.flavor != "abelian":
-        raise ValueError("only abelian vertices decode to networks")
-    group = model.group
-    out = []
-    for b in range(poly.n_blocks):
-        block = poly.block(vertex, b)
-        if sum(block) != 1 or set(block) - {0, 1}:
-            raise ValueError("not a unit indicator block")
-        out.append(group.element(block.index(1)))
-    return tuple(out)
 
 
 def project_orbits(poly: ModelPolytope, model: GroupModel) -> ModelPolytope:

@@ -1,4 +1,4 @@
-"""Rooted trees, Newick parsing, reorientation, and leaf gluing.
+"""Rooted trees, Newick parsing, and leaf gluing.
 
 Vertices are integers; edges are (parent, child) pairs directed away from the
 root. Leaves are the degree-1 vertices, so a degree-1 root counts as a leaf
@@ -87,10 +87,6 @@ class Tree:
                 if self.degree[w] == 1:
                     pos[w] = i
         return tuple(pos[v] for v in self.leaves)
-
-    @property
-    def leaf_labels(self) -> tuple:
-        return tuple(self.labels[v] for v in self.leaves)
 
     def leaf_by_label(self, label: str) -> int:
         hits = [v for v in self.leaves if self.labels[v] == label]
@@ -228,16 +224,6 @@ def _orient_from(tree: Tree, new_root: int):
             flipped.add(i)
         new_edges[i] = (v, w)
     return new_edges, frozenset(flipped)
-
-
-def reorient(tree: Tree, new_root: int) -> Tree:
-    """Same undirected tree with edges redirected away from new_root."""
-    if not 0 <= new_root < tree.n_vertices:
-        raise UnknownVertexError(f"no vertex {new_root}")
-    if new_root == tree.root:
-        return tree
-    new_edges, _ = _orient_from(tree, new_root)
-    return Tree(root=new_root, edges=tuple(new_edges), labels=tree.labels)
 
 
 @dataclass(frozen=True)

@@ -9,10 +9,13 @@ them one per line.
 
 from importlib import resources
 
+import numpy as np
+
 from .cyclotomic import CyclotomicInt
 from .fourier import (appendix_demo, f_o, g_invariance_check, l_chi,
                       what_dimension, _gaussian_str)
-from .groups import abelian_model, character_eval, close_group, preset_model
+from .groups import (abelian_model, character_eval, parse_group_spec,
+                     preset_model)
 from .lattice import LatticePolytope, decompose, idp_check
 from .polytope import (build_polytope, enumerate_networks, enumerate_sockets,
                        project_orbits, vertex_file_text)
@@ -103,20 +106,54 @@ def _check_projected_claw_vertices():
     return text == want, f"{text.count(chr(10)) - 1} vertices against golden"
 
 
+def _zero_sum_filters(tree, group):
+    """(networks, sockets) by brute force, as character-index tuples: of
+    all |H|^|E| edge assignments those whose signed sum vanishes at every
+    inner vertex (outgoing edges positive, the incoming edge negative), and
+    of all |H|^L leaf assignments those summing to zero. Index 0 is the
+    identity; the sums run on index tables, one array column per edge."""
+    elems = group.elements()
+    add = np.array([[group.index(group.add(a, b)) for b in elems]
+                    for a in elems])
+    neg = np.array([group.index(group.neg(a)) for a in elems])
+
+    def every(k):
+        return np.indices((group.size,) * k, dtype=np.int8).reshape(k, -1).T
+
+    def zero_sum(cols):
+        acc = 0
+        for c in cols:
+            acc = add[acc, c]
+        return acc == 0
+
+    nets = every(len(tree.edges))
+    for v in tree.inner:
+        nets = nets[zero_sum([nets[:, i] if u == v else neg[nets[:, i]]
+                              for i, (u, w) in enumerate(tree.edges)
+                              if v in (u, w)])]
+    socks = every(len(tree.leaves))
+    socks = socks[zero_sum(socks.T)]
+    return [list(map(tuple, x.tolist())) for x in (nets, socks)]
+
+
 def _check_counting_laws():
     cases = []
     for spec in ("Z2", "Z3", "Z4", "Z2xZ2"):
-        orders = [int(c) for c in spec.replace("Z", "").split("x")]
-        model = abelian_model(orders)
+        group = parse_group_spec(spec).group
+        chars = group.characters()
         for tree_text in (CLAW, QUARTET, CATERPILLAR5):
             tree = parse_newick(tree_text)
-            nets = enumerate_networks(tree, model.group)
-            socks = enumerate_sockets(tree, model.group)
-            e, n = len(tree.edges), len(tree.inner)
-            leaves = len(tree.leaves)
-            size = model.group.size
-            if len(nets) != size ** (e - n) or len(socks) != size ** (leaves - 1):
-                return False, f"count off for {spec} on {tree_text}"
+            got = (enumerate_networks(tree, group),
+                   enumerate_sockets(tree, group))
+            laws = (group.size ** (len(tree.edges) - len(tree.inner)),
+                    group.size ** (len(tree.leaves) - 1))
+            for listed, brute, law in zip(got, _zero_sum_filters(tree, group),
+                                          laws):
+                brute = [tuple(chars[k] for k in t) for t in brute]
+                if len(listed) != law or sorted(listed) != sorted(brute):
+                    return False, (f"networks or sockets of {spec} on "
+                                   f"{tree_text} miss the law or the "
+                                   "brute-force count")
             cases.append((spec, tree_text))
     return True, f"{len(cases)} group/tree pairs satisfy both counting laws"
 
@@ -176,6 +213,8 @@ def run_checks(only=None):
         unknown = set(only) - names
         if unknown:
             raise ValueError("unknown check(s): " + ", ".join(sorted(unknown)))
+        if not only:
+            raise ValueError("no check named")
     results = []
     for name, fn in CHECKS:
         if only is not None and name not in only:

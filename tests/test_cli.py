@@ -119,6 +119,19 @@ def test_glue_emits_glued_polytope(capsys):
     assert "dim=10" in head
 
 
+def test_glue_leaf_arguments_are_labels(capsys):
+    # digits are labels too: "3" names the leaf labelled 3, not index 3
+    code, out, _ = run(capsys, "glue", "--group", "Z2",
+                       "--tree", "(1,2,3);", "--tree", "(1,2,3);", "3", "3")
+    assert code == 0
+    assert out.splitlines()[0].startswith(
+        "# group=Z2 tree=(1,2,(1_2,2_2)); flavor=abelian dim=10 count=8")
+    code, _, err = run(capsys, "glue", "--group", "Z2", "--tree", "(a,b,c);",
+                       "--tree", "(p,q,r);", "2", "3")
+    assert code == 2
+    assert "no leaf labelled '2'" in err
+
+
 def test_glue_needs_exactly_two_trees(capsys):
     code, _, err = run(capsys, "glue", "--group", "Z2",
                        "--tree", "(a,b,c);", "c", "p")
@@ -189,6 +202,31 @@ def test_verify_paper_only_filter(capsys):
 def test_verify_paper_unknown_name(capsys):
     code, _, err = run(capsys, "verify-paper", "--only", "no-such-check")
     assert code == 2
+
+
+@pytest.mark.parametrize("only", [",", "", " , "])
+def test_verify_paper_only_naming_no_check_is_input_error(capsys, only):
+    code, out, err = run(capsys, "verify-paper", "--only", only)
+    assert code == 2
+    assert out == ""
+    assert "no check named" in err
+
+
+def test_counting_laws_fail_on_a_non_network(capsys, monkeypatch):
+    real = phylotope.verify.enumerate_networks
+
+    def one_wrong(tree, group):
+        nets = real(tree, group)
+        # a network with one edge changed breaks the condition at an inner
+        # endpoint of that edge; the list keeps its length
+        first = nets[0]
+        wrong = group.add(first[0], group.element(1))
+        return [(wrong,) + first[1:]] + nets[1:]
+
+    monkeypatch.setattr(phylotope.verify, "enumerate_networks", one_wrong)
+    code, out, _ = run(capsys, "verify-paper", "--only", "counting-laws")
+    assert code == 1
+    assert "FAIL counting-laws" in out
 
 
 def test_verify_paper_detects_corruption(capsys, monkeypatch):

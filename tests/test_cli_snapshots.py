@@ -35,6 +35,7 @@ CASES = {
     "oracle-test-z2-quartet": (("oracle-test", "--group", "Z2", "--tree",
                                 "((a,b),(c,d));", "--seed", "3"), 0),
     "dim-what-k2p": (("dim-what", "--group", "K2P"), 0),
+    "dim-what-z5": (("dim-what", "--group", "Z5"), 0),
     "appendix-demo": (("appendix-demo",), 0),
     "verify-paper-subset": (("verify-paper", "--only",
                              "orbit-structure,model-dimensions,"

@@ -46,8 +46,8 @@ def test_pairing_is_bilinear(orders, data):
 def test_character_eval_unit_circle():
     g = CyclicFactorization((4,))
     vals = [character_eval(g, (1,), (h,)) for h in range(4)]
-    assert vals[0].as_int() == 1
-    assert vals[2].as_int() == -1
+    assert vals[0] == 1
+    assert vals[2] == -1
     assert vals[1] * vals[3] == vals[0]
 
 
@@ -105,7 +105,7 @@ def test_transporter():
     for a in range(4):
         for b in range(4):
             h = unique_transporter(k3p, a, b)
-            perm = k3p.perm_of(h)
+            perm = k3p.h_perms[k3p.group.index(h)]
             assert perm(a) == b
 
 
@@ -114,7 +114,8 @@ def test_abelian_model_regular_action():
     assert z6.n_states == 6
     for i in range(6):
         h = z6.elem_of_state[i]
-        assert z6.state_of_elem(h) == i
+        # h moves the base state 0 to state i
+        assert z6.h_perms[z6.group.index(h)](0) == i
 
 
 def test_group_spec_parsing():
@@ -126,6 +127,13 @@ def test_group_spec_parsing():
         parse_group_spec("Q8")
     with pytest.raises(ParseError):
         parse_group_spec("Z0")
+
+
+def test_group_spec_keeps_no_whitespace():
+    # the spec goes into vertex-file headers, which split on whitespace
+    assert parse_group_spec(" Z2 x Z2 ").spec == "Z2xZ2"
+    assert parse_group_spec("z2xz2").spec == "z2xz2"
+    assert parse_group_spec("Z3xZ4").spec == "Z3xZ4"
 
 
 def test_group_file_round_trip():
@@ -151,6 +159,13 @@ def test_group_file_errors():
         parse_group_file("orders: 2\nh: (1,2)")
     with pytest.raises(ParseError):
         parse_group_file("states: A B\nstates: A B\norders: 2\nh: (1,2)")
+    # the name goes into vertex-file headers, which split on whitespace
+    for name in ("my CFN", ""):
+        with pytest.raises(ParseError, match="whitespace"):
+            parse_group_file(f"name: {name}\nstates: A B\norders: 2\n"
+                             "h: (1,2)")
+    assert parse_group_file(
+        "name: my_CFN\nstates: A B\norders: 2\nh: (1,2)").spec == "my_CFN"
 
 
 def test_build_model_rejects_intransitive_h():

@@ -4,14 +4,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import decode_vertex, reorient
 from phylotope.errors import CapExceededError
 from phylotope.groups import abelian_model, preset_model
-from phylotope.polytope import (ModelPolytope, build_polytope, decode_vertex,
+from phylotope.polytope import (ModelPolytope, build_polytope,
                                 enumerate_networks, enumerate_sockets,
                                 negate_block, network_socket_bijection,
                                 project_orbits, socket_of_network,
                                 vertex_file_text)
-from phylotope.trees import parse_newick, reorient
+from phylotope.trees import parse_newick
 
 TREES = ("(a,b,c);", "((a,b),(c,d));", "((a,b),c,(d,e));")
 GROUPS = ([2], [3], [4], [2, 2])
