@@ -256,6 +256,9 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        if getattr(args, "vertex_cap", 1) < 1:
+            raise ValueError(f"--vertex-cap must be at least 1, got "
+                             f"{args.vertex_cap}")
         return args.func(args)
     except (CapExceededError, ScaleExceededError) as exc:
         sys.stderr.write(f"resource cap: {exc}\n")

@@ -10,13 +10,16 @@ Dilates are enumerated by project and lift, in the intrinsic lattice
 coordinates y of a polytope P: a point of nP is x = n*anchor + y.B. The
 facets of every projection of P onto y[:j] are computed once per polytope,
 and level j of the scan of nP keeps exactly the integer points of the
-projection of nP, for every n.
+projection of nP, for every n. The scan runs depth first and yields nP in
+small blocks, in lexicographic order, so no level is ever held in full.
 
 The IDP check decides each split q = v + p (v in P, p in (n-1)P) on one
 int64 mixed-radix code per point, in lattice coordinates: at degree n,
 digit j is y[j] - n*min y[j] with radix n*span_j + 1, so the codes of v and
-p add without carry to the code of q. Rows return to ambient coordinates
-only for a witness and for lattice_points_in_dilate.
+p add without carry to the code of q. Between degrees it keeps only the
+sorted codes of the last degree, one int64 per point, and re-encodes them
+for the next. Rows return to ambient coordinates only for a witness and
+for lattice_points_in_dilate.
 
 Overflow guards: the scan and the codes run on int64 numpy arrays, each
 bounded first in Python integers. The scan's values must stay below 2**62
@@ -308,12 +311,15 @@ def facet_description(points) -> HRep:
     return rep
 
 
-# Cells (rows x constraints) of one chunk's bound table in the scan.
-_CHUNK_CELLS = 1 << 22
+# Cells (rows x constraints) of the widest bound table in a dilate's scan.
+# Its row count is the most rows any level holds at once, and the most
+# points in one block the scan yields.
+_CHUNK_CELLS = 1 << 17
 # Enumeration values stay below this bound; it leaves a bit of headroom in
 # int64 for the subtractions of the bound computation.
 _SCAN_BOUND = 2 ** 62
-# Default cap on the rows of one level of a dilate's scan.
+# Default cap on the points of one dilate. idp_check holds one int64 code
+# per point of a degree, 8 bytes each, so this bounds what it keeps.
 _ROW_CAP = 20_000_000
 # Caps on the input of facet_description: distinct points, affine dimension.
 _POINT_CAP = 1500
@@ -421,51 +427,68 @@ def _as_polytope(poly) -> LatticePolytope:
                            else poly)
 
 
-def _dilate_array(poly: LatticePolytope, n, row_cap=_ROW_CAP):
-    """Points of nP as int64 rows of lattice coordinates y, in
-    lexicographic order.
+def _dilate_blocks(poly: LatticePolytope, n, row_cap=_ROW_CAP):
+    """Points of nP as blocks of int64 rows of lattice coordinates y; the
+    rows of all blocks, in turn, are in lexicographic order.
 
     Level j extends each kept prefix y[:j] by the integers between its
     bounds from the projection onto y[:j+1], so it keeps exactly the
-    integer points of that projection of nP."""
+    integer points of that projection of nP. The scan is depth first: a
+    level passes its children on in slices of at most `rows` rows, and each
+    slice is lifted to the last level before the next is made. So every
+    level holds at most `rows` rows at once, every bound table at most
+    _CHUNK_CELLS cells, and every block at most `rows` points. Raises once
+    the blocks hold more than row_cap points."""
     if n * poly.magnitude >= _SCAN_BOUND:
         raise ScaleExceededError(
             f"dilate enumeration at degree {n} reaches "
             f"{n * poly.magnitude}, beyond the int64 scan bound 2**62")
-    frontier = np.zeros((1, 0), dtype=np.int64)
+    levels = []
     for j, (coef, rhs, upper) in enumerate(poly.levels):
         a = np.array(coef, dtype=np.int64)
-        prefix = a[:, :j].T
         step = np.abs(a[:, j])
-        divided = np.flatnonzero(step > 1)
-        bn = n * np.array(rhs, dtype=np.int64)
-        chunk = max(1, _CHUNK_CELLS // len(rhs))
-        starts = range(0, len(frontier), chunk)
-        bounds = []
-        for s in starts:
-            q = bn - frontier[s:s + chunk] @ prefix
-            if len(divided):
-                q[:, divided] //= step[divided]
-            lo = -q[:, upper:].min(axis=1)
-            counts = q[:, :upper].min(axis=1) - lo + 1
-            np.maximum(counts, 0, out=counts)
-            bounds.append((lo, counts))
-        total = sum(int(counts.sum()) for _, counts in bounds)
+        levels.append((a[:, :j].T, step, np.flatnonzero(step > 1),
+                       n * np.array(rhs, dtype=np.int64), upper))
+    rows = max(1, _CHUNK_CELLS // max((len(rhs) for _, rhs, _ in
+                                       poly.levels), default=1))
+
+    def lift(j, parents):
+        if j == len(levels):
+            yield parents
+            return
+        prefix, step, divided, bn, upper = levels[j]
+        q = bn - parents @ prefix
+        if len(divided):
+            q[:, divided] //= step[divided]
+        lo = -q[:, upper:].min(axis=1)
+        counts = q[:, :upper].min(axis=1) - lo + 1
+        np.maximum(counts, 0, out=counts)
+        ends = np.cumsum(counts)
+        # child k of parent i (ends[i-1] <= k < ends[i]) has y[j] = k + first[i]
+        first = lo - ends + counts
+        m = int(ends[-1])
+        for start in range(0, m, rows):
+            k = np.arange(start, min(start + rows, m))
+            parent = np.searchsorted(ends, k, side="right")
+            out = np.empty((len(k), j + 1), dtype=np.int64)
+            out[:, :j] = parents[parent]
+            out[:, j] = k + first[parent]
+            yield from lift(j + 1, out)
+
+    total = 0
+    for block in lift(0, np.zeros((1, 0), dtype=np.int64)):
+        total += len(block)
         if total > row_cap:
             raise ScaleExceededError(
-                f"dilate frontier of {total} rows exceeds row_cap {row_cap}")
-        out = np.empty((total, j + 1), dtype=np.int64)
-        pos = 0
-        for s, (lo, counts) in zip(starts, bounds):
-            m = int(counts.sum())
-            ends = np.cumsum(counts)
-            out[pos:pos + m, :j] = np.repeat(frontier[s:s + len(counts)],
-                                             counts, axis=0)
-            out[pos:pos + m, j] = np.arange(m) + np.repeat(
-                lo - ends + counts, counts)
-            pos += m
-        frontier = out
-    return frontier
+                f"dilate of degree {n} has more than row_cap {row_cap} points")
+        yield block
+
+
+def _dilate_array(poly: LatticePolytope, n, row_cap=_ROW_CAP):
+    """Points of nP as int64 rows of lattice coordinates y, in
+    lexicographic order: the blocks of _dilate_blocks, concatenated."""
+    return np.concatenate([np.empty((0, poly.lattice.rank), dtype=np.int64),
+                           *_dilate_blocks(poly, n, row_cap)])
 
 
 def _ambient_rows(ys, n, lat: AffineLattice) -> list:
@@ -503,30 +526,46 @@ def _code_weights(span, n):
     return np.array(weights[::-1], dtype=np.int64).reshape(len(span))
 
 
-def _undecomposable(sn, s1, prev, n, low, span):
-    """Rows of sn (points of nP) that are no sum v + p of a row v of s1
-    (points of P) and a row p of prev (points of (n-1)P), all in lattice
-    coordinates; low and span are those of P.
+def _codes(rows, k, low, weights):
+    """Codes of rows of kP: digits y - k*low under the given weights."""
+    return (rows - k * np.asarray(low, dtype=np.int64)) @ weights
+
+
+def _recode(codes, span, n):
+    """Codes of points of nP re-encoded, digit by digit from the last
+    coordinate, in the weights of degree n + 1. Raises where
+    _code_weights does."""
+    weights = _code_weights(span, n + 1)
+    rest = codes.copy()
+    digit = np.empty_like(codes)
+    out = np.zeros_like(codes)
+    for s, w in zip(reversed(span), weights[::-1]):
+        np.divmod(rest, n * s + 1, out=(rest, digit))
+        digit *= w
+        out += digit
+    return out
+
+
+def _undecomposable(codes, vcodes, prev):
+    """Positions in codes (points of nP) of the points that are no sum
+    v + p of a point v of P (vcodes) and a point p of (n-1)P (prev,
+    ascending), all encoded by _codes in the weights of degree n.
 
     With the shifted digits of _code_weights, the digits of v and p add
     without carry to those of v + p, and any two digit vectors whose
     entries differ by at most n*span[j] have equal codes only when they are
-    equal, so code(q) - code(v) == code(p) certifies q = v + p. Rows of
-    prev come in lexicographic order, so their codes ascend."""
-    weights = _code_weights(span, n)
-    low = np.array(low, dtype=np.int64).reshape(len(span))
-    prev_codes = np.append((prev - (n - 1) * low) @ weights,
-                           np.iinfo(np.int64).max)
-    codes = (sn - n * low) @ weights
-    undecided = np.arange(len(sn))
-    for vcode in (s1 - low) @ weights:
+    equal, so code(q) - code(v) == code(p) certifies q = v + p."""
+    undecided = np.arange(len(codes))
+    if not len(prev):
+        return undecided
+    for vcode in vcodes:
         t = codes - vcode
-        split = prev_codes[np.searchsorted(prev_codes, t)] == t
+        split = prev.take(np.searchsorted(prev, t), mode="clip") == t
         undecided = undecided[~split]
         codes = codes[~split]
         if not len(undecided):
             break
-    return sn[undecided]
+    return undecided
 
 
 @dataclass(frozen=True)
@@ -605,22 +644,48 @@ def idp_check(poly, max_degree: int = None) -> IdpReport:
     than 2 would certify nothing and raises ValueError. A failure is
     re-verified independently (halfspaces, lattice membership, exhaustive
     search) before it is reported. poly may be a ModelPolytope, a
-    LatticePolytope or a sequence of points."""
+    LatticePolytope or a sequence of points.
+
+    Degree n is checked block by block as the scan yields it, against the
+    sorted codes of degree n-1; only the codes of degree n are kept for the
+    next degree. A failing degree is still scanned to its end, so the
+    witness is the least undecomposable point in ambient order and the
+    point count of that degree is complete. Codes of a degree are encoded,
+    and their width checked, only when that degree starts."""
     if max_degree is not None and max_degree < 2:
         raise ValueError(f"max_degree must be at least 2, got {max_degree}")
     poly = _as_polytope(poly)
-    lat, hrep = poly.lattice, poly.hrep
+    lat, hrep, low, span = poly.lattice, poly.hrep, poly.low, poly.span
     if max_degree is None:
         max_degree = max(2, lat.rank - 1)
     s1 = poly.lattice_points
     counts = [(1, len(s1))]
-    prev = s1
+    held = []
     degrees = []
     for n in range(2, max_degree + 1):
-        sn = _dilate_array(poly, n)
-        counts.append((n, len(sn)))
-        bad = _undecomposable(sn, s1, prev, n, poly.low, poly.span)
+        weights = _code_weights(span, n)
+        vcodes = _codes(s1, 1, low, weights)
+        if n == 2:
+            prev = vcodes
+        else:
+            # one block at a time, so the old and new codes are never both
+            # held in full
+            for i, c in enumerate(held):
+                held[i] = _recode(c, span, n - 1)
+            prev = np.concatenate(held)
+        held = []
+        bad = []
+        total = 0
+        for block in _dilate_blocks(poly, n):
+            total += len(block)
+            codes = _codes(block, n, low, weights)
+            bad.append(block[_undecomposable(codes, vcodes, prev)])
+            if n < max_degree:
+                held.append(codes)
+        del prev   # freed before the next degree re-encodes its codes
+        counts.append((n, total))
         degrees.append(n)
+        bad = np.concatenate(bad)
         if len(bad):
             witness = min(_ambient_rows(bad, n, lat))
             if not hrep.contains(witness, n):
@@ -632,7 +697,6 @@ def idp_check(poly, max_degree: int = None) -> IdpReport:
             return IdpReport(verdict="NotNormal", degrees_checked=tuple(degrees),
                              witness=witness, witness_degree=n,
                              points_per_degree=tuple(counts))
-        prev = sn
     return IdpReport(verdict="Normal", degrees_checked=tuple(degrees),
                      points_per_degree=tuple(counts))
 

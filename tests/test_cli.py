@@ -85,6 +85,20 @@ def test_vertex_cap_exit(capsys):
     assert "resource cap:" in err
 
 
+@pytest.mark.parametrize("cap", ["0", "-1"])
+@pytest.mark.parametrize("command", [
+    ("polytope", "--tree", "(a,b,c);"),
+    ("project", "--tree", "(a,b,c);"),
+    ("normality", "--tree", "(a,b,c);"),
+    ("glue", "--tree", "(a,b,c);", "--tree", "(d,e,f);", "c", "d")])
+def test_vertex_cap_below_one_is_input_error(capsys, command, cap):
+    code, out, err = run(capsys, *command, "--group", "K2P",
+                         "--vertex-cap", cap)
+    assert code == 2
+    assert out == ""
+    assert "--vertex-cap must be at least 1" in err
+
+
 def test_normality_exit_codes(capsys):
     code, out, _ = run(capsys, "normality", "--group", "Z2",
                        "--tree", "(a,b,c);")

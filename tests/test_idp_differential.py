@@ -1,6 +1,7 @@
 """Differential tests of the dilate scan, the facet description and the
 IDP check against independent oracles, on random small point sets."""
 
+from contextlib import contextmanager
 from fractions import Fraction
 from itertools import combinations, product
 from math import gcd
@@ -10,12 +11,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from phylotope.groups import abelian_model
-from phylotope.lattice import (LatticePolytope, _dilate_array,
+import phylotope.lattice
+from phylotope.groups import abelian_model, preset_model
+from phylotope.lattice import (LatticePolytope, _code_weights, _codes,
+                               _dilate_array, _dilate_blocks, _recode,
                                _undecomposable, decompose,
                                facet_description, idp_check,
                                lattice_points_in_dilate, spanned_lattice)
-from phylotope.polytope import build_polytope
+from phylotope.polytope import build_polytope, project_orbits
 from phylotope.trees import parse_newick
 
 # About a third of these sets in dimension 3 and 4 are not IDP.
@@ -210,6 +213,14 @@ def test_dilate_scan_matches_reference(pts, n):
         sorted(_ambient(y, n, lat) for y in ref)
 
 
+def _brute_counts(pts, max_degree):
+    """((degree, number of lattice points of the dilate), ...) from 1 to
+    max_degree, by the box scan."""
+    poly = LatticePolytope(pts)
+    return tuple((n, len(_box_points(pts, n, poly.lattice, poly.hrep)))
+                 for n in range(1, max_degree + 1))
+
+
 @settings(max_examples=40, deadline=None)
 @given(point_sets, st.integers(2, 4))
 def test_idp_check_matches_brute_force(pts, max_degree):
@@ -224,6 +235,78 @@ def test_idp_check_matches_brute_force(pts, max_degree):
         assert report.verdict == "NotNormal"
         assert (report.witness_degree, report.witness) == (n, witness)
         assert report.degrees_checked == tuple(range(2, n + 1))
+
+
+@contextmanager
+def _smallest_blocks():
+    """Shrink the scan's blocks to one row: every level then splits its
+    frontier into single-parent slices, and every block is one point."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(phylotope.lattice, "_CHUNK_CELLS", 1)
+        yield
+
+
+@settings(max_examples=60, deadline=None)
+@given(point_sets, st.integers(1, 4))
+def test_single_point_blocks_match_reference(pts, n):
+    poly = LatticePolytope(pts)
+    W, offs, lo, hi = _dilate_setup(sorted(pts), poly.lattice, poly.hrep, n)
+    ref = [list(y) for y in _dilate_points_py(W, offs, n, lo, hi)]
+    with _smallest_blocks():
+        blocks = list(_dilate_blocks(poly, n))
+        rows = _dilate_array(poly, n)
+    assert [len(b) for b in blocks] == [1] * len(ref)
+    assert [b[0].tolist() for b in blocks] == ref
+    assert rows.tolist() == ref
+
+
+@settings(max_examples=40, deadline=None)
+@given(point_sets, st.integers(2, 4))
+def test_idp_check_on_single_point_blocks(pts, max_degree):
+    with _smallest_blocks():
+        small = idp_check(pts, max_degree=max_degree)
+    report = idp_check(pts, max_degree=max_degree)
+    assert small == report
+    failure = _brute_idp(pts, max_degree)
+    last = max_degree if failure is None else failure[0]
+    assert small.degrees_checked == tuple(range(2, last + 1))
+    assert small.points_per_degree == _brute_counts(pts, last)
+    assert (small.witness_degree, small.witness) == \
+        ((None, None) if failure is None else failure)
+
+
+def test_witness_is_least_over_every_block():
+    # The projected K2P 4-leaf claw has 8 undecomposable points of degree
+    # 2. With one point per block they land in 8 blocks, none of them the
+    # first, and the witness must be the least of all 8.
+    k2p = preset_model("K2P")
+    poly = LatticePolytope(project_orbits(
+        build_polytope(parse_newick("(a,b,c,d);"), k2p), k2p).vertices)
+    s1 = lattice_points_in_dilate(poly, 1)
+    s1_set = set(s1)
+    bad = [q for q in lattice_points_in_dilate(poly, 2)
+           if not any(tuple(a - b for a, b in zip(q, v)) in s1_set
+                      for v in s1)]
+    assert len(bad) == 8
+    with _smallest_blocks():
+        blocks = list(_dilate_blocks(poly, 2))
+        small = idp_check(poly)
+    assert len(blocks) == 448
+    holding = [i for i, b in enumerate(blocks)
+               if _ambient(b[0].tolist(), 2, poly.lattice) in bad]
+    assert len(holding) == 8 and holding[0] > 0
+    assert small == idp_check(poly)
+    assert (small.witness_degree, small.witness) == (2, min(bad))
+    assert small.points_per_degree == ((1, 33), (2, 448))
+
+
+def _kernel_rows(sn, s1, prev, n, low, span):
+    """Rows of sn that the code kernel finds undecomposable, with every
+    point encoded in the weights of degree n."""
+    weights = _code_weights(span, n)
+    return sn[_undecomposable(_codes(sn, n, low, weights),
+                              _codes(s1, 1, low, weights),
+                              _codes(prev, n - 1, low, weights))]
 
 
 @settings(max_examples=100, deadline=None)
@@ -243,8 +326,8 @@ def test_code_kernel_matches_set_lookup(data):
                                          min_size=min_size, max_size=12)))
 
     s1, prev, sn = rows(1, min_size=1), rows(n - 1), rows(n)
-    got = _undecomposable(*(np.array(a, dtype=np.int64).reshape(-1, r)
-                            for a in (sn, s1, prev)), n, low, span)
+    got = _kernel_rows(*(np.array(a, dtype=np.int64).reshape(-1, r)
+                         for a in (sn, s1, prev)), n, low, span)
     prev_set = set(prev)
     want = [q for q in sn
             if not any(tuple(a - b for a, b in zip(q, v)) in prev_set
@@ -258,8 +341,25 @@ def test_code_kernel_top_digit_does_not_carry():
     # q would wrongly count as decomposed.
     sn, s1, prev = (np.array([p], dtype=np.int64)
                     for p in ((0, 2), (0, 0), (1, 0)))
-    assert _undecomposable(sn, s1, prev, 2, (0, 0), (1, 1)).tolist() \
+    assert _kernel_rows(sn, s1, prev, 2, (0, 0), (1, 1)).tolist() \
         == [[0, 2]]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_recoded_codes_match_direct_encoding(data):
+    # every row of the coordinate box of nP, its largest digits included
+    r = data.draw(st.integers(0, 4))
+    n = data.draw(st.integers(1, 6))
+    low = data.draw(st.lists(st.integers(-3, 3), min_size=r, max_size=r))
+    span = data.draw(st.lists(st.integers(1, 3), min_size=r, max_size=r))
+    coords = [st.integers(n * lo, n * (lo + s)) for lo, s in zip(low, span)]
+    drawn = sorted(data.draw(st.lists(st.tuples(*coords), min_size=1,
+                                      max_size=20)))
+    rows = np.array(drawn, dtype=np.int64).reshape(len(drawn), r)
+    codes = _codes(rows, n, low, _code_weights(span, n))
+    assert _recode(codes, span, n).tolist() == \
+        _codes(rows, n, low, _code_weights(span, n + 1)).tolist()
 
 
 @pytest.mark.parametrize("r", [2, 3])

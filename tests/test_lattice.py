@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 from phylotope.errors import (BlockWidthMismatchError,
@@ -94,6 +96,23 @@ def test_code_width_guard_raises():
     assert len(lattice_points_in_dilate(verts, 2)) == 28
     with pytest.raises(ScaleExceededError, match=r"degree 2 .*2\*\*63"):
         idp_check(verts)
+
+
+def test_idp_check_holds_codes_not_rows():
+    # The Z3 claw fiber product through degree 6 (295,426 points there).
+    # Holding the row arrays of two whole degrees took about 95 MiB of
+    # traced allocations; small blocks and one code per point take under 8.
+    factor = build_polytope(CLAW, abelian_model([3]))
+    prod = fiber_product(factor, 2, factor, 0)
+    tracemalloc.start()
+    try:
+        report = idp_check(prod, max_degree=6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.normal
+    assert report.points_per_degree[-1] == (6, 295426)
+    assert peak < 16 * 2 ** 20
 
 
 def test_claw_polytopes_are_normal():
