@@ -9,9 +9,12 @@ derive from it, each computed once.
 Dilates are enumerated by project and lift, in the intrinsic lattice
 coordinates y of a polytope P: a point of nP is x = n*anchor + y.B. The
 facets of every projection of P onto y[:j] are computed once per polytope,
-and level j of the scan of nP keeps exactly the integer points of the
-projection of nP, for every n. The scan runs depth first and yields nP in
-small blocks, in lexicographic order, so no level is ever held in full.
+from P's own certified facets by Fourier-Motzkin elimination over ridges,
+so the double description runs once per polytope. Level j of the scan of
+nP keeps exactly the integer points of the projection of nP, for every n.
+The scan runs depth first and yields nP in small blocks, in lexicographic
+order, so no level is ever held in full; each level's bound table is built
+on its parents' products before they branch.
 
 The IDP check decides each split q = v + p (v in P, p in (n-1)P) on one
 int64 mixed-radix code per point, in lattice coordinates: at degree n,
@@ -148,17 +151,18 @@ class HRep:
         return True
 
 
-def _row_reduce_pivots(rows):
+def _row_reduce_pivots(rows, rank=None):
     """Gauss-Jordan elimination in integers, one row at a time, stopping
-    once the rank is full. Returns (reduced rows sorted by pivot column,
-    their pivot columns, indices of the input rows that raised the rank).
-    Each reduced row is primitive, positive at its pivot and zero at the
-    other rows' pivots."""
-    ncols = len(rows[0]) if rows else 0
+    once the rank is full, or once it reaches rank when that is given.
+    Returns (reduced rows sorted by pivot column, their pivot columns,
+    indices of the input rows that raised the rank). Each reduced row is
+    primitive, positive at its pivot and zero at the other rows' pivots."""
+    if rank is None:
+        rank = len(rows[0]) if rows else 0
     basis = []
     kept = []
     for idx, row in enumerate(rows):
-        if len(basis) == ncols:
+        if len(basis) == rank:
             break
         v = tuple(row)
         for p, b in basis:
@@ -286,7 +290,11 @@ def _dual_dd(zpoints, d):
 def facet_description(points) -> HRep:
     """Exact H-representation of conv(points): affine-hull equalities plus
     facet inequalities found by double description on a full-dimensional
-    coordinate restriction."""
+    coordinate restriction.
+
+    Every inequality is certified a facet in the restricted coordinates:
+    it holds on every point and is tight on points of affine rank d-1.
+    Raises AssertionError otherwise."""
     pts = sorted(set(tuple(p) for p in points))
     if not pts:
         raise ValueError("need at least one point")
@@ -296,19 +304,27 @@ def facet_description(points) -> HRep:
     d = len(pivots)
     if d > _DIM_CAP:
         raise ScaleExceededError(f"dimension {d} exceeds cap {_DIM_CAP}")
+    if any(sum(ci * x for ci, x in zip(c, p)) != b
+           for c, b in equalities for p in pts):
+        raise AssertionError("an affine-hull equality rejects an input point")
     inequalities = []
     if d > 0:
         zpoints = [tuple(p[c] for c in pivots) for p in pts]
         for c, rhs in _dual_dd(zpoints, d):
+            vals = [sum(ci * x for ci, x in zip(c, z)) for z in zpoints]
+            if max(vals) > rhs:
+                raise AssertionError("facet description rejects an input point")
+            tight = [z for z, v in zip(zpoints, vals) if v == rhs]
+            if not tight or len(_row_reduce_pivots(
+                    [[a - b for a, b in zip(z, tight[0])] for z in tight[1:]],
+                    rank=d - 1)[2]) < d - 1:
+                raise AssertionError(f"inequality {c} <= {rhs} is not tight "
+                                     "on a facet")
             full = [0] * len(pts[0])
             for x, col in zip(c, pivots):
                 full[col] = x
             inequalities.append((tuple(full), rhs))
-    rep = HRep(equalities=tuple(equalities), inequalities=tuple(inequalities))
-    for p in pts:
-        if not rep.contains(p):
-            raise AssertionError("facet description rejects an input point")
-    return rep
+    return HRep(equalities=tuple(equalities), inequalities=tuple(inequalities))
 
 
 # Cells (rows x constraints) of the widest bound table in a dilate's scan.
@@ -372,8 +388,18 @@ class LatticePolytope:
     def levels(self) -> tuple:
         """levels[j] bounds y[j] given y[:j]: the facets c.y <= b of the
         projection of P onto y[:j+1] with c[j] != 0, as (coefficient rows,
-        right sides, count of upper bounds c[j] > 0, which come first). The
-        last level is P itself, whose facets hrep gives."""
+        right sides, count of upper bounds c[j] > 0, which come first).
+
+        The last level is P itself, whose facets hrep gives; each facet
+        carries its tight set, a bitset over the input points. Each lower
+        level comes from the one above by Fourier-Motzkin elimination of
+        y[j]: a facet of the projection is the projection of a facet with
+        c[j] == 0, or of a ridge where an upper facet g meets a lower facet
+        h. That ridge is the intersection of their tight sets when no third
+        facet's tight set holds it, and its facet is the primitive
+        combination -h[j]*g + g[j]*h, tight on that intersection. The ridge
+        test needs P's list to hold facets only, which facet_description
+        certifies."""
         lat, hrep, ys = self.lattice, self.hrep, self._coordinates
         r = lat.rank
 
@@ -385,20 +411,37 @@ class LatticePolytope:
 
         if any(in_y(c, b) != ([0] * r, 0) for c, b in hrep.equalities):
             raise AssertionError("an equality is not constant on the lattice")
-        levels = []
-        for j in range(r):
-            if j + 1 < r:
-                facets = facet_description(
-                    [y[:j + 1] for y in ys]).inequalities
-            else:
-                # a facet holds integer vertices, so its gcd divides the side
-                facets = [(row[:-1], row[-1]) for row in
-                          (_primitive(w + [b]) for w, b in
-                           (in_y(c, b) for c, b in hrep.inequalities))]
-            upper = [(c, b) for c, b in facets if c[j] > 0]
-            rows = upper + [(c, b) for c, b in facets if c[j] < 0]
-            levels.append((tuple(c for c, _ in rows),
-                           tuple(b for _, b in rows), len(upper)))
+        facets = []
+        # a facet holds integer vertices, so its gcd divides the side
+        for row in (_primitive(w + [b]) for w, b in
+                    (in_y(c, b) for c, b in hrep.inequalities)):
+            c, b = row[:-1], row[-1]
+            facets.append((c, b, sum(1 << i for i, y in enumerate(ys)
+                                     if sum(a * x for a, x in zip(c, y)) == b)))
+        levels = [None] * r
+        for j in range(r - 1, -1, -1):
+            upper = [f for f in facets if f[0][j] > 0]
+            lower = [f for f in facets if f[0][j] < 0]
+            rows = upper + lower
+            levels[j] = (tuple(c for c, _, _ in rows),
+                         tuple(b for _, b, _ in rows), len(upper))
+            if j == 0:
+                break
+            # eliminate y[j]: the projection has dimension j, so a ridge of
+            # the (j+1)-dimensional polytope above has at least j points
+            tights = [t for _, _, t in facets]
+            projected = [(c[:j], b, t) for c, b, t in facets if c[j] == 0]
+            for g, bg, tg in upper:
+                for h, bh, th in lower:
+                    common = tg & th
+                    if common.bit_count() < j or sum(
+                            t & common == common for t in tights) > 2:
+                        continue
+                    row = _primitive([-h[j] * gi + g[j] * hi
+                                      for gi, hi in zip(g[:j], h[:j])] +
+                                     [-h[j] * bg + g[j] * bh])
+                    projected.append((row[:-1], row[-1], common))
+            facets = projected
         return tuple(levels)
 
     @cached_property
@@ -437,8 +480,16 @@ def _dilate_blocks(poly: LatticePolytope, n, row_cap=_ROW_CAP):
     level passes its children on in slices of at most `rows` rows, and each
     slice is lifted to the last level before the next is made. So every
     level holds at most `rows` rows at once, every bound table at most
-    _CHUNK_CELLS cells, and every block at most `rows` points. Raises once
-    the blocks hold more than row_cap points."""
+    _CHUNK_CELLS cells, and every block at most `rows` points. A level's
+    bound table is freed before its slices are lifted. Raises once the
+    blocks hold more than row_cap points.
+
+    Each slice comes with its products with the next level's coefficients,
+    built on its parents before branching: for a child (parent, y) at level
+    j, A[:, :j+1].(parent, y) = A[:, :j].parent + y*A[:, j], with the first
+    term taken once per parent of the slice. These partial sums are sums of
+    some of the terms that magnitude bounds, so the 2**62 guard covers
+    them."""
     if n * poly.magnitude >= _SCAN_BOUND:
         raise ScaleExceededError(
             f"dilate enumeration at degree {n} reaches "
@@ -447,25 +498,34 @@ def _dilate_blocks(poly: LatticePolytope, n, row_cap=_ROW_CAP):
     for j, (coef, rhs, upper) in enumerate(poly.levels):
         a = np.array(coef, dtype=np.int64)
         step = np.abs(a[:, j])
-        levels.append((a[:, :j].T, step, np.flatnonzero(step > 1),
+        # what level j-1 multiplies by: its parents' rows, and the children's
+        # y[j-1]
+        head, tail = (np.ascontiguousarray(a[:, :j - 1].T), a[:, j - 1]) \
+            if j else (None, None)
+        levels.append((head, tail, step, np.flatnonzero(step > 1),
                        n * np.array(rhs, dtype=np.int64), upper))
     rows = max(1, _CHUNK_CELLS // max((len(rhs) for _, rhs, _ in
                                        poly.levels), default=1))
 
-    def lift(j, parents):
+    def lift(j, parents, q):
+        """Children of the rows y[:j] of parents, lifted to the last level;
+        q holds each parent's products with level j's coefficients, and
+        becomes the level's bound table."""
         if j == len(levels):
             yield parents
             return
-        prefix, step, divided, bn, upper = levels[j]
-        q = bn - parents @ prefix
+        step, divided, bn, upper = levels[j][2:]
+        np.subtract(bn, q, out=q)
         if len(divided):
             q[:, divided] //= step[divided]
         lo = -q[:, upper:].min(axis=1)
         counts = q[:, :upper].min(axis=1) - lo + 1
+        del q
         np.maximum(counts, 0, out=counts)
         ends = np.cumsum(counts)
         # child k of parent i (ends[i-1] <= k < ends[i]) has y[j] = k + first[i]
         first = lo - ends + counts
+        del lo, counts
         m = int(ends[-1])
         for start in range(0, m, rows):
             k = np.arange(start, min(start + rows, m))
@@ -473,10 +533,22 @@ def _dilate_blocks(poly: LatticePolytope, n, row_cap=_ROW_CAP):
             out = np.empty((len(k), j + 1), dtype=np.int64)
             out[:, :j] = parents[parent]
             out[:, j] = k + first[parent]
-            yield from lift(j + 1, out)
+            del k
+            if j + 1 == len(levels):
+                yield out
+                continue
+            head, tail = levels[j + 1][:2]
+            p0 = parent[0]
+            q = (parents[p0:parent[-1] + 1] @ head)[parent - p0]
+            q += np.multiply.outer(out[:, j], tail)
+            child = lift(j + 1, out, q)
+            del parent, q   # the child frees its table before it branches
+            yield from child
 
+    width = len(poly.levels[0][1]) if levels else 0
     total = 0
-    for block in lift(0, np.zeros((1, 0), dtype=np.int64)):
+    for block in lift(0, np.zeros((1, 0), dtype=np.int64),
+                      np.zeros((1, width), dtype=np.int64)):
         total += len(block)
         if total > row_cap:
             raise ScaleExceededError(

@@ -3,6 +3,7 @@ IDP check against independent oracles, on random small point sets."""
 
 from contextlib import contextmanager
 from fractions import Fraction
+from functools import cache
 from itertools import combinations, product
 from math import gcd
 
@@ -12,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import phylotope.lattice
-from phylotope.groups import abelian_model, preset_model
+from phylotope.groups import abelian_model, parse_group_spec, preset_model
 from phylotope.lattice import (LatticePolytope, _code_weights, _codes,
                                _dilate_array, _dilate_blocks, _recode,
                                _undecomposable, decompose,
@@ -372,3 +373,82 @@ def test_reeve_tetrahedra_are_normal_in_their_own_lattice(r):
     assert report.normal
     assert report.degrees_checked == (2,)
     assert _brute_idp(pts, 3) is None
+
+
+# The polytopes of the idp-scan benchmark cases, and the K3P 4-leaf claw:
+# (group, tree, projected flavor).
+SCAN_CASES = {
+    "z4-claw": ("Z4", "(a,b,c);", False),
+    "z3-quartet": ("Z3", "((a,b),(c,d));", False),
+    "k2p-5leaf-projected": ("K2P", "((a,b),c,(d,e));", True),
+    "k3p-quartet": ("K3P", "((a,b),(c,d));", False),
+    "z2-caterpillar6": ("Z2", "((a,b),(c,(d,(e,f))));", False),
+    "k3p-4claw": ("K3P", "(a,b,c,d);", False),
+}
+
+
+@cache
+def _scan_case(name) -> LatticePolytope:
+    spec, tree, projected = SCAN_CASES[name]
+    model = parse_group_spec(spec)
+    poly = build_polytope(parse_newick(tree), model)
+    if projected:
+        poly = project_orbits(poly, model)
+    return LatticePolytope(poly.vertices)
+
+
+def _assert_levels_match_projections(poly):
+    """Each level of the scan, found by Fourier-Motzkin elimination from
+    P's facets, must hold exactly the facets c.y <= b with c[j] != 0 that
+    the double description finds for the projection onto y[:j+1], and
+    count the upper bounds c[j] > 0."""
+    ys = [poly.lattice.coordinates(p) for p in poly.points]
+    assert len(poly.levels) == poly.lattice.rank
+    for j, (coef, rhs, upper) in enumerate(poly.levels):
+        want = [(c, b) for c, b in
+                facet_description([y[:j + 1] for y in ys]).inequalities
+                if c[j] != 0]
+        assert len(coef) == len(rhs) == len(want)
+        assert set(zip(coef, rhs)) == set(want)
+        assert upper == sum(c[j] > 0 for c, _ in want)
+        assert all(c[j] > 0 for c in coef[:upper])
+        assert all(c[j] < 0 for c in coef[upper:])
+
+
+@pytest.mark.parametrize("name", SCAN_CASES)
+def test_levels_match_projection_facets(name):
+    _assert_levels_match_projections(_scan_case(name))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 6).flatmap(lambda d: st.lists(
+    st.tuples(*[st.integers(0, 2)] * d), min_size=1, max_size=12,
+    unique=True)))
+def test_levels_match_projection_facets_on_random_sets(pts):
+    _assert_levels_match_projections(LatticePolytope(pts))
+
+
+@cache
+def _reference_scan(name, n):
+    poly = _scan_case(name)
+    W, offs, lo, hi = _dilate_setup(poly.points, poly.lattice, poly.hrep, n)
+    return [list(y) for y in _dilate_points_py(W, offs, n, lo, hi)]
+
+
+# The projected K2P 5-leaf claw at degree 3 (128,036 points) is left out:
+# the reference and the single-point scan take about 27 s there.
+@pytest.mark.parametrize("single", [False, True],
+                         ids=["default-blocks", "single-point-blocks"])
+@pytest.mark.parametrize("name,n", [
+    (name, n) for name in SCAN_CASES for n in (1, 2, 3)
+    if (name, n) != ("k2p-5leaf-projected", 3)])
+def test_scan_blocks_match_reference(name, n, single):
+    poly = _scan_case(name)
+    ref = _reference_scan(name, n)
+    if single:
+        with _smallest_blocks():
+            blocks = list(_dilate_blocks(poly, n))
+        assert [len(b) for b in blocks] == [1] * len(ref)
+    else:
+        blocks = list(_dilate_blocks(poly, n))
+    assert np.concatenate(blocks).tolist() == ref
