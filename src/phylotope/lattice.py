@@ -24,9 +24,12 @@ sorted codes of the last degree, one int64 per point, and re-encodes them
 for the next. Rows return to ambient coordinates only for a witness and
 for lattice_points_in_dilate.
 
-Overflow guards: the scan and the codes run on int64 numpy arrays, each
-bounded first in Python integers. The scan's values must stay below 2**62
-and a degree's codes below 2**63; an instance beyond a bound raises
+Overflow guards: the scan and the codes run on numpy integer arrays, each
+bounded first in Python integers. The scan of nP runs in the narrowest of
+int16, int32 and int64 whose signed range holds 2*max(n, 1)*magnitude,
+which bounds every value and child count it computes; past int64, that is
+once max(n, 1)*magnitude reaches 2**62, it raises. Its rows leave it as int64. A degree's
+codes are int64 and must stay below 2**63. An instance beyond a bound raises
 ScaleExceededError instead of wrapping. Rows go back to ambient coordinates
 in Python integers, so every reported number is exact.
 """
@@ -331,9 +334,12 @@ def facet_description(points) -> HRep:
 # Its row count is the most rows any level holds at once, and the most
 # points in one block the scan yields.
 _CHUNK_CELLS = 1 << 17
-# Enumeration values stay below this bound; it leaves a bit of headroom in
-# int64 for the subtractions of the bound computation.
-_SCAN_BOUND = 2 ** 62
+# The scan's integer types, narrowest first. The scan of nP runs in the
+# first whose signed range holds 2*max(n, 1)*magnitude: max(n, 1)*magnitude
+# bounds every value it computes, the coefficients included, and
+# 2*n*magnitude + 1 every child count, as _dilate_blocks shows. For int64
+# the rule reads max(n, 1)*magnitude < 2**62; past it, the scan raises.
+_SCAN_TYPES = (np.int16, np.int32, np.int64)
 # Default cap on the points of one dilate. idp_check holds one int64 code
 # per point of a degree, 8 bytes each, so this bounds what it keeps.
 _ROW_CAP = 20_000_000
@@ -446,7 +452,8 @@ class LatticePolytope:
 
     @cached_property
     def magnitude(self) -> int:
-        """A bound on every value the scan of P computes; it scales with n."""
+        """A bound that, times max(n, 1), holds every value the scan of nP
+        computes."""
         bound = [max(abs(lo), abs(lo + s))
                  for lo, s in zip(self.low, self.span)]
         return max(bound + [abs(b) + sum(abs(ci) * m
@@ -487,23 +494,39 @@ def _dilate_blocks(poly: LatticePolytope, n, row_cap=_ROW_CAP):
     Each slice comes with its products with the next level's coefficients,
     built on its parents before branching: for a child (parent, y) at level
     j, A[:, :j+1].(parent, y) = A[:, :j].parent + y*A[:, j], with the first
-    term taken once per parent of the slice. These partial sums are sums of
-    some of the terms that magnitude bounds, so the 2**62 guard covers
-    them."""
-    if n * poly.magnitude >= _SCAN_BOUND:
+    term taken once per parent of the slice.
+
+    The scan runs in one integer type per (P, n): the narrowest of
+    _SCAN_TYPES whose signed range holds 2*reach, reach = max(n, 1) *
+    magnitude. That bounds every value it computes. A coordinate y[i] of nP
+    is at most n*m_i in absolute value, m_i >= 1 being coordinate i's bound
+    in magnitude; so a bound-table cell n*b - A[:, :j+1].y, and any partial
+    sum of its terms, is at most n*(|b| + sum |c_i|*m_i) <= n*magnitude, as
+    are the scaled right sides and the cell after its division. A
+    coefficient c_i is at most magnitude, even at n = 0, hence max(n, 1).
+    The bounds lo and hi lie within n*magnitude too, so a child count
+    hi - lo + 1 is at most 2*n*magnitude + 1; that fits as well, since
+    2*reach is even and below 2**(bits-1). The point counts ends, first and
+    k are int64, and blocks leave as int64 rows."""
+    reach = max(n, 1) * poly.magnitude
+    dtype = next((t for t in _SCAN_TYPES
+                  if 2 * reach < 2 ** (np.iinfo(t).bits - 1)), None)
+    if dtype is None:
         raise ScaleExceededError(
             f"dilate enumeration at degree {n} reaches "
-            f"{n * poly.magnitude}, beyond the int64 scan bound 2**62")
+            f"{reach}, beyond the int64 scan bound 2**62")
     levels = []
     for j, (coef, rhs, upper) in enumerate(poly.levels):
-        a = np.array(coef, dtype=np.int64)
-        step = np.abs(a[:, j])
+        a = np.array(coef, dtype=dtype)
+        # (step, bound-table columns whose |c[j]| is step), step > 1
+        divided = [(s, np.flatnonzero(np.abs(a[:, j]) == s))
+                   for s in sorted({abs(c[j]) for c in coef} - {1})]
         # what level j-1 multiplies by: its parents' rows, and the children's
         # y[j-1]
         head, tail = (np.ascontiguousarray(a[:, :j - 1].T), a[:, j - 1]) \
             if j else (None, None)
-        levels.append((head, tail, step, np.flatnonzero(step > 1),
-                       n * np.array(rhs, dtype=np.int64), upper))
+        levels.append((head, tail, divided,
+                       np.array([n * b for b in rhs], dtype=dtype), upper))
     rows = max(1, _CHUNK_CELLS // max((len(rhs) for _, rhs, _ in
                                        poly.levels), default=1))
 
@@ -511,30 +534,31 @@ def _dilate_blocks(poly: LatticePolytope, n, row_cap=_ROW_CAP):
         """Children of the rows y[:j] of parents, lifted to the last level;
         q holds each parent's products with level j's coefficients, and
         becomes the level's bound table."""
-        if j == len(levels):
-            yield parents
+        if j == len(levels):   # rank 0: the one point y = ()
+            yield parents.astype(np.int64)
             return
-        step, divided, bn, upper = levels[j][2:]
+        divided, bn, upper = levels[j][2:]
         np.subtract(bn, q, out=q)
-        if len(divided):
-            q[:, divided] //= step[divided]
+        for step, cols in divided:
+            q[:, cols] //= step
         lo = -q[:, upper:].min(axis=1)
         counts = q[:, :upper].min(axis=1) - lo + 1
         del q
         np.maximum(counts, 0, out=counts)
-        ends = np.cumsum(counts)
+        ends = np.cumsum(counts, dtype=np.int64)
         # child k of parent i (ends[i-1] <= k < ends[i]) has y[j] = k + first[i]
         first = lo - ends + counts
         del lo, counts
         m = int(ends[-1])
+        last = j + 1 == len(levels)
         for start in range(0, m, rows):
-            k = np.arange(start, min(start + rows, m))
+            k = np.arange(start, min(start + rows, m), dtype=np.int64)
             parent = np.searchsorted(ends, k, side="right")
-            out = np.empty((len(k), j + 1), dtype=np.int64)
+            out = np.empty((len(k), j + 1), dtype=np.int64 if last else dtype)
             out[:, :j] = parents[parent]
             out[:, j] = k + first[parent]
             del k
-            if j + 1 == len(levels):
+            if last:
                 yield out
                 continue
             head, tail = levels[j + 1][:2]
@@ -547,8 +571,8 @@ def _dilate_blocks(poly: LatticePolytope, n, row_cap=_ROW_CAP):
 
     width = len(poly.levels[0][1]) if levels else 0
     total = 0
-    for block in lift(0, np.zeros((1, 0), dtype=np.int64),
-                      np.zeros((1, width), dtype=np.int64)):
+    for block in lift(0, np.zeros((1, 0), dtype=dtype),
+                      np.zeros((1, width), dtype=dtype)):
         total += len(block)
         if total > row_cap:
             raise ScaleExceededError(
@@ -576,7 +600,10 @@ def _ambient_rows(ys, n, lat: AffineLattice) -> list:
 def lattice_points_in_dilate(points, n: int, row_cap: int = _ROW_CAP):
     """All points of (the lattice anchored at n*anchor) inside n*conv(points),
     sorted. points may be a point sequence, a ModelPolytope or a
-    LatticePolytope. Enumeration runs intrinsically in lattice coordinates."""
+    LatticePolytope. Enumeration runs intrinsically in lattice coordinates.
+    Raises ValueError for a negative n."""
+    if n < 0:
+        raise ValueError(f"dilate degree must be nonnegative, got {n}")
     poly = _as_polytope(points)
     return sorted(_ambient_rows(_dilate_array(poly, n, row_cap), n,
                                 poly.lattice))

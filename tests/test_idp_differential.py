@@ -258,6 +258,7 @@ def test_single_point_blocks_match_reference(pts, n):
         rows = _dilate_array(poly, n)
     assert [len(b) for b in blocks] == [1] * len(ref)
     assert [b[0].tolist() for b in blocks] == ref
+    assert all(b.dtype == np.int64 for b in blocks)
     assert rows.tolist() == ref
 
 
@@ -375,6 +376,34 @@ def test_reeve_tetrahedra_are_normal_in_their_own_lattice(r):
     assert _brute_idp(pts, 3) is None
 
 
+def _thin_triangle(n, edge, below):
+    """conv{(0,0), (0,1), (1,a)}, a unimodular triangle long in y[1], with a
+    chosen so that 2*n*magnitude falls just below or just above edge."""
+    # magnitude is 2a: the facets a*y0 - y1 <= 0 and y1 - (a-1)*y0 <= 1
+    # each reach 2a on the box [0, 1] x [0, a]
+    a = (edge - 1) // (4 * n) + (0 if below else 1)
+    poly = LatticePolytope([(0, 0), (0, 1), (1, a)])
+    assert (2 * n * poly.magnitude < edge) == below
+    return poly
+
+
+# 2**15 and 2**31 are the edges of the int16 and the int32 scan: just below
+# one, the scan runs in the narrower type at its bound, just above it in the
+# wider one.
+@pytest.mark.parametrize("below", [True, False], ids=["below", "above"])
+@pytest.mark.parametrize("edge", [2 ** 15, 2 ** 31], ids=["2^15", "2^31"])
+@pytest.mark.parametrize("n", [2, 3])
+def test_thin_triangles_at_the_scan_type_edges(n, edge, below):
+    poly = _thin_triangle(n, edge, below)
+    W, offs, lo, hi = _dilate_setup(poly.points, poly.lattice, poly.hrep, n)
+    ref = [list(y) for y in _dilate_points_py(W, offs, n, lo, hi)]
+    assert _dilate_array(poly, n).tolist() == ref
+    report = idp_check(poly, max_degree=n)
+    assert report.normal
+    assert report.points_per_degree == tuple(
+        (k, (k + 1) * (k + 2) // 2) for k in range(1, n + 1))
+
+
 # The polytopes of the idp-scan benchmark cases, and the K3P 4-leaf claw:
 # (group, tree, projected flavor).
 SCAN_CASES = {
@@ -451,4 +480,5 @@ def test_scan_blocks_match_reference(name, n, single):
         assert [len(b) for b in blocks] == [1] * len(ref)
     else:
         blocks = list(_dilate_blocks(poly, n))
+    assert all(b.dtype == np.int64 for b in blocks)
     assert np.concatenate(blocks).tolist() == ref

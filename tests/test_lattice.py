@@ -82,6 +82,37 @@ def test_ambient_rows_beyond_int64_are_exact():
         == [(2 ** 63, 0), (2 ** 63, 1), (2 ** 63, 2)]
 
 
+def test_scan_bound_guard_raises():
+    # conv{(0,0), (0,1), (1,a)} has magnitude 2a, so its scan at degree 2
+    # needs n*magnitude = 4a below 2**62
+    a = 2 ** 60
+    verts = [(0, 0), (0, 1), (1, a)]
+    with pytest.raises(ScaleExceededError, match="int64 scan bound"):
+        lattice_points_in_dilate(verts, 2)
+    assert len(lattice_points_in_dilate(verts, 1)) == 3
+    below = [(0, 0), (0, 1), (1, a - 1)]
+    assert lattice_points_in_dilate(below, 2)[-1] == (2, 2 * a - 2)
+    assert idp_check(below).points_per_degree == ((1, 3), (2, 6))
+
+
+def test_negative_dilate_raises():
+    triangle = [(0, 0), (1, 0), (0, 1)]
+    with pytest.raises(ValueError, match="nonnegative"):
+        lattice_points_in_dilate(triangle, -1)
+    assert lattice_points_in_dilate(triangle, 0) == [(0, 0)]
+    assert lattice_points_in_dilate([(2, 3), (3, 5)], 0) == [(0, 0)]
+    # the scan type must hold the coefficients, which n = 0 does not scale:
+    # this triangle's facet 40000*y0 - y1 <= 0 needs more than int16
+    assert lattice_points_in_dilate([(0, 0), (0, 1), (1, 40000)], 0) == [
+        (0, 0)]
+    # one that needs int64, and one past the int64 scan bound, which
+    # degree 1 refuses too
+    assert lattice_points_in_dilate([(0, 0), (0, 1), (1, 2 ** 40)], 0) == [
+        (0, 0)]
+    with pytest.raises(ScaleExceededError, match="degree 0 .*int64 scan"):
+        lattice_points_in_dilate([(0, 0), (0, 1), (1, 2 ** 61)], 0)
+
+
 def test_code_width_guard_raises():
     # a unimodular simplex, long in three lattice coordinates: few lattice
     # points, but the degree-2 codes need prod(2*span_j + 1) >= 2**63 values
