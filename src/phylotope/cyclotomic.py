@@ -58,18 +58,7 @@ def _degree(m: int) -> int:
 @lru_cache(maxsize=None)
 def _power_basis(m: int, k: int) -> tuple:
     """x^k reduced mod Phi_m, as a coefficient tuple of length deg."""
-    deg = _degree(m)
-    if k < deg:
-        return tuple(1 if i == k else 0 for i in range(deg))
-    phi = cyclotomic_polynomial(m)
-    prev = _power_basis(m, k - 1)
-    # multiply by x, fold the overflow coefficient back in
-    shifted = [0] + list(prev)
-    c = shifted.pop()
-    if c:
-        for i in range(deg):
-            shifted[i] -= c * phi[i]
-    return tuple(shifted)
+    return _reduce((0,) * k + (1,), m)
 
 
 def _reduce(coeffs, m):

@@ -17,19 +17,21 @@ order, so no level is ever held in full; each level's bound table is built
 on its parents' products before they branch.
 
 The IDP check decides each split q = v + p (v in P, p in (n-1)P) on one
-int64 mixed-radix code per point, in lattice coordinates: at degree n,
-digit j is y[j] - n*min y[j] with radix n*span_j + 1, so the codes of v and
-p add without carry to the code of q. Between degrees it keeps only the
-sorted codes of the last degree, one int64 per point, and re-encodes them
-for the next. Rows return to ambient coordinates only for a witness and
-for lattice_points_in_dilate.
+int64 mixed-radix code per point, in lattice coordinates: for a point of
+kP, digit j is y[j] - k*min y[j] in [0, k*span_j]. One radix
+top*span_j + 1 serves every degree k <= top, top being the highest degree
+checked whose codes fit in int64, so the codes of v and p add without carry
+to the code of q. Between degrees it keeps only the sorted codes of the
+last degree, one int64 per point, as they are. Rows return to ambient
+coordinates only for a witness and for lattice_points_in_dilate.
 
 Overflow guards: the scan and the codes run on numpy integer arrays, each
 bounded first in Python integers. The scan of nP runs in the narrowest of
 int16, int32 and int64 whose signed range holds 2*max(n, 1)*magnitude,
 which bounds every value and child count it computes; past int64, that is
-once max(n, 1)*magnitude reaches 2**62, it raises. Its rows leave it as int64. A degree's
-codes are int64 and must stay below 2**63. An instance beyond a bound raises
+once max(n, 1)*magnitude reaches 2**62, it raises. Its rows leave it as
+int64. The codes are int64 and must stay below 2**63, so the check raises
+at the first degree past top. An instance beyond a bound raises
 ScaleExceededError instead of wrapping. Rows go back to ambient coordinates
 in Python integers, so every reported number is exact.
 """
@@ -38,7 +40,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 import numpy as np
 
@@ -340,8 +342,9 @@ _CHUNK_CELLS = 1 << 17
 # 2*n*magnitude + 1 every child count, as _dilate_blocks shows. For int64
 # the rule reads max(n, 1)*magnitude < 2**62; past it, the scan raises.
 _SCAN_TYPES = (np.int16, np.int32, np.int64)
-# Default cap on the points of one dilate. idp_check holds one int64 code
-# per point of a degree, 8 bytes each, so this bounds what it keeps.
+# Cap on the points of one dilate, read when a scan runs. idp_check holds
+# one int64 code per point of a degree, 8 bytes each, so this bounds what it
+# keeps.
 _ROW_CAP = 20_000_000
 # Caps on the input of facet_description: distinct points, affine dimension.
 _POINT_CAP = 1500
@@ -477,7 +480,7 @@ def _as_polytope(poly) -> LatticePolytope:
                            else poly)
 
 
-def _dilate_blocks(poly: LatticePolytope, n, row_cap=_ROW_CAP):
+def _dilate_blocks(poly: LatticePolytope, n):
     """Points of nP as blocks of int64 rows of lattice coordinates y; the
     rows of all blocks, in turn, are in lexicographic order.
 
@@ -489,7 +492,7 @@ def _dilate_blocks(poly: LatticePolytope, n, row_cap=_ROW_CAP):
     level holds at most `rows` rows at once, every bound table at most
     _CHUNK_CELLS cells, and every block at most `rows` points. A level's
     bound table is freed before its slices are lifted. Raises once the
-    blocks hold more than row_cap points.
+    blocks hold more than _ROW_CAP points.
 
     Each slice comes with its products with the next level's coefficients,
     built on its parents before branching: for a child (parent, y) at level
@@ -574,17 +577,18 @@ def _dilate_blocks(poly: LatticePolytope, n, row_cap=_ROW_CAP):
     for block in lift(0, np.zeros((1, 0), dtype=dtype),
                       np.zeros((1, width), dtype=dtype)):
         total += len(block)
-        if total > row_cap:
+        if total > _ROW_CAP:
             raise ScaleExceededError(
-                f"dilate of degree {n} has more than row_cap {row_cap} points")
+                f"dilate of degree {n} has more than row_cap {_ROW_CAP} "
+                "points")
         yield block
 
 
-def _dilate_array(poly: LatticePolytope, n, row_cap=_ROW_CAP):
+def _dilate_array(poly: LatticePolytope, n):
     """Points of nP as int64 rows of lattice coordinates y, in
     lexicographic order: the blocks of _dilate_blocks, concatenated."""
     return np.concatenate([np.empty((0, poly.lattice.rank), dtype=np.int64),
-                           *_dilate_blocks(poly, n, row_cap)])
+                           *_dilate_blocks(poly, n)])
 
 
 def _ambient_rows(ys, n, lat: AffineLattice) -> list:
@@ -597,32 +601,36 @@ def _ambient_rows(ys, n, lat: AffineLattice) -> list:
     return list(map(tuple, xs.tolist()))
 
 
-def lattice_points_in_dilate(points, n: int, row_cap: int = _ROW_CAP):
+def lattice_points_in_dilate(points, n: int):
     """All points of (the lattice anchored at n*anchor) inside n*conv(points),
     sorted. points may be a point sequence, a ModelPolytope or a
     LatticePolytope. Enumeration runs intrinsically in lattice coordinates.
-    Raises ValueError for a negative n."""
+    Raises ValueError for a negative n, and ScaleExceededError past _ROW_CAP
+    points or the scan's int64 bound."""
     if n < 0:
         raise ValueError(f"dilate degree must be nonnegative, got {n}")
     poly = _as_polytope(points)
-    return sorted(_ambient_rows(_dilate_array(poly, n, row_cap), n,
-                                poly.lattice))
+    return sorted(_ambient_rows(_dilate_array(poly, n), n, poly.lattice))
+
+
+def _code_size(span, n):
+    """How many values the codes of degree n take: the product of their
+    radices n*span[j] + 1."""
+    return prod(n * s + 1 for s in span)
 
 
 def _code_weights(span, n):
-    """Weights of the degree-n mixed-radix code of a row y: digit j is
-    y[j] - n*low[j] in [0, n*span[j]], radix n*span[j] + 1, the first
-    coordinate most significant. Raises unless every code fits in int64."""
-    weights = []
-    size = 1
-    for s in reversed(span):
-        weights.append(size)
-        size *= n * s + 1
+    """Weights of the degree-n mixed-radix code of a row y of kP, k <= n:
+    digit j is y[j] - k*low[j] in [0, k*span[j]], radix n*span[j] + 1, the
+    first coordinate most significant. Raises unless every code fits in
+    int64."""
+    size = _code_size(span, n)
     if size >= 2 ** 63:
         raise ScaleExceededError(
             f"lattice-coordinate codes at degree {n} take {size} values, "
             "beyond the int64 bound 2**63")
-    return np.array(weights[::-1], dtype=np.int64).reshape(len(span))
+    return np.array([_code_size(span[j + 1:], n) for j in range(len(span))],
+                    dtype=np.int64)
 
 
 def _codes(rows, k, low, weights):
@@ -630,30 +638,16 @@ def _codes(rows, k, low, weights):
     return (rows - k * np.asarray(low, dtype=np.int64)) @ weights
 
 
-def _recode(codes, span, n):
-    """Codes of points of nP re-encoded, digit by digit from the last
-    coordinate, in the weights of degree n + 1. Raises where
-    _code_weights does."""
-    weights = _code_weights(span, n + 1)
-    rest = codes.copy()
-    digit = np.empty_like(codes)
-    out = np.zeros_like(codes)
-    for s, w in zip(reversed(span), weights[::-1]):
-        np.divmod(rest, n * s + 1, out=(rest, digit))
-        digit *= w
-        out += digit
-    return out
-
-
 def _undecomposable(codes, vcodes, prev):
     """Positions in codes (points of nP) of the points that are no sum
     v + p of a point v of P (vcodes) and a point p of (n-1)P (prev,
-    ascending), all encoded by _codes in the weights of degree n.
+    ascending), all encoded by _codes in the weights of one degree top >= n.
 
     With the shifted digits of _code_weights, the digits of v and p add
     without carry to those of v + p, and any two digit vectors whose
-    entries differ by at most n*span[j] have equal codes only when they are
-    equal, so code(q) - code(v) == code(p) certifies q = v + p."""
+    entries differ by at most n*span[j] < top*span[j] + 1 have equal codes
+    only when they are equal, so code(q) - code(v) == code(p) certifies
+    q = v + p."""
     undecided = np.arange(len(codes))
     if not len(prev):
         return undecided
@@ -701,7 +695,10 @@ def decompose(q, n: int, points) -> DecompositionResult:
     """Exhaustive search for q = p_1 + ... + p_n with each p_i a lattice
     point of conv(points); index-nondecreasing, so multisets are visited
     once. Failure is a complete-search certificate. points may be a point
-    sequence, a ModelPolytope or a LatticePolytope."""
+    sequence, a ModelPolytope or a LatticePolytope. Raises ValueError for a
+    negative n."""
+    if n < 0:
+        raise ValueError(f"degree must be nonnegative, got {n}")
     poly = _as_polytope(points)
     lat, hrep = poly.lattice, poly.hrep
     s1 = sorted(_ambient_rows(poly.lattice_points, 1, lat))
@@ -749,8 +746,13 @@ def idp_check(poly, max_degree: int = None) -> IdpReport:
     sorted codes of degree n-1; only the codes of degree n are kept for the
     next degree. A failing degree is still scanned to its end, so the
     witness is the least undecomposable point in ambient order and the
-    point count of that degree is complete. Codes of a degree are encoded,
-    and their width checked, only when that degree starts."""
+    point count of that degree is complete.
+
+    Every degree is encoded in the code weights of one degree top: the
+    highest up to max_degree whose codes fit in int64. They encode each
+    degree below top without carry too, so a degree's codes pass unchanged
+    to the next. A degree past top raises ScaleExceededError when it
+    starts."""
     if max_degree is not None and max_degree < 2:
         raise ValueError(f"max_degree must be at least 2, got {max_degree}")
     poly = _as_polytope(poly)
@@ -759,19 +761,17 @@ def idp_check(poly, max_degree: int = None) -> IdpReport:
         max_degree = max(2, lat.rank - 1)
     s1 = poly.lattice_points
     counts = [(1, len(s1))]
-    held = []
+    top = max_degree
+    while top > 2 and _code_size(span, top) >= 2 ** 63:
+        top -= 1
+    weights = _code_weights(span, top)
+    vcodes = _codes(s1, 1, low, weights)
+    held = [vcodes]
     degrees = []
     for n in range(2, max_degree + 1):
-        weights = _code_weights(span, n)
-        vcodes = _codes(s1, 1, low, weights)
-        if n == 2:
-            prev = vcodes
-        else:
-            # one block at a time, so the old and new codes are never both
-            # held in full
-            for i, c in enumerate(held):
-                held[i] = _recode(c, span, n - 1)
-            prev = np.concatenate(held)
+        if n > top:
+            _code_weights(span, n)   # raises: these codes pass int64
+        prev = np.concatenate(held)
         held = []
         bad = []
         total = 0
@@ -779,9 +779,9 @@ def idp_check(poly, max_degree: int = None) -> IdpReport:
             total += len(block)
             codes = _codes(block, n, low, weights)
             bad.append(block[_undecomposable(codes, vcodes, prev)])
-            if n < max_degree:
+            if n < top:
                 held.append(codes)
-        del prev   # freed before the next degree re-encodes its codes
+        del prev   # freed before the next degree joins its codes
         counts.append((n, total))
         degrees.append(n)
         bad = np.concatenate(bad)

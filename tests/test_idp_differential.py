@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 import phylotope.lattice
 from phylotope.groups import abelian_model, parse_group_spec, preset_model
 from phylotope.lattice import (LatticePolytope, _code_weights, _codes,
-                               _dilate_array, _dilate_blocks, _recode,
+                               _dilate_array, _dilate_blocks,
                                _undecomposable, decompose,
                                facet_description, idp_check,
                                lattice_points_in_dilate, spanned_lattice)
@@ -207,7 +207,7 @@ def test_dilate_scan_matches_reference(pts, n):
     lat = poly.lattice
     W, offs, lo, hi = _dilate_setup(sorted(pts), lat, poly.hrep, n)
     ref = _dilate_points_py(W, offs, n, lo, hi)
-    rows = _dilate_array(poly, n, 10 ** 6)
+    rows = _dilate_array(poly, n)
     # same points, in the lexicographic order the code kernel relies on
     assert rows.tolist() == [list(y) for y in ref]
     assert lattice_points_in_dilate(poly, n) == \
@@ -345,23 +345,6 @@ def test_code_kernel_top_digit_does_not_carry():
                     for p in ((0, 2), (0, 0), (1, 0)))
     assert _kernel_rows(sn, s1, prev, 2, (0, 0), (1, 1)).tolist() \
         == [[0, 2]]
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.data())
-def test_recoded_codes_match_direct_encoding(data):
-    # every row of the coordinate box of nP, its largest digits included
-    r = data.draw(st.integers(0, 4))
-    n = data.draw(st.integers(1, 6))
-    low = data.draw(st.lists(st.integers(-3, 3), min_size=r, max_size=r))
-    span = data.draw(st.lists(st.integers(1, 3), min_size=r, max_size=r))
-    coords = [st.integers(n * lo, n * (lo + s)) for lo, s in zip(low, span)]
-    drawn = sorted(data.draw(st.lists(st.tuples(*coords), min_size=1,
-                                      max_size=20)))
-    rows = np.array(drawn, dtype=np.int64).reshape(len(drawn), r)
-    codes = _codes(rows, n, low, _code_weights(span, n))
-    assert _recode(codes, span, n).tolist() == \
-        _codes(rows, n, low, _code_weights(span, n + 1)).tolist()
 
 
 @pytest.mark.parametrize("r", [2, 3])

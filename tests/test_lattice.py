@@ -2,6 +2,7 @@ import tracemalloc
 
 import pytest
 
+from phylotope import lattice
 from phylotope.errors import (BlockWidthMismatchError,
                               ProjectionNotInSimplexError,
                               ScaleExceededError)
@@ -69,11 +70,12 @@ def test_facets_of_an_embedded_segment():
     assert not hrep.contains((3, 3, 1))
 
 
-def test_row_cap_raises():
+def test_row_cap_raises(monkeypatch):
     z3 = abelian_model([3])
     poly = build_polytope(CLAW, z3)
+    monkeypatch.setattr(lattice, "_ROW_CAP", 10)
     with pytest.raises(ScaleExceededError):
-        lattice_points_in_dilate(poly.vertices, 3, row_cap=10)
+        lattice_points_in_dilate(poly.vertices, 3)
 
 
 def test_ambient_rows_beyond_int64_are_exact():
@@ -129,6 +131,51 @@ def test_code_width_guard_raises():
         idp_check(verts)
 
 
+def _times_thin_simplex(points, a=4096):
+    """points x the unimodular simplex of test_code_width_guard_raises:
+    conv of the origin and (0, 1), (1, a) in each of three coordinate
+    pairs. Its spans a in three lattice coordinates widen the codes."""
+    simplex = [(0,) * 6]
+    for i in range(3):
+        for v in ((0, 1), (1, a)):
+            row = [0] * 6
+            row[2 * i:2 * i + 2] = v
+            simplex.append(tuple(row))
+    return [tuple(p) + q for p in points for q in simplex]
+
+
+def test_codes_of_the_highest_fitting_degree_serve_lower_ones():
+    # rank 12: the codes fit in int64 through degree 4, not at 5; the
+    # default ceiling is 11, and the witness appears at degree 2
+    k2p = preset_model("K2P")
+    claw = project_orbits(build_polytope(CLAW, k2p), k2p)
+    report = idp_check(_times_thin_simplex(claw.vertices))
+    assert report.verdict == "NotNormal"
+    assert report.points_per_degree == ((1, 70), (2, 1568))
+    assert (report.witness_degree, report.witness) == (
+        2, (1, 0, 1, 1, 0, 1, 1, 0, 1, 0, 0, 0, 0, 0, 0))
+
+
+def _cfn_claw_times_thin_simplex():
+    """Rank 9: the codes fit in int64 through degree 7, not at 8, the
+    default ceiling."""
+    return _times_thin_simplex(build_polytope(CLAW,
+                                              abelian_model([2])).vertices)
+
+
+def test_code_width_guard_raises_at_the_first_degree_past_it():
+    with pytest.raises(ScaleExceededError, match=r"degree 8 .*2\*\*63"):
+        idp_check(_cfn_claw_times_thin_simplex())
+
+
+def test_degrees_below_the_code_width_guard_are_checked():
+    report = idp_check(_cfn_claw_times_thin_simplex(), max_degree=7)
+    assert report.normal
+    assert report.points_per_degree == (
+        (1, 28), (2, 280), (3, 1680), (4, 7350), (5, 25872), (6, 77616),
+        (7, 205920))
+
+
 def test_idp_check_holds_codes_not_rows():
     # The Z3 claw fiber product through degree 6 (295,426 points there).
     # Holding the row arrays of two whole degrees took about 95 MiB of
@@ -172,6 +219,14 @@ def test_projected_claw_is_not_normal_with_certificate():
     text = report.to_text()
     assert "verdict: NotNormal" in text
     assert "witness degree: 2" in text
+
+
+def test_decompose_rejects_a_negative_degree():
+    triangle = [(0, 0), (1, 0), (0, 1)]
+    with pytest.raises(ValueError, match="nonnegative"):
+        decompose((0, 0), -1, triangle)
+    assert decompose((0, 0), 0, triangle).found == ()
+    assert decompose((1, 0), 0, triangle).found is None
 
 
 def test_decompose_finds_a_certificate():
