@@ -16,7 +16,7 @@ from .fourier import (appendix_demo, monomial_socket_vector,
                       params_to_matrices, raw_leaf_tensor, socket_coordinates,
                       what_dimension)
 from .groups import parse_group_file, parse_group_spec
-from .lattice import glued_polytope, idp_check
+from .lattice import glued_polytope, idp_check, tree_idp_check
 from .polytope import build_polytope, project_orbits, vertex_file_text
 from .trees import parse_newick
 from .verify import run_checks
@@ -90,9 +90,13 @@ def cmd_project(args) -> int:
 def cmd_normality(args) -> int:
     model = _load_model(args)
     tree = _load_tree(args)
-    poly = build_polytope(tree, model, cap=args.vertex_cap)
-    poly = _projected(poly, model, args.flavor)
-    report = idp_check(poly, max_degree=args.max_degree)
+    if args.flavor == "abelian":
+        report = tree_idp_check(tree, model, max_degree=args.max_degree,
+                                cap=args.vertex_cap)
+    else:
+        poly = build_polytope(tree, model, cap=args.vertex_cap)
+        report = idp_check(_projected(poly, model, args.flavor),
+                           max_degree=args.max_degree)
     _emit(report.to_text(), args.out)
     return 0 if report.normal else 1
 

@@ -25,13 +25,21 @@ to the code of q. Between degrees it keeps only the sorted codes of the
 last degree, one int64 per point, as they are. Rows return to ambient
 coordinates only for a witness and for lattice_points_in_dilate.
 
+The abelian polytope of a tree with two or more inner vertices is the
+fiber product of its claws over the inner edges, so tree_idp_check decides
+it on one scan per claw degree: the tree's least failing degree is its
+claws', and its point counts are a sum-product of the claws' points
+tallied by their inner-edge blocks. Only when a claw fails at some degree
+is the tree itself scanned, through that degree, for the least witness.
+
 Overflow guards: the scan and the codes run on numpy integer arrays, each
 bounded first in Python integers. The scan of nP runs in the narrowest of
 int16, int32 and int64 whose signed range holds 2*max(n, 1)*magnitude,
 which bounds every value and child count it computes; past int64, that is
 once max(n, 1)*magnitude reaches 2**62, it raises. Its rows leave it as
 int64. The codes are int64 and must stay below 2**63, so the check raises
-at the first degree past top. An instance beyond a bound raises
+at the first degree past top, and so do the claw tallies' int64 key codes
+past their own bound. An instance beyond a bound raises
 ScaleExceededError instead of wrapping. Rows go back to ambient coordinates
 in Python integers, so every reported number is exact.
 """
@@ -47,7 +55,7 @@ import numpy as np
 from .errors import (BlockWidthMismatchError, ProjectionNotInSimplexError,
                      ScaleExceededError)
 from .polytope import ModelPolytope, build_polytope, negate_block
-from .trees import glue
+from .trees import Tree, glue
 
 
 def _primitive(row):
@@ -579,8 +587,8 @@ def _dilate_blocks(poly: LatticePolytope, n):
         total += len(block)
         if total > _ROW_CAP:
             raise ScaleExceededError(
-                f"dilate of degree {n} has more than row_cap {_ROW_CAP} "
-                "points")
+                f"dilate of degree {n} has more than {_ROW_CAP} points, the "
+                "point cap of a scan")
         yield block
 
 
@@ -730,6 +738,48 @@ def decompose(q, n: int, points) -> DecompositionResult:
         found=None if found is None else tuple(found), examined=examined)
 
 
+def _split_degrees(poly: LatticePolytope, max_degree: int, visit=None):
+    """The split test, degree by degree: for n = 2..max_degree in turn,
+    scan nP and yield (n, its point count, the int64 rows of nP that are
+    no sum v + p of a lattice point v of P and a point p of (n-1)P).
+    visit(n, block), when given, sees each block of the scan as it comes.
+
+    Degree n is checked block by block as the scan yields it, against the
+    sorted codes of degree n-1; only the codes of degree n are kept for the
+    next degree. A degree is scanned to its end before it is yielded, so
+    its point count and its undecomposable rows are complete.
+
+    Every degree is encoded in the code weights of one degree top: the
+    highest up to max_degree whose codes fit in int64. They encode each
+    degree below top without carry too, so a degree's codes pass unchanged
+    to the next. A degree past top raises ScaleExceededError when it
+    starts."""
+    low, span = poly.low, poly.span
+    top = max_degree
+    while top > 2 and _code_size(span, top) >= 2 ** 63:
+        top -= 1
+    weights = _code_weights(span, top)
+    vcodes = _codes(poly.lattice_points, 1, low, weights)
+    held = [vcodes]
+    for n in range(2, max_degree + 1):
+        if n > top:
+            _code_weights(span, n)   # raises: these codes pass int64
+        prev = np.concatenate(held)
+        held = []
+        bad = []
+        total = 0
+        for block in _dilate_blocks(poly, n):
+            total += len(block)
+            if visit is not None:
+                visit(n, block)
+            codes = _codes(block, n, low, weights)
+            bad.append(block[_undecomposable(codes, vcodes, prev)])
+            if n < top:
+                held.append(codes)
+        del prev   # freed before the next degree joins its codes
+        yield n, total, np.concatenate(bad)
+
+
 def idp_check(poly, max_degree: int = None) -> IdpReport:
     """Integer decomposition property, degree by degree.
 
@@ -742,49 +792,18 @@ def idp_check(poly, max_degree: int = None) -> IdpReport:
     search) before it is reported. poly may be a ModelPolytope, a
     LatticePolytope or a sequence of points.
 
-    Degree n is checked block by block as the scan yields it, against the
-    sorted codes of degree n-1; only the codes of degree n are kept for the
-    next degree. A failing degree is still scanned to its end, so the
-    witness is the least undecomposable point in ambient order and the
-    point count of that degree is complete.
-
-    Every degree is encoded in the code weights of one degree top: the
-    highest up to max_degree whose codes fit in int64. They encode each
-    degree below top without carry too, so a degree's codes pass unchanged
-    to the next. A degree past top raises ScaleExceededError when it
-    starts."""
+    The degrees come from _split_degrees. A failing degree is scanned to
+    its end, so the witness is the least undecomposable point in ambient
+    order and the point count of that degree is complete."""
     if max_degree is not None and max_degree < 2:
         raise ValueError(f"max_degree must be at least 2, got {max_degree}")
     poly = _as_polytope(poly)
-    lat, hrep, low, span = poly.lattice, poly.hrep, poly.low, poly.span
+    lat, hrep = poly.lattice, poly.hrep
     if max_degree is None:
         max_degree = max(2, lat.rank - 1)
-    s1 = poly.lattice_points
-    counts = [(1, len(s1))]
-    top = max_degree
-    while top > 2 and _code_size(span, top) >= 2 ** 63:
-        top -= 1
-    weights = _code_weights(span, top)
-    vcodes = _codes(s1, 1, low, weights)
-    held = [vcodes]
-    degrees = []
-    for n in range(2, max_degree + 1):
-        if n > top:
-            _code_weights(span, n)   # raises: these codes pass int64
-        prev = np.concatenate(held)
-        held = []
-        bad = []
-        total = 0
-        for block in _dilate_blocks(poly, n):
-            total += len(block)
-            codes = _codes(block, n, low, weights)
-            bad.append(block[_undecomposable(codes, vcodes, prev)])
-            if n < top:
-                held.append(codes)
-        del prev   # freed before the next degree joins its codes
+    counts = [(1, len(poly.lattice_points))]
+    for n, total, bad in _split_degrees(poly, max_degree):
         counts.append((n, total))
-        degrees.append(n)
-        bad = np.concatenate(bad)
         if len(bad):
             witness = min(_ambient_rows(bad, n, lat))
             if not hrep.contains(witness, n):
@@ -793,11 +812,214 @@ def idp_check(poly, max_degree: int = None) -> IdpReport:
                 raise AssertionError("witness fails the lattice check")
             if decompose(witness, n, poly).found is not None:
                 raise AssertionError("witness decomposed on re-verification")
-            return IdpReport(verdict="NotNormal", degrees_checked=tuple(degrees),
+            return IdpReport(verdict="NotNormal",
+                             degrees_checked=tuple(range(2, n + 1)),
                              witness=witness, witness_degree=n,
                              points_per_degree=tuple(counts))
-    return IdpReport(verdict="Normal", degrees_checked=tuple(degrees),
+    return IdpReport(verdict="Normal",
+                     degrees_checked=tuple(range(2, max_degree + 1)),
                      points_per_degree=tuple(counts))
+
+
+def _summed(codes, counts):
+    """The distinct codes, ascending, each with the sum of its counts."""
+    order = np.argsort(codes, kind="stable")
+    codes, counts = codes[order], counts[order]
+    starts = np.flatnonzero(np.concatenate(([True], codes[1:] != codes[:-1])))
+    return codes[starts], np.add.reduceat(counts, starts)
+
+
+class _ClawTally:
+    """Counts of the lattice points of a claw's dilates by their first m
+    edge blocks, one degree at a time.
+
+    A block of a point of nP holds the multiplicities of the characters
+    on its edge, w values summing to n. Its key code takes the first w-1
+    as digits, radix n + 1, the first most significant; a point's key
+    code is that of its first m blocks, the first block most significant,
+    and is computed on lattice rows as y @ g + offset. Both are bounded
+    in Python integers before the first row of a degree is coded."""
+
+    def __init__(self, poly: LatticePolytope, m: int, w: int):
+        self.poly, self.m, self.w = poly, m, w
+        self.degree, self.parts = None, []
+
+    def __call__(self, n, rows):
+        if n != self.degree:
+            self.degree, self.parts = n, []
+            self._weights(n)
+        u, c = np.unique(rows @ self.g + self.offset, return_counts=True)
+        self.parts.append((u, c))
+
+    def _weights(self, n):
+        poly, m, w = self.poly, self.m, self.w
+        lat = poly.lattice
+        digit = [0] * len(lat.anchor)
+        for i in range(m):
+            for t in range(w - 1):
+                digit[i * w + t] = (n + 1) ** ((m - 1 - i) * (w - 1) + w - 2 - t)
+        g = [sum(b * d for b, d in zip(row, digit)) for row in lat.basis]
+        # |y[j]| <= n*max(|low[j]|, |low[j] + span[j]|) on nP
+        reach = max((n + 1) ** (m * (w - 1)), n * sum(
+            abs(gj) * max(abs(lo), abs(lo + s))
+            for gj, lo, s in zip(g, poly.low, poly.span)))
+        if reach >= 2 ** 63:
+            raise ScaleExceededError(
+                f"claw tally codes at degree {n} reach {reach}, beyond the "
+                "int64 bound 2**63")
+        self.g = np.array(g, dtype=np.int64)
+        self.offset = n * sum(a * d for a, d in zip(lat.anchor, digit))
+
+    def result(self):
+        """(distinct key codes, ascending; their point counts) of the
+        degree tallied last."""
+        return _summed(*map(np.concatenate, zip(*self.parts)))
+
+
+def _claw_plan(tree: Tree):
+    """The inner vertices of tree, each after its inner children, as
+    (vertex, degree, whether its edge from its parent is inner, its inner
+    children in edge order). The last is the inner vertex nearest the
+    root, the only one whose edge from its parent is not inner."""
+    inner = set(tree.inner)
+    kids = tree.children_map
+    top = tree.root if tree.root in inner else kids[tree.root][0][1]
+    order = [top]
+    for v in order:
+        order.extend(c for _, c in kids[v] if c in inner)
+    return [(v, tree.degree[v], v != top, [c for _, c in kids[v] if c in inner])
+            for v in reversed(order)]
+
+
+def _sum_product(plan, tallies, n, w):
+    """Lattice points of nP for the tree polytope P: the sum over the
+    inner-edge blocks of the product of the claws' counts, as messages
+    from each inner vertex to its parent keyed by the block of the edge
+    between them, in Python integers.
+
+    tallies[k] is (key codes, counts, m) of the k-claw's dilate. At a
+    vertex of degree k the blocks of its edge from its parent and of its
+    inner children's edges are the k-claw's first blocks, in that order;
+    the claw is symmetric under block permutation, so the tally of its
+    first m blocks, marginalized, counts any of them. The blocks are glued
+    as the claw has them, with no chi -> -chi on an edge from a parent:
+    negating every block below an edge is a unimodular map of P onto that
+    gluing, so the counts are the same."""
+    q = (n + 1) ** (w - 1)
+    msgs = {}
+    for v, k, has_in, outs in plan:
+        keys, counts, m = tallies[k]
+        used = has_in + len(outs)
+        keys, counts = _summed(keys // q ** (m - used), counts)
+        cols = [(keys // q ** (used - 1 - i) % q).tolist()
+                for i in range(used)]
+        msg = {}
+        for key, c in zip(zip(*cols), counts.tolist()):
+            for child, block in zip(outs, key[has_in:]):
+                c *= msgs[child].get(block, 0)
+            if c:
+                head = key[0] if has_in else None
+                msg[head] = msg.get(head, 0) + c
+        msgs[v] = msg
+    return msgs[plan[-1][0]].get(None, 0)
+
+
+def _star(k: int) -> Tree:
+    """The k-leaf claw, its edges leaving the centre."""
+    return Tree(root=0, edges=tuple((0, i) for i in range(1, k + 1)),
+                labels=(None,) + tuple(f"x{i}" for i in range(1, k + 1)))
+
+
+def tree_idp_check(tree: Tree, model, max_degree: int = None,
+                   cap: int = 10 ** 6) -> IdpReport:
+    """idp_check of the abelian polytope P of model on tree, decided on
+    its claws: one scan of the standard k-claw for each degree k of an
+    inner vertex, instead of a scan of P, with the same report. The
+    ceiling defaults to max(2, rank - 1) of P's lattice; cap bounds the
+    networks of P and of each claw, as in build_polytope.
+
+    Why it is sound. Every inner vertex v keeps its star, the edges at v,
+    whose polytope P_v is the projection of P onto their blocks. A network
+    of the tree is a tuple of networks of the stars that agree on the inner
+    edges, so a vertex of P is a tuple of vertices of the P_v that agree
+    on the inner-edge blocks, each such block a simplex vertex e_g: P is
+    the fiber product of the P_v over the inner edges. So is nP, lattice
+    points included. Glue one inner edge at a time, with block a there:
+    write q_1 = sum c_u u and q_2 = sum d_x x as integer combinations of
+    vertices with coefficient sum n, and for each g take vertices u_g, x_g
+    with block e_g. Then (q_1, q_2) = (q_1, sum a_g x_g) + (sum a_g u_g,
+    q_2) - (sum a_g u_g, sum a_g x_g), and (q_1, sum a_g x_g) is
+    sum c_u (u, x_g(u)), g(u) the character of u on the edge, so (q_1, q_2)
+    lies in the lattice of nP.
+
+    - If every part q_v of a lattice point q of nP is a sum of n vertices
+      of P_v, the block a of an inner edge counts, at both of its ends,
+      the summands with each value e_g on it. Pair the summands of the two
+      ends by that value, edge by edge from the root down: q is a sum of n
+      vertices of P.
+    - If a part q_v is no such sum, extend it past each inner edge with
+      block a by sum_g a_g times a vertex of the far side that has e_g on
+      the edge (every character appears on every edge). That is a lattice
+      point of nP, and a decomposition of it would restrict to one of q_v.
+
+    So the least failing degree of P is the least over its stars. The star
+    of v is the standard k-claw, whose edges all leave its centre, after a
+    permutation of the blocks and chi -> -chi on the block of the edge from
+    v's parent, where the network's signed sum has -chi. Both maps are
+    unimodular, so they keep the failing degree and the point counts.
+
+    The route. With fewer than two inner vertices this is idp_check(P).
+    Otherwise the claws' scans run in lockstep, one degree at a time, each
+    through _split_degrees, as idp_check's does; each block also goes into
+    a _ClawTally keyed by the claw's first m blocks, m the most inner edges
+    at a vertex of that degree. When every claw passes degree n, P's count
+    is the sum-product of the tallies over the inner edges (_sum_product).
+    When a claw fails at n, P is Normal below n and fails at n, so the
+    result is idp_check(P, max_degree=n), which gives the same verdict,
+    least witness and counts as idp_check(P). A claw's nP_v has at most as
+    many points as nP, since each extends to one, so the claws' scans meet
+    no point cap that P's would not."""
+    poly = _as_polytope(build_polytope(tree, model, cap=cap))
+    if len(tree.inner) < 2:
+        return idp_check(poly, max_degree)
+    if max_degree is not None and max_degree < 2:
+        raise ValueError(f"max_degree must be at least 2, got {max_degree}")
+    if max_degree is None:
+        max_degree = max(2, poly.lattice.rank - 1)
+    counts, failed = _claw_counts(tree, model, max_degree, cap)
+    if failed is not None:
+        return idp_check(poly, max_degree=failed)
+    return IdpReport(verdict="Normal",
+                     degrees_checked=tuple(range(2, max_degree + 1)),
+                     points_per_degree=counts)
+
+
+def _claw_counts(tree: Tree, model, max_degree: int, cap: int):
+    """(points per degree of the tree polytope through max_degree, None)
+    when every claw passes; (None, n) when a claw first fails at n."""
+    w = model.group.size
+    plan = _claw_plan(tree)
+    keyed = {}   # claw degree -> blocks its tally keys
+    for _, k, has_in, outs in plan:
+        keyed[k] = max(keyed.get(k, 0), has_in + len(outs))
+    claws = {k: _ClawTally(_as_polytope(build_polytope(_star(k), model,
+                                                       cap=cap)), m, w)
+             for k, m in keyed.items()}
+
+    def count(n):
+        tallies = {k: (*t.result(), t.m) for k, t in claws.items()}
+        return n, _sum_product(plan, tallies, n, w)
+
+    for t in claws.values():
+        t(1, t.poly.lattice_points)
+    counts = [count(1)]
+    scans = [_split_degrees(t.poly, max_degree, t) for t in claws.values()]
+    for n in range(2, max_degree + 1):
+        for scan in scans:
+            if len(next(scan)[2]):
+                return None, n
+        counts.append(count(n))
+    return tuple(counts), None
 
 
 def fiber_product(p1: ModelPolytope, block1: int, p2: ModelPolytope,

@@ -1,6 +1,7 @@
 import pytest
 
 import phylotope.cli
+import phylotope.lattice
 import phylotope.verify
 from phylotope.cli import main
 
@@ -111,6 +112,38 @@ def test_normality_exit_codes(capsys):
     assert "witness degree: 2" in out
 
 
+Z6_QUARTET = ("normality", "--group", "Z6", "--tree", "((a,b),(c,d));")
+
+
+def test_z6_quartet_is_decided_through_its_claw(capsys):
+    # The whole tree polytope has dimension 25, past the facet cap of 24,
+    # so its own scan exits 3; its 3-claw, of rank 10, is scanned instead.
+    code, out, err = run(capsys, *Z6_QUARTET, "--max-degree", "3")
+    assert (code, err) == (0, "")
+    assert out == ("verdict: Normal\n"
+                   "degrees checked: 2..3\n"
+                   "points per degree: 1=216 2=22086 3=1378784\n")
+
+
+def test_a_failing_claw_hands_its_degree_to_the_tree_scan(capsys,
+                                                          monkeypatch):
+    # The Z6 3-claw first fails at degree 4, so the whole tree is scanned
+    # through degree 4 only; that scan stops at the facet cap, as it does
+    # with no claws.
+    ceilings = []
+    scan = phylotope.lattice.idp_check
+
+    def spy(poly, max_degree=None):
+        ceilings.append(max_degree)
+        return scan(poly, max_degree)
+
+    monkeypatch.setattr(phylotope.lattice, "idp_check", spy)
+    code, out, err = run(capsys, *Z6_QUARTET)
+    assert (code, out) == (3, "")
+    assert err == "resource cap: dimension 25 exceeds cap 24\n"
+    assert ceilings == [4]
+
+
 @pytest.mark.parametrize("degree", ["1", "0", "-5"])
 def test_normality_degree_ceiling_below_two_is_input_error(capsys, degree):
     code, out, err = run(capsys, "normality", "--group", "K2P",
@@ -118,6 +151,12 @@ def test_normality_degree_ceiling_below_two_is_input_error(capsys, degree):
                          "--max-degree", degree)
     assert code == 2
     assert out == ""
+    assert "at least 2" in err
+
+
+def test_tree_degree_ceiling_below_two_is_input_error(capsys):
+    code, out, err = run(capsys, *Z6_QUARTET, "--max-degree", "1")
+    assert (code, out) == (2, "")
     assert "at least 2" in err
 
 

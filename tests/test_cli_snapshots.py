@@ -30,6 +30,12 @@ CASES = {
     "normality-k2p-claw-projected": (
         ("normality", "--group", "K2P", "--tree", CLAW,
          "--flavor", "projected"), 1),
+    "normality-z3-quartet-d4": (("normality", "--group", "Z3", "--tree",
+                                 "((a,b),(c,d));", "--max-degree", "4"), 0),
+    # rooted at the leaf a
+    "normality-z3-leaf-root-d3": (("normality", "--group", "Z3", "--tree",
+                                   "(a,((b,c),(d,e)));", "--max-degree", "3"),
+                                  0),
     "glue-z3-claws": (("glue", "--group", "Z3", "--tree", CLAW,
                        "--tree", CLAW, "c", "a"), 0),
     "oracle-test-z2-quartet": (("oracle-test", "--group", "Z2", "--tree",

@@ -9,7 +9,7 @@ from math import gcd
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import phylotope.lattice
@@ -18,7 +18,8 @@ from phylotope.lattice import (LatticePolytope, _code_weights, _codes,
                                _dilate_array, _dilate_blocks,
                                _undecomposable, decompose,
                                facet_description, idp_check,
-                               lattice_points_in_dilate, spanned_lattice)
+                               lattice_points_in_dilate, spanned_lattice,
+                               tree_idp_check)
 from phylotope.polytope import build_polytope, project_orbits
 from phylotope.trees import parse_newick
 
@@ -465,3 +466,59 @@ def test_scan_blocks_match_reference(name, n, single):
         blocks = list(_dilate_blocks(poly, n))
     assert all(b.dtype == np.int64 for b in blocks)
     assert np.concatenate(blocks).tolist() == ref
+
+
+# Per group, the most leaves, the highest degree, and whether the first
+# edge blocks may be leaf edges, where the scan of the whole tree stays
+# cheap. Z3 on six leaves takes about 2 s at degree 2. The scan levels of a
+# Z4 quartet whose inner edge comes last, as in (a,(b,(c,d))); or
+# (b,d,(a,c));, take about 4 s, so a Z4 tree is rooted at an inner vertex
+# with its clades first.
+TREE_LIMITS = {"Z2": (6, 4, True), "Z3": (5, 3, True), "Z4": (4, 3, False),
+               "Z2xZ2": (4, 3, True)}
+
+
+@st.composite
+def abelian_trees(draw):
+    """(group spec, Newick string, degree ceiling): a random tree whose
+    clades have two or three members."""
+    spec = draw(st.sampled_from(sorted(TREE_LIMITS)))
+    most, top, leaves_first = TREE_LIMITS[spec]
+    items = list(draw(st.permutations("abcdef"[:draw(st.integers(4, most))])))
+    leaf_root = items.pop() if leaves_first and draw(st.booleans()) else None
+    while len(items) > (1 if leaf_root else 3):
+        size = draw(st.integers(2, min(3, len(items))))
+        i = draw(st.integers(0, len(items) - size))
+        items[i:i + size] = ["(" + ",".join(items[i:i + size]) + ")"]
+    if not leaves_first:
+        items.sort(key=lambda item: not item.startswith("("))
+    newick = (f"({leaf_root},{items[0]});" if leaf_root
+              else "(" + ",".join(items) + ");")
+    return spec, newick, draw(st.integers(2, top))
+
+
+@settings(max_examples=15, deadline=None)
+@given(abelian_trees())
+def test_claw_route_matches_the_tree_scan(case):
+    spec, newick, degree = case
+    model, tree = parse_group_spec(spec), parse_newick(newick)
+    assume(len(tree.inner) >= 2)
+    assert tree_idp_check(tree, model, max_degree=degree) == \
+        idp_check(build_polytope(tree, model), max_degree=degree)
+
+
+# Counts of idp_check on the whole tree polytope, all Normal.
+@pytest.mark.parametrize("spec,newick,counts", [
+    ("Z4", "((a,b),(c,d));", (64, 1936, 35200, 429706)),
+    ("Z2xZ2", "(a,(b,(c,d)));", (64, 1936, 35200)),
+    ("Z3", "((a,b),c,(d,e));", (81, 2754, 50908)),
+    ("Z3", "(a,(b,(c,(d,e))));", (81, 2754, 50908)),
+    ("Z2", "((a,b),(c,(d,(e,f))));",
+     (32, 396, 2848, 14411, 57024, 188200, 540352, 1389421)),
+])
+def test_claw_route_matches_pinned_scan_counts(spec, newick, counts):
+    report = tree_idp_check(parse_newick(newick), parse_group_spec(spec),
+                            max_degree=len(counts))
+    assert report.verdict == "Normal" and report.witness is None
+    assert report.degrees_checked == tuple(range(2, len(counts) + 1))
+    assert report.points_per_degree == tuple(enumerate(counts, 1))

@@ -7,7 +7,8 @@ from phylotope.errors import (BlockWidthMismatchError,
                               ProjectionNotInSimplexError,
                               ScaleExceededError)
 from phylotope.groups import abelian_model, preset_model
-from phylotope.lattice import (AffineLattice, decompose, facet_description,
+from phylotope.lattice import (AffineLattice, LatticePolytope, _ClawTally,
+                               _star, decompose, facet_description,
                                fiber_product, glued_polytope,
                                hermite_normal_form, idp_check,
                                lattice_points_in_dilate, spanned_lattice)
@@ -76,6 +77,26 @@ def test_row_cap_raises(monkeypatch):
     monkeypatch.setattr(lattice, "_ROW_CAP", 10)
     with pytest.raises(ScaleExceededError):
         lattice_points_in_dilate(poly.vertices, 3)
+
+
+def test_claw_tally_codes_at_the_int64_edge():
+    # The K3P 3-claw keyed by all three blocks: 9 digits of radix n + 1.
+    # The bound on y @ g first passes 2**63 at degree 127, so degree 126
+    # still codes, exactly, and 127 raises.
+    poly = LatticePolytope(build_polytope(_star(3),
+                                          preset_model("K3P")).vertices)
+    n = 126
+    rows = n * poly.lattice_points   # the points n*v, v a vertex
+    tally = _ClawTally(poly, 3, 4)
+    tally(n, rows)
+    keys, counts = tally.result()
+    want = sorted(sum(n * v[4 * i + t] * (n + 1) ** (3 * (2 - i) + 2 - t)
+                      for i in range(3) for t in range(3))
+                  for v in poly.points)
+    assert keys.tolist() == want
+    assert counts.tolist() == [1] * 16
+    with pytest.raises(ScaleExceededError, match="degree 127"):
+        _ClawTally(poly, 3, 4)(127, rows[:0])
 
 
 def test_ambient_rows_beyond_int64_are_exact():
