@@ -82,11 +82,6 @@ def cmd_polytope(args) -> int:
     return 0
 
 
-def cmd_project(args) -> int:
-    args.flavor = "projected"
-    return cmd_polytope(args)
-
-
 def cmd_normality(args) -> int:
     model = _load_model(args)
     tree = _load_tree(args)
@@ -214,7 +209,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("project", help="vertices in orbit-sum coordinates")
     add_group(p); add_tree(p); add_out(p)
     p.add_argument("--vertex-cap", type=int, default=10 ** 6)
-    p.set_defaults(func=cmd_project)
+    p.set_defaults(func=cmd_polytope, flavor="projected")
 
     p = sub.add_parser("normality", help="integer decomposition property check")
     add_group(p); add_tree(p); add_out(p)
@@ -263,6 +258,10 @@ def main(argv=None) -> int:
         if getattr(args, "vertex_cap", 1) < 1:
             raise ValueError(f"--vertex-cap must be at least 1, got "
                              f"{args.vertex_cap}")
+        if getattr(args, "max_degree", None) is not None \
+                and args.max_degree < 2:
+            raise ValueError(f"max_degree must be at least 2, got "
+                             f"{args.max_degree}")
         return args.func(args)
     except (CapExceededError, ScaleExceededError) as exc:
         sys.stderr.write(f"resource cap: {exc}\n")

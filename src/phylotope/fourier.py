@@ -1,15 +1,17 @@
 """Fourier-side linear algebra of group-based models.
 
-The matrices l_f built from functions on H, orbit sums l_{f_o}, symmetry
-checks, the dimension count for the space of G-invariant transition
-matrices, the leaf-tensor oracle (the marginal tensor of a tree by exact
-contraction, and its socket coordinates by the inverse character
-transform), and the Z4 circulant demonstration.
+Every matrix here is l_f, the matrix with entry f(h_b - h_a) for a function
+f on H: l_chi for a character chi, l_{f_o} for the sum f_o of a dual
+orbit's characters, and the edge matrix of a parameter row, l_f of the
+row's character sum. Also here: symmetry checks, the dimension count for
+the space of G-invariant transition matrices, the leaf-tensor oracle (the
+marginal tensor of a tree by exact contraction, and its socket coordinates
+by the inverse character transform), and the Z4 circulant demonstration.
 
 Everything is exact: matrices carry CyclotomicInt entries, coefficients come
 back as CycRational. Ranks over the cyclotomic field Q(zeta_m) are rational
 ranks of the realified rows, so the integer elimination of lattice.py is
-the only elimination here.
+the only elimination here, and _field_rank its only caller.
 """
 
 from __future__ import annotations
@@ -41,18 +43,22 @@ def l_chi(model: GroupModel, chi: tuple) -> tuple:
     return l_f(model, lambda h: character_eval(model, chi, h))
 
 
-def f_o(model: GroupModel, k: int) -> tuple:
-    """(function, matrix) for the dual orbit model.dual_orbits[k]: f_o = sum
-    of the orbit's characters as functions on H, l_{f_o} the matching
-    matrix sum."""
-    orbit = model.dual_orbits[k]
+def _character_sum(model: GroupModel, pairs) -> dict:
+    """h -> sum of c * chi(h) over the (chi, c) pairs, for every h in H."""
     m = model.group.exponent
-    func = {}
+    out = {}
     for h in model.group.elements():
         acc = CyclotomicInt.zero(m)
-        for chi in orbit:
-            acc = acc + character_eval(model, chi, h)
-        func[h] = acc
+        for chi, c in pairs:
+            acc = acc + character_eval(model, chi, h) * c
+        out[h] = acc
+    return out
+
+
+def f_o(model: GroupModel, k: int) -> tuple:
+    """(function, matrix) for the dual orbit model.dual_orbits[k]: f_o, the
+    sum of the orbit's characters as a function on H, and l_{f_o}."""
+    func = _character_sum(model, [(chi, 1) for chi in model.dual_orbits[k]])
     return func, l_f(model, func.__getitem__)
 
 
@@ -71,25 +77,12 @@ def g_invariance_check(model: GroupModel, matrix) -> bool:
 
 
 def _fixed_space_dimension(model: GroupModel) -> int:
-    """Exact dimension of {M : M[g(a)][g(b)] = M[a][b] for all g in G}:
-    the variable count minus the rank of the constraint system, found by
-    integer elimination."""
+    """Dimension of {M : M[g(a)][g(b)] = M[a][b] for all g in G}: such an M
+    is constant on each G-orbit of state pairs (a, b), and every function
+    constant on the orbits is fixed, so it is the number of orbits."""
     n = model.n_states
-    nvar = n * n
-    rows = []
-    for g in model.g_elements:
-        if g.is_identity():
-            continue
-        for a in range(n):
-            for b in range(n):
-                i, j = g(a) * n + g(b), a * n + b
-                if i == j:
-                    continue
-                row = [0] * nvar
-                row[i] += 1
-                row[j] -= 1
-                rows.append(row)
-    return nvar - len(_row_reduce_pivots(rows)[0])
+    return len({min((g(a), g(b)) for g in model.g_elements)
+                for a in range(n) for b in range(n)})
 
 
 def _field_rank(rows) -> int:
@@ -112,7 +105,8 @@ def what_dimension(model: GroupModel) -> int:
 
     Cross-checked two ways before returning: the matrices l_{f_o} must be
     linearly independent over the cyclotomic field, and the fixed space of
-    the permutation action must have the same dimension.
+    the permutation action, counted as the G-orbits on state pairs apart
+    from the dual orbits, must have the same dimension.
     """
     d = len(model.dual_orbits)
     flat = []
@@ -302,22 +296,16 @@ def socket_coordinates(model: GroupModel, tensor: LeafTensor) -> dict:
 
 
 def params_to_matrices(model: GroupModel, params):
-    """Expand a parameter table into edge matrices: row e gives coefficients
-    of l_chi per character."""
-    group = model.group
+    """Edge matrices from a parameter table: row e holds one coefficient
+    p_chi per character, canonical order, and gives l_f of f = sum of
+    p_chi * chi, which is the sum of p_chi * l_chi."""
+    chars = model.group.characters()
     mats = []
-    basis = [l_chi(model, chi) for chi in group.characters()]
-    n = model.n_states
-    m = group.exponent
     for row in params:
-        if len(row) != len(basis):
+        if len(row) != len(chars):
             raise ShapeMismatchError("parameter row has the wrong length")
-        acc = [[CyclotomicInt.zero(m) for _ in range(n)] for _ in range(n)]
-        for coef, mat in zip(row, basis):
-            for a in range(n):
-                for b in range(n):
-                    acc[a][b] = acc[a][b] + mat[a][b] * coef
-        mats.append(tuple(tuple(r) for r in acc))
+        func = _character_sum(model, list(zip(chars, row)))
+        mats.append(l_f(model, func.__getitem__))
     return mats
 
 

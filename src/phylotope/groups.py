@@ -170,8 +170,12 @@ class Permutation:
         return f"Permutation{text}"
 
 
-def close_group(generators, cap: int = 10000):
-    """Full element list of the generated group, sorted by image tuple."""
+_CLOSURE_CAP = 10000
+
+
+def close_group(generators):
+    """Full element list of the generated group, sorted by image tuple;
+    CapExceeded past _CLOSURE_CAP elements."""
     generators = list(generators)
     if not generators:
         raise ValueError("need at least one generator")
@@ -188,9 +192,9 @@ def close_group(generators, cap: int = 10000):
                 if q not in elems:
                     elems.add(q)
                     new.append(q)
-                    if len(elems) > cap:
+                    if len(elems) > _CLOSURE_CAP:
                         raise CapExceededError(
-                            f"group closure exceeded cap {cap}")
+                            f"group closure exceeded cap {_CLOSURE_CAP}")
         frontier = new
     return sorted(elems)
 

@@ -160,6 +160,16 @@ def test_tree_degree_ceiling_below_two_is_input_error(capsys):
     assert "at least 2" in err
 
 
+@pytest.mark.parametrize("flavor", ["abelian", "projected"])
+def test_degree_ceiling_is_checked_before_enumeration(capsys, flavor):
+    # 64 networks exceed a vertex cap of 1, so any enumeration exits 3
+    code, out, err = run(capsys, "normality", "--group", "K2P",
+                         "--tree", "((a,b),(c,d));", "--flavor", flavor,
+                         "--max-degree", "1", "--vertex-cap", "1")
+    assert (code, out) == (2, "")
+    assert err == "error: max_degree must be at least 2, got 1\n"
+
+
 def test_glue_emits_glued_polytope(capsys):
     code, out, _ = run(capsys, "glue", "--group", "Z2",
                        "--tree", "(a,b,c);",

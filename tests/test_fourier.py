@@ -1,3 +1,4 @@
+import random
 from itertools import product
 from math import prod
 
@@ -15,6 +16,7 @@ from phylotope.fourier import (LeafTensor, _fixed_space_dimension,
                                socket_coordinates, what_dimension)
 from phylotope.groups import (abelian_model, character_eval, preset_model,
                               unique_transporter)
+from phylotope.lattice import _row_reduce_pivots
 from phylotope.polytope import enumerate_sockets
 from phylotope.trees import parse_newick
 
@@ -183,7 +185,6 @@ def test_socket_coordinates_rejects_noninvariant():
 @settings(max_examples=10, deadline=None)
 @given(st.integers(min_value=0, max_value=10 ** 6), st.sampled_from([2, 3]))
 def test_oracle_agreement_property(seed, order):
-    import random
     rng = random.Random(seed)
     model = abelian_model([order])
     group = model.group
@@ -266,6 +267,22 @@ def test_appendix_demo_report():
     assert "image rank: 3" in text
 
 
+def _fixed_space_rank(model):
+    """The fixed space's dimension as the variable count minus the rank of
+    the constraints M[g(a)][g(b)] - M[a][b] = 0, by integer elimination."""
+    n = model.n_states
+    rows = []
+    for g in model.g_elements:
+        for a in range(n):
+            for b in range(n):
+                i, j = g(a) * n + g(b), a * n + b
+                if i != j:
+                    row = [0] * (n * n)
+                    row[i], row[j] = 1, -1
+                    rows.append(row)
+    return n * n - len(_row_reduce_pivots(rows)[0])
+
+
 @pytest.mark.parametrize("model", [
     *("CFN", "JC", "K2P", "K3P"),
     *([k] for k in range(2, 9)), [2, 2], [2, 3], [2, 4], [2, 2, 2]])
@@ -277,4 +294,26 @@ def test_fixed_space_dimension_counts_pair_orbits(model):
     n = model.n_states
     orbits = {frozenset((g(a), g(b)) for g in model.g_elements)
               for a in range(n) for b in range(n)}
-    assert _fixed_space_dimension(model) == len(orbits)
+    assert _fixed_space_dimension(model) == len(orbits) == \
+        _fixed_space_rank(model)
+
+
+@pytest.mark.parametrize("model", [
+    *([k] for k in (2, 3, 4)), [2, 2], *("K2P", "JC", "K3P")])
+def test_params_to_matrices_sums_character_matrices(model):
+    model = preset_model(model) if isinstance(model, str) \
+        else abelian_model(model)
+    chars = model.group.characters()
+    n = model.n_states
+    rng = random.Random(len(chars) * 31 + len(model.g_elements))
+    params = [[rng.randint(-3, 3) for _ in chars] for _ in range(3)]
+    basis = [l_chi(model, chi) for chi in chars]
+    for row, mat in zip(params, params_to_matrices(model, params)):
+        for a in range(n):
+            for b in range(n):
+                want = CyclotomicInt.zero(model.group.exponent)
+                for coef, term in zip(row, basis):
+                    want = want + term[a][b] * coef
+                assert mat[a][b] == want
+    with pytest.raises(ShapeMismatchError):
+        params_to_matrices(model, [[1] * (len(chars) - 1)])

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import phylotope.groups
 from phylotope.errors import (CapExceededError, NotFreeError, NotNormalError,
                               NotTransitiveError, ParseError)
 from phylotope.groups import (CyclicFactorization, Permutation, abelian_model,
@@ -70,14 +71,15 @@ def test_from_cycles():
     assert Permutation.from_cycles(4, [(0, 1, 2, 3)]).images == (1, 2, 3, 0)
 
 
-def test_close_group_dihedral():
+def test_close_group_dihedral(monkeypatch):
     a = Permutation((1, 0, 3, 2))
     b = Permutation((2, 3, 0, 1))
     t = Permutation((0, 1, 3, 2))
     assert len(close_group([a, b])) == 4
     assert len(close_group([a, b, t])) == 8
+    monkeypatch.setattr(phylotope.groups, "_CLOSURE_CAP", 3)
     with pytest.raises(CapExceededError):
-        close_group([Permutation((1, 2, 3, 0))], cap=3)
+        close_group([Permutation((1, 2, 3, 0))])
 
 
 def test_presets():

@@ -515,10 +515,42 @@ def test_claw_route_matches_the_tree_scan(case):
     ("Z3", "(a,(b,(c,(d,e))));", (81, 2754, 50908)),
     ("Z2", "((a,b),(c,(d,(e,f))));",
      (32, 396, 2848, 14411, 57024, 188200, 540352, 1389421)),
+    # the root claw keys all three of its blocks
+    ("Z2", "((a,b),(c,d),(e,f));", (32, 396, 2848, 14411, 57024)),
 ])
 def test_claw_route_matches_pinned_scan_counts(spec, newick, counts):
     report = tree_idp_check(parse_newick(newick), parse_group_spec(spec),
                             max_degree=len(counts))
     assert report.verdict == "Normal" and report.witness is None
     assert report.degrees_checked == tuple(range(2, len(counts) + 1))
+    assert report.points_per_degree == tuple(enumerate(counts, 1))
+
+
+# By Buczynska-Wisniewski (JEMS 2007), the binary model's Hilbert function
+# on a trivalent tree depends only on the number of leaves.
+Z2_TRIVALENT_COUNTS = {
+    5: (16, 116, 544, 1931, 5648, 14328),
+    6: (32, 396, 2848, 14411, 57024, 188200),
+    7: (64, 1352, 14912, 107563, 575808, 2472352),
+    8: (128, 4616, 78080, 802859, 5814400, 32479392),
+}
+
+
+# Every unrooted shape of 5 to 8 leaves, some rooted at a leaf; the root
+# claws of ((a,b),(c,d),(e,f)) and ((a,b),(c,d),((e,f),(g,h))) key all
+# three of their blocks.
+@pytest.mark.parametrize("newick", [
+    "((a,b),c,(d,e));", "(a,(b,(c,(d,e))));",
+    "((a,b),(c,d),(e,f));", "((a,b),(c,(d,(e,f))));",
+    "(a,((b,c),(d,(e,f))));",
+    "((a,b),(c,d),(e,(f,g)));", "((a,b),c,(d,(e,(f,g))));",
+    "(a,((b,c),(d,e)),(f,g));",
+    "((a,b),(c,d),((e,f),(g,h)));", "((a,b),(c,(d,(e,(f,(g,h))))));",
+    "(((a,b),c),(d,e),(f,(g,h)));", "((a,b),(c,d),(e,(f,(g,h))));",
+])
+def test_claw_route_counts_depend_only_on_leaf_count(newick):
+    tree = parse_newick(newick)
+    report = tree_idp_check(tree, parse_group_spec("Z2"), max_degree=6)
+    counts = Z2_TRIVALENT_COUNTS[len(tree.leaves)]
+    assert report.verdict == "Normal"
     assert report.points_per_degree == tuple(enumerate(counts, 1))
