@@ -7,13 +7,15 @@ recursive exact division of x^m - 1 by the Phi_d for proper divisors d.
 For m <= 2 the ring degenerates to plain integers (deg = 1) and the same
 code path applies.
 
-No floating point anywhere; rationals use integer numerator tuples with a
-shared positive integer denominator.
+Integer arithmetic only, no floats and no rationals: a CycRational is a
+CyclotomicInt numerator over one positive integer denominator, reduced to
+a canonical form. Division multiplies by an inverse taken from the field
+norm, c^-1 = (product of the other conjugates of c) / N(c), whose
+denominator N(c) is a nonzero integer.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
@@ -113,6 +115,8 @@ class CyclotomicInt:
     def __add__(self, other):
         if isinstance(other, int):
             other = CyclotomicInt.from_int(self.m, other)
+        elif not isinstance(other, CyclotomicInt):
+            return NotImplemented
         self._check(other)
         return CyclotomicInt(self.m, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
 
@@ -122,8 +126,8 @@ class CyclotomicInt:
         return CyclotomicInt(self.m, tuple(-a for a in self.coeffs))
 
     def __sub__(self, other):
-        if isinstance(other, int):
-            other = CyclotomicInt.from_int(self.m, other)
+        if not isinstance(other, (int, CyclotomicInt)):
+            return NotImplemented
         return self + (-other)
 
     def __rsub__(self, other):
@@ -132,6 +136,8 @@ class CyclotomicInt:
     def __mul__(self, other):
         if isinstance(other, int):
             return CyclotomicInt(self.m, tuple(a * other for a in self.coeffs))
+        if not isinstance(other, CyclotomicInt):
+            return NotImplemented
         self._check(other)
         a, b = self.coeffs, other.coeffs
         prod = [0] * (len(a) + len(b) - 1)
@@ -167,6 +173,9 @@ class CyclotomicInt:
         return self.m == other.m and self.coeffs == other.coeffs
 
     def __hash__(self):
+        # an element equal to an int hashes as that int
+        if not any(self.coeffs[1:]):
+            return hash(self.coeffs[0])
         return hash((self.m, self.coeffs))
 
     def __repr__(self):
@@ -188,52 +197,27 @@ class CyclotomicInt:
 def _field_inverse(c: CyclotomicInt):
     """Return (n, d) with c * n == d, n a CyclotomicInt, d a positive int.
 
-    Extended Euclid over Q[x] against Phi_m; Phi_m is irreducible so the gcd
-    of any nonzero residue with it is a nonzero constant.
+    n is the product of the conjugates sigma_k(c), zeta -> zeta^k, over the
+    k in 2..m-1 prime to m, so c * n is the field norm N(c): the product of
+    all conjugates, a rational integer, nonzero for c != 0. n takes its sign
+    so that d > 0.
     """
     if c.is_zero():
         raise ZeroDivisionError("inverse of zero")
-
-    def trim(p):
-        p = list(p)
-        while len(p) > 1 and p[-1] == 0:
-            p.pop()
-        return p
-
-    r0 = trim(Fraction(x) for x in cyclotomic_polynomial(c.m))
-    r1 = trim(Fraction(x) for x in c.coeffs)
-    s0, s1 = [Fraction(0)], [Fraction(1)]
-    # invariant: s_i * c == r_i (mod Phi_m); deg r0 > deg r1 throughout
-    while len(r1) > 1:
-        q = [Fraction(0)] * (len(r0) - len(r1) + 1)
-        r = list(r0)
-        for k in range(len(r) - 1, len(r1) - 2, -1):
-            if r[k] != 0:
-                f = r[k] / r1[-1]
-                q[k - len(r1) + 1] = f
-                for i in range(len(r1)):
-                    r[k - len(r1) + 1 + i] -= f * r1[i]
-        snew = list(s0) + [Fraction(0)] * max(0, len(q) + len(s1) - 1 - len(s0))
-        for i, qi in enumerate(q):
-            if qi:
-                for j, sj in enumerate(s1):
-                    if sj:
-                        snew[i + j] -= qi * sj
-        r0, r1 = r1, trim(r)
-        s0, s1 = s1, snew
-    g = r1[0]
-    if g == 0:
-        raise ZeroDivisionError("inverse of zero")
-    inv = [sj / g for sj in s1]
-    deg = _degree(c.m)
-    inv = (inv + [Fraction(0)] * deg)[:deg]
-    den = 1
-    for f in inv:
-        den = den * f.denominator // gcd(den, f.denominator)
-    n = CyclotomicInt(c.m, tuple(int(f * den) for f in inv))
-    if den < 0:
-        n, den = -n, -den
-    return n, den
+    m, deg = c.m, _degree(c.m)
+    n = CyclotomicInt.one(m)
+    for k in range(2, m):
+        if gcd(k, m) == 1:
+            conj = [0] * deg
+            for i, ci in enumerate(c.coeffs):
+                if ci:
+                    for j, b in enumerate(_power_basis(m, i * k % m)):
+                        conj[j] += ci * b
+            n = n * CyclotomicInt(m, conj)
+    d = (c * n).coeffs
+    if any(d[1:]):
+        raise ArithmeticError("the norm is not an integer")
+    return (n, d[0]) if d[0] > 0 else (-n, -d[0])
 
 
 class CycRational:
@@ -319,6 +303,9 @@ class CycRational:
         return self.num * o.den == o.num * self.den
 
     def __hash__(self):
+        # den 1 is equal to its numerator, so it hashes as the numerator
+        if self.den == 1:
+            return hash(self.num)
         return hash((self.num, self.den))
 
     def __repr__(self):

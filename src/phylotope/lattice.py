@@ -216,17 +216,6 @@ def _kernel(rows, ncols):
     return pivots, basis
 
 
-def _affine_hull(points):
-    """(equalities, pivot columns): primitive integer equations of the hull
-    and a coordinate subset that restricts to a full-dimensional copy."""
-    base = points[0]
-    pivots, normals = _kernel([[x - b for x, b in zip(p, base)]
-                               for p in points[1:]], len(base))
-    equalities = [(c, sum(ci * x for ci, x in zip(c, base)))
-                  for c in normals]
-    return equalities, pivots
-
-
 def _initial_simplex(zpoints, d):
     """Indices of d+1 affinely independent points (greedy)."""
     base = zpoints[0]
@@ -300,20 +289,27 @@ def _dual_dd(zpoints, d):
     return facets
 
 
-def facet_description(points) -> HRep:
-    """Exact H-representation of conv(points): affine-hull equalities plus
-    facet inequalities found by double description on a full-dimensional
-    coordinate restriction.
+def facet_description(poly) -> HRep:
+    """Exact H-representation of the convex hull of a point sequence, of a
+    ModelPolytope's vertices or of a LatticePolytope: affine-hull
+    equalities plus facet inequalities found by double description on a
+    full-dimensional coordinate restriction.
+
+    The hull comes from the polytope's lattice anchor + span(basis): its
+    equalities c.x == c.anchor are the kernel of the basis rows, and the
+    pivot columns of the echelon basis are the restriction's coordinates.
 
     Every inequality is certified a facet in the restricted coordinates:
     it holds on every point and is tight on points of affine rank d-1.
     Raises AssertionError otherwise."""
-    pts = sorted(set(tuple(p) for p in points))
-    if not pts:
-        raise ValueError("need at least one point")
+    poly = _as_polytope(poly)
+    pts = poly.points
     if len(pts) > _POINT_CAP:
         raise ScaleExceededError(f"{len(pts)} points exceed cap {_POINT_CAP}")
-    equalities, pivots = _affine_hull(pts)
+    lat = poly.lattice
+    pivots, normals = _kernel(lat.basis, len(lat.anchor))
+    equalities = [(c, sum(ci * x for ci, x in zip(c, lat.anchor)))
+                  for c in normals]
     d = len(pivots)
     if d > _DIM_CAP:
         raise ScaleExceededError(f"dimension {d} exceeds cap {_DIM_CAP}")
@@ -381,7 +377,7 @@ class LatticePolytope:
 
     @cached_property
     def hrep(self) -> HRep:
-        return facet_description(self.points)
+        return facet_description(self)
 
     @cached_property
     def _coordinates(self) -> list:

@@ -28,7 +28,9 @@ CATERPILLAR5 = "((a,b),c,(d,e));"
 
 def load_golden(name: str) -> str:
     """Read a frozen vertex listing shipped as package data."""
-    return (resources.files("phylotope") / "golden" / name).read_text()
+    # one argument per joinpath, as Python 3.10's Traversable takes
+    return resources.files("phylotope").joinpath("golden").joinpath(
+        name).read_text()
 
 
 def _check_symmetry_closures():

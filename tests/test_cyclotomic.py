@@ -1,9 +1,10 @@
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import field_rank_by_elimination
+from helpers import field_inverse_by_euclid, field_rank_by_elimination
 from phylotope.cyclotomic import (CycRational, CyclotomicInt,
-                                  cyclotomic_polynomial)
+                                  _field_inverse, cyclotomic_polynomial)
 from phylotope.fourier import _field_rank
 
 ORDERS = (1, 2, 3, 4, 6, 12)
@@ -83,6 +84,61 @@ def test_rational_normalization():
     third = CycRational.from_int(3, 1) / 3
     assert third * 3 == CycRational.from_int(3, 1)
     assert CycRational.from_int(2, 6) / 4 == CycRational.from_int(2, 3) / 2
+
+
+INVERSE_ORDERS = tuple(range(1, 13)) + (15, 16, 20, 24, 30)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(INVERSE_ORDERS), st.data())
+def test_norm_inverse_matches_euclid(m, data):
+    c = data.draw(cyc(m=m))
+    if c.is_zero():
+        return
+    n, d = _field_inverse(c)
+    assert isinstance(d, int) and d > 0
+    assert c * n == d
+    assert CycRational(n, d) == field_inverse_by_euclid(c)
+
+
+def test_inverse_of_zero_raises():
+    for m in INVERSE_ORDERS:
+        with pytest.raises(ZeroDivisionError):
+            _field_inverse(CyclotomicInt.zero(m))
+        with pytest.raises(ZeroDivisionError):
+            CycRational.from_int(m, 1) / CyclotomicInt.zero(m)
+
+
+def test_equal_values_hash_equal():
+    for m in ORDERS:
+        z = CyclotomicInt.zeta(m)
+        values = list(range(-3, 4))
+        values += [CyclotomicInt.from_int(m, k) for k in range(-3, 4)]
+        values += [CycRational.from_int(m, k) for k in range(-3, 4)]
+        values += [CycRational(CyclotomicInt.from_int(m, 2 * k), 2)
+                   for k in range(-3, 4)]
+        values += [z, z + 1, CycRational(z), CycRational(z + 1),
+                   CycRational(z * 4, 2), CycRational(z, 2),
+                   CycRational(z * 3 + 1, 6)]
+        for a in values:
+            for b in values:
+                if a == b:
+                    assert hash(a) == hash(b), (m, a, b)
+        assert len({CyclotomicInt.from_int(m, 3), 3,
+                    CycRational.from_int(m, 3)}) == 1
+
+
+def test_ring_element_with_a_rational_on_its_right():
+    for m in ORDERS:
+        a = CyclotomicInt.zeta(m)
+        for r in (CycRational(CyclotomicInt.one(m), 2),
+                  CycRational(a * 3 + 1, 4)):
+            assert a + r == r + a
+            assert a * r == r * a
+            assert a - r == -(r - a)
+            assert isinstance(a + r, CycRational)
+    with pytest.raises(ValueError):
+        CyclotomicInt.zeta(4) + CycRational(CyclotomicInt.zeta(3), 2)
 
 
 def test_field_rank():

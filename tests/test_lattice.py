@@ -71,6 +71,30 @@ def test_facets_of_an_embedded_segment():
     assert not hrep.contains((3, 3, 1))
 
 
+def test_facet_description_takes_points_and_polytopes():
+    poly = project_orbits(build_polytope(CLAW, preset_model("K2P")),
+                          preset_model("K2P"))
+    lat_poly = LatticePolytope(poly.vertices)
+    hrep = facet_description(list(reversed(poly.vertices)))
+    assert facet_description(poly) == hrep
+    assert facet_description(lat_poly) == hrep
+    assert lat_poly.hrep == hrep
+    # the hull of a segment whose lattice has index 2 in its line
+    seg = facet_description(LatticePolytope([(2, 2, 1), (0, 0, 1)]))
+    assert seg.equalities == (((-1, 1, 0), 0), ((0, 0, 1), 1))
+    assert seg.inequalities == (((1, 0, 0), 2), ((-1, 0, 0), 0))
+
+
+def test_point_cap_is_checked_before_the_lattice(monkeypatch):
+    def no_lattice(points):
+        raise AssertionError("lattice computed before the point cap")
+
+    monkeypatch.setattr(lattice, "spanned_lattice", no_lattice)
+    monkeypatch.setattr(lattice, "_POINT_CAP", 3)
+    with pytest.raises(ScaleExceededError, match="4 points exceed cap 3"):
+        facet_description([(0, 0), (0, 1), (1, 0), (1, 1)])
+
+
 def test_row_cap_raises(monkeypatch):
     z3 = abelian_model([3])
     poly = build_polytope(CLAW, z3)
