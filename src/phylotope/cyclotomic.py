@@ -166,11 +166,16 @@ class CyclotomicInt:
         return not any(self.coeffs)
 
     def __eq__(self, other):
+        if isinstance(other, CyclotomicInt) and self.m == other.m:
+            return self.coeffs == other.coeffs
         if isinstance(other, int):
             return not any(self.coeffs[1:]) and self.coeffs[0] == other
         if not isinstance(other, CyclotomicInt):
             return NotImplemented
-        return self.m == other.m and self.coeffs == other.coeffs
+        # across rings only integers compare, by their value, as they hash
+        if any(self.coeffs[1:]) or any(other.coeffs[1:]):
+            self._check(other)
+        return self.coeffs[0] == other.coeffs[0]
 
     def __hash__(self):
         # an element equal to an int hashes as that int

@@ -25,6 +25,17 @@ to the code of q. Between degrees it keeps only the sorted codes of the
 last degree, one int64 per point, as they are. Rows return to ambient
 coordinates only for a witness and for lattice_points_in_dilate.
 
+A claw is decided on a pulling triangulation instead (pulling_idp_check),
+at a cost that grows with its normalized volume rather than with its
+dilates. The triangulation is streamed from the least vertex over the
+faces cut out by P's facets. Each simplex, homogenized, is solved by
+forward substitution along its flag of faces, in integers; its half-open
+parallelepiped, cut by a generic interior point, adds its points to h*,
+and a point of degree k >= 2 that is no lattice point of P plus a point of
+the cone over P shows that P first fails at a degree <= k. That degree is
+then scanned for the least witness; otherwise the counts are
+L(n) = sum_k h*_k C(n - k + r, r).
+
 The abelian polytope of a tree with two or more inner vertices is the
 fiber product of its claws over the inner edges, so tree_idp_check decides
 it on one scan per claw degree: the tree's least failing degree is its
@@ -39,7 +50,9 @@ which bounds every value and child count it computes; past int64, that is
 once max(n, 1)*magnitude reaches 2**62, it raises. Its rows leave it as
 int64. The codes are int64 and must stay below 2**63, so the check raises
 at the first degree past top, and so do the claw tallies' int64 key codes
-past their own bound. An instance beyond a bound raises
+past their own bound and the triangulation's int64 reducibility test past
+(r + 2)*magnitude. A triangulation raises past _PULL_CAP faces memoized or
+simplices streamed. An instance beyond a bound raises
 ScaleExceededError instead of wrapping. Rows go back to ambient coordinates
 in Python integers, so every reported number is exact.
 """
@@ -48,7 +61,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from math import gcd, lcm, prod
+from math import comb, gcd, lcm, prod
 
 import numpy as np
 
@@ -353,6 +366,9 @@ _ROW_CAP = 20_000_000
 # Caps on the input of facet_description: distinct points, affine dimension.
 _POINT_CAP = 1500
 _DIM_CAP = 24
+# Cap on the faces a pulling triangulation memoizes and on the simplices it
+# yields.
+_PULL_CAP = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -398,21 +414,10 @@ class LatticePolytope:
                      for c, lo in zip(zip(*self._coordinates), self.low))
 
     @cached_property
-    def levels(self) -> tuple:
-        """levels[j] bounds y[j] given y[:j]: the facets c.y <= b of the
-        projection of P onto y[:j+1] with c[j] != 0, as (coefficient rows,
-        right sides, count of upper bounds c[j] > 0, which come first).
-
-        The last level is P itself, whose facets hrep gives; each facet
-        carries its tight set, a bitset over the input points. Each lower
-        level comes from the one above by Fourier-Motzkin elimination of
-        y[j]: a facet of the projection is the projection of a facet with
-        c[j] == 0, or of a ridge where an upper facet g meets a lower facet
-        h. That ridge is the intersection of their tight sets when no third
-        facet's tight set holds it, and its facet is the primitive
-        combination -h[j]*g + g[j]*h, tight on that intersection. The ridge
-        test needs P's list to hold facets only, which facet_description
-        certifies."""
+    def facets(self) -> tuple:
+        """P's facets in lattice coordinates, in hrep's order, as (c, b,
+        tight set) with c.y <= b primitive and the tight set a bitset over
+        points."""
         lat, hrep, ys = self.lattice, self.hrep, self._coordinates
         r = lat.rank
 
@@ -431,6 +436,25 @@ class LatticePolytope:
             c, b = row[:-1], row[-1]
             facets.append((c, b, sum(1 << i for i, y in enumerate(ys)
                                      if sum(a * x for a, x in zip(c, y)) == b)))
+        return tuple(facets)
+
+    @cached_property
+    def levels(self) -> tuple:
+        """levels[j] bounds y[j] given y[:j]: the facets c.y <= b of the
+        projection of P onto y[:j+1] with c[j] != 0, as (coefficient rows,
+        right sides, count of upper bounds c[j] > 0, which come first).
+
+        The last level is P itself, with the facets of self.facets. Each
+        lower level comes from the one above by Fourier-Motzkin elimination
+        of y[j]: a facet of the projection is the projection of a facet with
+        c[j] == 0, or of a ridge where an upper facet g meets a lower facet
+        h. That ridge is the intersection of their tight sets when no third
+        facet's tight set holds it, and its facet is the primitive
+        combination -h[j]*g + g[j]*h, tight on that intersection. The ridge
+        test needs P's list to hold facets only, which facet_description
+        certifies."""
+        r = self.lattice.rank
+        facets = list(self.facets)
         levels = [None] * r
         for j in range(r - 1, -1, -1):
             upper = [f for f in facets if f[0][j] > 0]
@@ -473,6 +497,113 @@ class LatticePolytope:
         """The lattice points of P as int64 rows of lattice coordinates y,
         in lexicographic order."""
         return _dilate_array(self, 1)
+
+    @cached_property
+    def slacks(self) -> tuple:
+        """slacks[g][i] = b - c.y of facet g at point i."""
+        return tuple(tuple(b - sum(a * x for a, x in zip(c, y))
+                           for y in self._coordinates)
+                     for c, b, _ in self.facets)
+
+    @cached_property
+    def vertex_bits(self) -> int:
+        """The vertices of P among points, as a bitset: a point is a vertex
+        when the facets through it meet in it alone."""
+        bits = 0
+        for i in range(len(self.points)):
+            face = (1 << len(self.points)) - 1
+            for _, _, tight in self.facets:
+                if tight >> i & 1:
+                    face &= tight
+            if face == 1 << i:
+                bits |= 1 << i
+        return bits
+
+    def pulling_triangulation(self):
+        """Yield the simplices of the pulling triangulation of P from its
+        least vertex, each as its flag (v_0..v_r, g_0..g_{r-1}): v_k is the
+        least vertex of the face F_k, F_0 = P, and F_{k+1} = F_k & tight(g_k)
+        is a facet of F_k that misses v_k. Faces are bitsets over the
+        vertices, v_k indices into points, g_k indices into facets. Of the
+        facets that cut F_{k+1}, g_k is one of least slack at v_k, so that
+        a unimodular simplex's slacks multiply to 1 wherever they can
+        (_half_open).
+
+        The facets of a face F are the inclusion-maximal proper nonempty
+        sets F & tight(g). One such set S is maximal exactly when every
+        facet of P through S but not through F cuts F in S, so no rank is
+        computed. A face with dim + 1 vertices is a simplex, pulled
+        directly; the facets of every other face that miss its least vertex
+        are memoized. Past _PULL_CAP faces memoized or simplices yielded,
+        this raises ScaleExceededError."""
+        vbits, slacks = self.vertex_bits, self.slacks
+        tights = [t & vbits for _, _, t in self.facets]
+        # bitsets over facets: those through point v, those at slack 1
+        through, near = ([sum(1 << g for g, row in enumerate(slacks)
+                              if row[v] == s) for v in range(len(self.points))]
+                         for s in (0, 1))
+        cuts = {}
+
+        def lowest(gs, v):
+            """A facet among the bitset gs of least slack at v."""
+            if gs & near[v]:
+                return (gs & near[v] & -(gs & near[v])).bit_length() - 1
+            return min(_bits(gs), key=lambda g: slacks[g][v])
+
+        def cut(face, apex, dim):
+            got = cuts.get(face)
+            if got is None:
+                inside, touching = -1, 0
+                for v in _bits(face):
+                    inside &= through[v]
+                    touching |= through[v]
+                cutting = {}   # F & tight(g) -> the facets g that cut it
+                for g in _bits(touching & ~through[apex]):
+                    sub = face & tights[g]
+                    cutting[sub] = cutting.get(sub, 0) | 1 << g
+                got = []
+                for sub, gs in cutting.items():
+                    if sub.bit_count() < dim:   # a facet has dim vertices
+                        continue
+                    common = -1
+                    for v in _bits(sub):
+                        common &= through[v]
+                    if common & ~inside == gs:
+                        got.append((lowest(gs, apex), sub))
+                if len(cuts) >= _PULL_CAP:
+                    raise ScaleExceededError(
+                        f"pulling triangulation holds more than {_PULL_CAP} "
+                        "faces, the cap of a triangulation")
+                cuts[face] = got
+            return got
+
+        def walk(face, dim):
+            verts = _bits(face)
+            if len(verts) == dim + 1:
+                # a simplex: its flag pulls its vertices in order, each
+                # g_k through the later vertices and not through v_k
+                gs, common = [], -1
+                for k in range(dim - 1, -1, -1):
+                    common &= through[verts[k + 1]]
+                    gs.append(lowest(common & ~through[verts[k]], verts[k]))
+                yield tuple(verts), tuple(reversed(gs))
+                return
+            for g, sub in cut(face, verts[0], dim):
+                for vs, gs in walk(sub, dim - 1):
+                    yield (verts[0],) + vs, (g,) + gs
+
+        for count, flag in enumerate(walk(vbits, self.lattice.rank), 1):
+            if count > _PULL_CAP:
+                raise ScaleExceededError(
+                    f"pulling triangulation has more than {_PULL_CAP} "
+                    "simplices, the cap of a triangulation")
+            yield flag
+
+
+def _bits(x):
+    """The indices of the set bits of x, ascending."""
+    s = bin(x)[:1:-1]
+    return [i for i, c in enumerate(s) if c == "1"]
 
 
 def _as_polytope(poly) -> LatticePolytope:
@@ -817,6 +948,189 @@ def idp_check(poly, max_degree: int = None) -> IdpReport:
                      points_per_degree=tuple(counts))
 
 
+def _bareiss_det(rows):
+    """Exact determinant of a square integer matrix, by fraction-free
+    elimination."""
+    a = [list(row) for row in rows]
+    n, sign, prev = len(a), 1, 1
+    for k in range(n - 1):
+        if not a[k][k]:
+            swap = next((i for i in range(k + 1, n) if a[i][k]), None)
+            if swap is None:
+                return 0
+            a[k], a[swap], sign = a[swap], a[k], -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+        prev = a[k][k]
+    return sign * a[-1][-1]
+
+
+def _flag_weights(verts, rows, values):
+    """(m, h) with x = sum_k (m[k]/h) * w_k, w_k = (1, y) of vertex verts[k],
+    for the point x of the cone whose functionals l_k take values[k].
+
+    l_k for k < r is the facet whose rows[k][v] = l_k(w_v) is the slack of
+    point v; l_r is the degree. On the flag, l_k vanishes on w_j for j > k,
+    so the system is lower triangular with diagonal l_k(w_k), and forward
+    substitution solves it in integers: m[k] is the weight of w_k times h,
+    the product of the diagonal."""
+    m, h = [], 1
+    for k, v in enumerate(verts):
+        s = values[k] * h
+        if k < len(rows):
+            row = rows[k]
+            for j in range(k):
+                s -= row[verts[j]] * m[j]
+            step = row[v]
+            if step != 1:
+                m = [x * step for x in m]
+                h *= step
+        else:
+            s -= sum(m)
+        m.append(s)
+    return m, h
+
+
+def _subgroup(gens, mod):
+    """The subgroup of (Z/mod)^d that the tuples gens generate."""
+    group = {(0,) * len(gens[0])}
+    for g in gens:
+        old, step = list(group), g
+        while step not in group:
+            group.update(tuple((a + b) % mod for a, b in zip(e, step))
+                         for e in old)
+            step = tuple((a + b) % mod for a, b in zip(step, g))
+    return group
+
+
+def _half_open(poly: LatticePolytope, top: int):
+    """Yield, for each simplex of P's pulling triangulation, (its normalized
+    volume, the degrees of the lattice points of its half-open
+    parallelepiped, the least degree in 2..top of such a point that is
+    irreducible, or None).
+
+    The simplex is homogenized to the cone over rows w_k = (1, y_k). The
+    cones over the simplices, each without the facets that separate it
+    from a generic interior point q, partition the cone over P, so their
+    parallelepipeds' lattice points, by degree, sum to h*. q is sum_v
+    (v+1)*w_v over the vertices, perturbed by eps^j*e_j for j = 1..r: a
+    facet is dropped when the weight of its opposite vertex in q is
+    negative, lexicographically in eps. A unimodular simplex's
+    parallelepiped holds one point, the sum of the w_k whose facet it
+    drops. A point x of degree t >= 2 is reducible when x - (1, y_v) is in
+    the cone over P for some lattice point v of P.
+
+    The weights come from _flag_weights. The facet functionals of the
+    flag times the rows w_k make a triangular matrix of determinant h, the
+    product of its diagonal, so the volume divides h: when h is 1 the
+    simplex is unimodular. Otherwise its parallelepiped's points are the
+    weights of the unit vectors, mod 1, and what they generate; the volume
+    is taken apart from them, as a determinant. The reducibility test runs
+    in int64: a parallelepiped point has degree at most r + 1, so every
+    value it takes is below (r + 2)*magnitude, which must stay below 2**63."""
+    r = poly.lattice.rank
+    if (r + 2) * poly.magnitude >= 2 ** 63:
+        raise ScaleExceededError(
+            f"reducibility values reach {(r + 2) * poly.magnitude}, beyond "
+            "the int64 bound 2**63")
+    ys = poly._coordinates
+    slack = poly.slacks
+    units = [[b] + [-a for a in c] for c, b, _ in poly.facets]
+    q = [0] * (r + 1)
+    for v in _bits(poly.vertex_bits):
+        q = [a + (v + 1) * x for a, x in zip(q, (1,) + ys[v])]
+    at_q = [sum(a * x for a, x in zip(u, q)) for u in units]
+    normals = np.array([c for c, _, _ in poly.facets],
+                       dtype=np.int64).reshape(len(units), r)
+    sides = np.array([b for _, b, _ in poly.facets], dtype=np.int64)
+    reach = normals @ poly.lattice_points.T
+
+    def reducible(t, y):
+        need = normals @ np.array(y, dtype=np.int64) - (t - 1) * sides
+        return bool((reach >= need[:, None]).all(axis=0).any())
+
+    def unit_weights(verts, rows, gs, j):
+        return _flag_weights(verts, rows, [units[g][j] for g in gs] +
+                             [int(j == 0)])[0]
+
+    for verts, gs in poly.pulling_triangulation():
+        rows = [slack[g] for g in gs]
+        m, h = _flag_weights(verts, rows, [at_q[g] for g in gs] + [q[0]])
+        drop = [x < 0 for x in m]
+        for k in (k for k, x in enumerate(m) if not x):
+            drop[k] = next(x < 0 for x in (unit_weights(verts, rows, gs, j)[k]
+                                           for j in range(1, r + 1)) if x)
+        if h == 1:
+            yield 1, (sum(drop),), None
+            continue
+        volume = abs(_bareiss_det([(1,) + ys[v] for v in verts]))
+        degrees, bad = [], None
+        for a in _subgroup([tuple(x % h for x in
+                                  unit_weights(verts, rows, gs, j))
+                            for j in range(r + 1)], h):
+            a = [h if d and not x else x for x, d in zip(a, drop)]
+            t, rem = divmod(sum(a), h)
+            y = [divmod(sum(x * ys[v][i] for x, v in zip(a, verts)), h)
+                 for i in range(r)]
+            if rem or any(rest for _, rest in y):
+                raise AssertionError("a parallelepiped point is off the "
+                                     "lattice")
+            degrees.append(t)
+            if 2 <= t <= top and (bad is None or t < bad) and \
+                    not reducible(t, [c for c, _ in y]):
+                bad = t
+        yield volume, tuple(degrees), bad
+
+
+def ehrhart_counts(h_star, r: int, top: int) -> tuple:
+    """L(n) = sum_k h*_k * C(n - k + r, r) for n = 1..top: the lattice
+    points of the dilates of a polytope of dimension r with that h*."""
+    return tuple(sum(h * comb(n - k + r, r) for k, h in enumerate(h_star))
+                 for n in range(1, top + 1))
+
+
+def pulling_idp_check(poly, max_degree: int = None) -> IdpReport:
+    """idp_check's report, decided on P's pulling triangulation (_half_open)
+    instead of the dilate scan.
+
+    P fails first at the least degree of an irreducible parallelepiped
+    point: such a point is no sum of lattice points of P, and a point of
+    nP is p + sum of simplex vertices with p in a parallelepiped, so it
+    splits when p does. At the first irreducible point, of degree k <=
+    max_degree, the stream stops and the result is idp_check(P,
+    max_degree=k), whose verdict, least witness and counts are the
+    scan's. Otherwise P is Normal through max_degree and its counts come
+    from h*, checked against the volumes and the lattice points of P."""
+    if max_degree is not None and max_degree < 2:
+        raise ValueError(f"max_degree must be at least 2, got {max_degree}")
+    poly = _as_polytope(poly)
+    r = poly.lattice.rank
+    if max_degree is None:
+        max_degree = max(2, r - 1)
+    h_star, volume = [0] * (r + 2), 0
+    for vol, degrees, bad in _half_open(poly, max_degree):
+        if bad is not None:
+            report = idp_check(poly, max_degree=bad)
+            if report.normal:
+                raise AssertionError(f"an irreducible point of degree {bad} "
+                                     "decomposed in the scan")
+            return report
+        volume += vol
+        for t in degrees:
+            h_star[t] += 1
+    if sum(h_star) != volume:
+        raise AssertionError(f"h* sums to {sum(h_star)}, the volumes to "
+                             f"{volume}")
+    counts = ehrhart_counts(h_star, r, max_degree)
+    if counts[0] != len(poly.lattice_points):
+        raise AssertionError(f"h* counts {counts[0]} lattice points in P, "
+                             f"the scan {len(poly.lattice_points)}")
+    return IdpReport(verdict="Normal",
+                     degrees_checked=tuple(range(2, max_degree + 1)),
+                     points_per_degree=tuple(enumerate(counts, 1)))
+
+
 def _summed(codes, counts):
     """The distinct codes, ascending, each with the sum of its counts."""
     order = np.argsort(codes, kind="stable")
@@ -964,8 +1278,10 @@ def tree_idp_check(tree: Tree, model, max_degree: int = None,
     v's parent, where the network's signed sum has -chi. Both maps are
     unimodular, so they keep the failing degree and the point counts.
 
-    The route. With fewer than two inner vertices this is idp_check(P).
-    Otherwise the claws' scans run in lockstep, one degree at a time, each
+    The route. With fewer than two inner vertices P is a claw (or an edge),
+    decided on its pulling triangulation by pulling_idp_check, which hands
+    a failing degree n back to idp_check(P, max_degree=n). Otherwise the
+    claws' scans run in lockstep, one degree at a time, each
     through _split_degrees, as idp_check's does; each block also goes into
     a _ClawTally keyed by the claw's first m blocks, m the most inner edges
     at a vertex of that degree. When every claw passes degree n, P's count
@@ -977,7 +1293,7 @@ def tree_idp_check(tree: Tree, model, max_degree: int = None,
     no point cap that P's would not."""
     poly = _as_polytope(build_polytope(tree, model, cap=cap))
     if len(tree.inner) < 2:
-        return idp_check(poly, max_degree)
+        return pulling_idp_check(poly, max_degree)
     if max_degree is not None and max_degree < 2:
         raise ValueError(f"max_degree must be at least 2, got {max_degree}")
     if max_degree is None:

@@ -128,6 +128,27 @@ def test_equal_values_hash_equal():
                     CycRational.from_int(m, 3)}) == 1
 
 
+def test_integers_compare_across_rings():
+    a, b = CyclotomicInt.from_int(4, 3), CyclotomicInt.from_int(3, 3)
+    assert a == b and b == a and hash(a) == hash(b)
+    assert len({a, 3, b}) == 1 and len({3, a, b}) == 1
+    assert CycRational(a, 2) == CycRational(b, 2)
+    assert CyclotomicInt.from_int(4, 2) != CyclotomicInt.from_int(3, 3)
+    assert CycRational.from_int(1, 5) == CycRational.from_int(12, 5)
+
+
+def test_other_values_do_not_compare_across_rings():
+    z4, z3 = CyclotomicInt.zeta(4), CyclotomicInt.zeta(3)
+    one3 = CyclotomicInt.one(3)
+    for x, y in ((z4, z3), (z4, one3), (one3, z4),
+                 (CycRational(z4, 2), CycRational(z3, 2)),
+                 (CycRational(z4), CyclotomicInt.from_int(3, 2))):
+        with pytest.raises(ValueError):
+            x == y
+        with pytest.raises(ValueError):
+            x != y
+
+
 def test_ring_element_with_a_rational_on_its_right():
     for m in ORDERS:
         a = CyclotomicInt.zeta(m)
