@@ -18,6 +18,26 @@ from phylotope.trees import parse_newick
 CLAW = parse_newick("(a,b,c);")
 
 
+@pytest.fixture
+def triangulate(monkeypatch):
+    """pulling_idp_check streams the whole triangulation, whatever the
+    ceiling, unless it meets an irreducible point."""
+    monkeypatch.setattr(lattice, "_SCAN_POINTS_PER_VOLUME", 0)
+
+
+@pytest.fixture
+def scans(monkeypatch):
+    """The degree ceilings idp_check is called with, as it runs."""
+    calls, scan = [], lattice.idp_check
+
+    def spy(poly, max_degree=None):
+        calls.append(max_degree)
+        return scan(poly, max_degree)
+
+    monkeypatch.setattr(lattice, "idp_check", spy)
+    return calls
+
+
 def _decomposition(poly, top):
     """(volume histogram, h*, least irreducible degree up to top or None)
     over every simplex of the pulling triangulation."""
@@ -37,7 +57,7 @@ def _projected_k2p_claw():
         project_orbits(build_polytope(CLAW, k2p), k2p).vertices)
 
 
-def test_projected_k2p_claw_fails_at_degree_two():
+def test_projected_k2p_claw_fails_at_degree_two(triangulate):
     poly = _projected_k2p_claw()
     flags = list(poly.pulling_triangulation())
     assert len(flags) == 11
@@ -53,7 +73,7 @@ def test_projected_k2p_claw_fails_at_degree_two():
 
 
 @pytest.mark.parametrize("r", [2, 3])
-def test_reeve_tetrahedra_are_one_unimodular_simplex(r):
+def test_reeve_tetrahedra_are_one_unimodular_simplex(r, triangulate):
     # unimodular in the lattice their vertices span, of index r in Z^3
     poly = LatticePolytope([(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, r)])
     assert [vs for vs, _ in poly.pulling_triangulation()] == [(0, 1, 2, 3)]
@@ -94,7 +114,9 @@ def test_half_open_decomposition_matches_the_scan(pts):
         len(lattice_points_in_dilate(poly, n)) for n in (1, 2, 3))
     report = idp_check(poly, max_degree=top)
     assert least == (None if report.normal else report.witness_degree)
-    assert pulling_idp_check(poly, top) == report
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lattice, "_SCAN_POINTS_PER_VOLUME", 0)
+        assert pulling_idp_check(poly, top) == report
 
 
 CLAWS = [("Z2", 3), ("Z2", 4), ("Z2", 5), ("Z2", 6), ("Z3", 3), ("Z3", 4),
@@ -102,14 +124,15 @@ CLAWS = [("Z2", 3), ("Z2", 4), ("Z2", 5), ("Z2", 6), ("Z3", 3), ("Z3", 4),
 
 
 @pytest.mark.parametrize("spec,leaves", CLAWS)
-def test_claws_decided_on_the_triangulation_match_the_scan(spec, leaves):
+def test_claws_decided_on_the_triangulation_match_the_scan(spec, leaves,
+                                                          triangulate):
     tree = parse_newick("(" + ",".join("abcdef"[:leaves]) + ");")
     model = parse_group_spec(spec)
     assert tree_idp_check(tree, model) == \
         idp_check(build_polytope(tree, model))
 
 
-def test_z5_claw_matches_the_scan_through_degree_five():
+def test_z5_claw_matches_the_scan_through_degree_five(triangulate):
     model = parse_group_spec("Z5")
     report = tree_idp_check(CLAW, model, max_degree=5)
     assert report == idp_check(build_polytope(CLAW, model), max_degree=5)
@@ -127,10 +150,24 @@ def test_claw_route_does_not_scan_a_normal_claw(monkeypatch):
     assert report.points_per_degree[-1] == (8, 307395)
 
 
-def test_pull_cap_raises(monkeypatch):
+def test_a_low_ceiling_goes_to_the_scan(scans):
+    tree = parse_newick("(a,b,c,d,e,f);")
+    model = parse_group_spec("Z2")
+    poly = build_polytope(tree, model)
+    assert tree_idp_check(tree, model) == idp_check(poly)
+    assert scans == []
+    report = tree_idp_check(tree, model, max_degree=3)
+    assert scans == [3]
+    assert report == idp_check(poly, max_degree=3)
+
+
+def test_pull_cap_hands_the_claw_to_the_scan(monkeypatch, scans,
+                                             triangulate):
     monkeypatch.setattr(lattice, "_PULL_CAP", 10)
-    with pytest.raises(ScaleExceededError):
-        pulling_idp_check(build_polytope(CLAW, parse_group_spec("Z4")))
+    model = parse_group_spec("Z4")
+    report = tree_idp_check(CLAW, model)
+    assert scans == [8]
+    assert report == idp_check(build_polytope(CLAW, model))
 
 
 def test_pull_cap_on_simplices_raises(monkeypatch):
@@ -142,9 +179,10 @@ def test_pull_cap_on_simplices_raises(monkeypatch):
         list(poly.pulling_triangulation())
 
 
-def test_pull_cap_exits_3(monkeypatch, capsys):
+def test_pull_cap_then_row_cap_exits_3(monkeypatch, capsys):
     monkeypatch.setattr(lattice, "_PULL_CAP", 10)
+    monkeypatch.setattr(lattice, "_ROW_CAP", 1000)
     code = main(["normality", "--group", "Z4", "--tree", "(a,b,c);"])
     out, err = capsys.readouterr()
     assert (code, out) == (3, "")
-    assert err.startswith("resource cap: pulling triangulation")
+    assert err.startswith("resource cap: dilate of degree 4")
