@@ -12,21 +12,34 @@ Everything is exact: matrices carry CyclotomicInt entries, coefficients come
 back as CycRational. Ranks over the cyclotomic field Q(zeta_m) are rational
 ranks of the realified rows, so the integer elimination of lattice.py is
 the only elimination here, and _field_rank its only caller.
+
+The tensor oracle works on numpy integer arrays. A value of Z[zeta_m] is
+lifted to its m coefficients in Z[x]/(x^m - 1), where a product by zeta_m^e
+is a cyclic shift by e, and every result is reduced mod Phi_m once at the
+end by the integer matrix whose rows are x^k mod Phi_m; since Phi_m divides
+x^m - 1, the reduction is a ring homomorphism and the result is exact.
+Before any array operation a bound on every partial sum is computed in
+Python ints, from the L1 norms of the lifted entries times n for every
+summed axis. Below 2**62 the arrays are int64; above it they are numpy
+object arrays of exact Python ints, run through the same code.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
-from itertools import product
-from operator import add, mul
+from functools import lru_cache, reduce
+from itertools import compress, product
 
-from .cyclotomic import CycRational, CyclotomicInt, _reduce
+from .cyclotomic import CycRational, CyclotomicInt, _power_basis
 from .errors import NotInvariantError, ShapeMismatchError
 from .groups import GroupModel, character_eval, unique_transporter
 from .lattice import _row_reduce_pivots
 from .polytope import _CAP, _index_networks
 from .trees import Tree
+
+# after the package's modules, so that lattice's module code loads before
+# numpy does; with numpy first, importing the package peaked 2.5 MB higher
+import numpy as np
 
 
 def l_f(model: GroupModel, f) -> tuple:
@@ -134,6 +147,13 @@ class LeafTensor:
             raise ShapeMismatchError("value count != n_states ** n_leaves")
 
     def index(self, assignment) -> int:
+        """Position of an assignment of one state in 0..n_states-1 to each
+        leaf; ShapeMismatchError for any other sequence."""
+        if len(assignment) != self.n_leaves or \
+                not all(0 <= a < self.n_states for a in assignment):
+            raise ShapeMismatchError(
+                f"{tuple(assignment)} does not assign one of "
+                f"{self.n_states} states to each of {self.n_leaves} leaves")
         pos = 0
         for a in assignment:
             pos = pos * self.n_states + a
@@ -141,6 +161,36 @@ class LeafTensor:
 
     def __getitem__(self, assignment):
         return self.values[self.index(assignment)]
+
+
+def _lift(m: int, v) -> list:
+    """An int or element of Z[zeta_m] as m integers: its power-basis
+    coefficients read in Z[x]/(x^m - 1)."""
+    if isinstance(v, CyclotomicInt):
+        if v.m != m:
+            raise ValueError(f"mixed rings: m={v.m} vs m={m}")
+        v = v.coeffs
+    else:
+        v = (v,)
+    return list(v) + [0] * (m - len(v))
+
+
+def _dtype(m: int, bound: int):
+    """The array type for coefficients in Z[x]/(x^m - 1) whose partial sums
+    stay within `bound` in absolute value: int64 if they also stay below
+    2**62 through the reduction mod Phi_m, which grows them at most by the
+    largest |coefficient| of an x^k mod Phi_m; else object, for exact
+    Python ints."""
+    weight = max(abs(c) for k in range(m) for c in _power_basis(m, k))
+    return np.int64 if bound * weight < 2 ** 62 else object
+
+
+def _reduce_rows(lifted):
+    """Rows of m coefficients in Z[x]/(x^m - 1), reduced mod Phi_m: times
+    the integer matrix whose row k is x^k mod Phi_m."""
+    m = lifted.shape[-1]
+    return lifted @ np.array([_power_basis(m, k) for k in range(m)],
+                             dtype=lifted.dtype)
 
 
 def raw_leaf_tensor(model: GroupModel, tree: Tree, edge_matrices) -> LeafTensor:
@@ -159,84 +209,91 @@ def raw_leaf_tensor(model: GroupModel, tree: Tree, edge_matrices) -> LeafTensor:
     becomes the first key digit. The table is then permuted into the global
     leaf order.
 
+    The tables are integer arrays: a ring value is carried as its m lifted
+    coefficients in Z[x]/(x^m - 1), m the group exponent, and reduced mod
+    Phi_m once at the end; since Phi_m divides x^m - 1 that quotient map is
+    a ring homomorphism, so the result is exact. Matrix times vector is one
+    integer product with the (n m) x (n m) block-circulant matrix of M, and
+    the entrywise product a cyclic convolution over the m coefficients. No
+    partial sum exceeds n^(inner vertices) times the product over edges of
+    the largest L1 norm of a lifted entry (at least 1), so with that bound
+    the arrays are int64 or, past it, exact Python ints (see _dtype).
+
     edge_matrices: one |A| x |A| matrix per edge position.
     """
-    n = model.n_states
+    n, m = model.n_states, model.group.exponent
     if len(edge_matrices) != len(tree.edges):
         raise ShapeMismatchError("need one matrix per edge")
     for mat in edge_matrices:
         if len(mat) != n or any(len(r) != n for r in mat):
             raise ShapeMismatchError(f"edge matrices must be {n}x{n}")
+    lifted = [[[_lift(m, v) for v in r] for r in mat] for mat in edge_matrices]
+    bound = n ** len(tree.inner)
+    for mat in lifted:
+        bound *= max(1, max(sum(map(abs, v)) for r in mat for v in r))
+    dtype = _dtype(m, bound)
+    mats = [np.array(mat, dtype=dtype) for mat in lifted]
+    shift = (np.arange(m)[:, None] - np.arange(m)) % m  # (k - j) mod m
     kids = tree.children_map
 
     def contract(v):
-        """(leaves below v in depth-first order, one vector over the states
-        of v per assignment to those leaves, lexicographic)."""
+        """(leaves below v in depth-first order, an array indexed by the
+        assignment to those leaves, lexicographic, then the state of v,
+        then the power of x)."""
         order, rows = (), None
         for i, c in kids[v]:
-            mat = edge_matrices[i]
+            mat = mats[i]
             if kids[c]:
                 below, sub = contract(c)
-                msg = [[reduce(add, map(mul, r, vec)) for r in mat]
-                       for vec in sub]
+                # entry ((a, k), (b, j)) is the x^(k-j) coefficient of M[a, b]
+                circ = mat[:, :, shift].transpose(0, 2, 1, 3).reshape(n * m, -1)
+                msg = (sub.reshape(len(sub), -1) @ circ.T).reshape(-1, n, m)
             else:
-                below = (c,)
-                msg = [[r[a] for r in mat] for a in range(n)]
-            rows = msg if rows is None else \
-                [list(map(mul, x, y)) for x in rows for y in msg]
-            order += below
+                below, msg = (c,), mat.transpose(1, 0, 2)
+            if rows is not None:  # the entrywise product, a convolution in x
+                msg = reduce(np.add, (rows[:, None, :, s, None]
+                                      * np.roll(msg, s, axis=-1)
+                                      for s in range(m))).reshape(-1, n, m)
+            order, rows = order + below, msg
         return order, rows
 
     order, rows = contract(tree.root)
     if tree.degree[tree.root] == 1:
         order = (tree.root,) + order
-        local = [vec[a] for a in range(n) for vec in rows]
+        local = rows.transpose(1, 0, 2)
     else:
-        local = [reduce(add, vec) for vec in rows]
-    stride = {v: n ** k for k, v in enumerate(reversed(order))}
-    index = [0]
-    for v in tree.leaves:
-        index = [i + a * stride[v] for i in index for a in range(n)]
+        local = rows.sum(axis=1)
+    axes = [order.index(v) for v in tree.leaves] + [len(order)]
+    local = local.reshape((n,) * len(order) + (m,)).transpose(axes)
+    values = _reduce_rows(local.reshape(-1, m)).tolist()
     return LeafTensor(n_states=n, n_leaves=len(tree.leaves),
-                      values=tuple(local[i] for i in index))
+                      values=tuple(CyclotomicInt(m, v) for v in values))
 
 
-def _digits(pos: int, base: int, length: int) -> tuple:
-    """pos written with `length` digits in `base`, most significant first."""
-    out = []
-    for _ in range(length):
-        pos, d = divmod(pos, base)
-        out.append(d)
-    return tuple(reversed(out))
-
-
-def _check_tensor_invariance(model: GroupModel, tensor: LeafTensor):
-    n = model.n_states
-    values = tensor.values
+def _check_tensor_invariance(model: GroupModel, vals):
+    """NotInvariantError at the first assignment, for the first g of G,
+    that g moves to a different entry of vals, a lifted tensor with one
+    axis per leaf and then the powers of x."""
     for g in model.g_elements:
-        if g.is_identity():
-            continue
-        image = [g(a) for a in range(n)]
-        moved = [0]  # moved[pos]: flat index of g applied to assignment pos
-        for _ in range(tensor.n_leaves):
-            moved = [i * n + b for i in moved for b in image]
-        for pos, dest in enumerate(moved):
-            if values[dest] != values[pos]:
-                raise NotInvariantError(
-                    f"tensor not fixed by {g!r} at "
-                    f"{_digits(pos, n, tensor.n_leaves)}")
+        image = [g(a) for a in range(model.n_states)]
+        moved = vals
+        for axis in range(vals.ndim - 1):
+            moved = moved.take(image, axis=axis)
+        wrong = np.argwhere(moved != vals)
+        if len(wrong):
+            raise NotInvariantError(f"tensor not fixed by {g!r} at "
+                                    f"{tuple(wrong[0, :-1].tolist())}")
 
 
-def _lift(m: int, v) -> list:
-    """An int or element of Z[zeta_m] as m integers: its power-basis
-    coefficients read in Z[x]/(x^m - 1)."""
-    if isinstance(v, CyclotomicInt):
-        if v.m != m:
-            raise ValueError(f"mixed rings: m={v.m} vs m={m}")
-        v = v.coeffs
-    else:
-        v = (v,)
-    return list(v) + [0] * (m - len(v))
+@lru_cache(maxsize=None)
+def _sockets(group, n_leaves: int) -> tuple:
+    """(character tuples, mask): every tuple of one character per leaf,
+    lexicographic with the first leaf most significant, and the read-only
+    mask of the sockets among them, the tuples that sum to zero."""
+    tuples = tuple(product(group.characters(), repeat=n_leaves))
+    mask = np.array([reduce(group.add, t) == group.zero() for t in tuples])
+    mask.flags.writeable = False
+    return tuples, mask
 
 
 def socket_coordinates(model: GroupModel, tensor: LeafTensor) -> dict:
@@ -245,54 +302,44 @@ def socket_coordinates(model: GroupModel, tensor: LeafTensor) -> dict:
     Checks G-invariance first, then transforms one leaf axis at a time with
     the exact inverse character table. Each entry of that table is a root
     of unity zeta_m^e, so tensor entries are carried in Z[x]/(x^m - 1) as m
-    integers and multiplied by zeta_m^e as a cyclic shift by e. Each
-    coefficient is reduced mod Phi_m once at the end; since Phi_m divides
-    x^m - 1 that quotient map is a ring homomorphism, so the result is
-    exact. Coefficients on non-socket character tuples must vanish
-    (NotInvariant otherwise); the returned dict has one CycRational entry
-    per socket, zeros included.
+    integers and multiplied by zeta_m^e as a cyclic shift by e: per leaf
+    axis, the transform is one integer product with the (|H| m) x (n m) 0/1
+    matrix of those shifts. Each coefficient is reduced mod Phi_m once at
+    the end; since Phi_m divides x^m - 1 that quotient map is a ring
+    homomorphism, so the result is exact. No partial sum exceeds n^(leaves)
+    times the largest L1 norm of a lifted entry, so with that bound the
+    arrays are int64 or, past it, exact Python ints (see _dtype).
+    Coefficients on non-socket character tuples must vanish (NotInvariant
+    otherwise); the returned dict has one CycRational entry per socket,
+    zeros included.
     """
     group = model.group
-    n = model.n_states
+    n, m, n_leaves = model.n_states, group.exponent, tensor.n_leaves
     if tensor.n_states != n:
         raise ShapeMismatchError("tensor state count does not match model")
-    _check_tensor_invariance(model, tensor)
-    m = group.exponent
-    size = group.size
-    characters = group.characters()
-    # inverse table: (-chi_u)(h_a) = zeta_m^shifts[u][a]
-    shifts = [[group.pairing_exponent(group.neg(u), model.elem_of_state[a])
-               for a in range(n)] for u in characters]
-    vals = [_lift(m, v) for v in tensor.values]
-    L = tensor.n_leaves
-    stride = len(vals)
-    for _axis in range(L):
-        stride //= n
-        new = [None] * len(vals)
-        for outer in range(0, len(vals), stride * n):
-            for inner in range(stride):
-                base = outer + inner
-                col = [vals[base + k * stride] for k in range(n)]
-                for u, row in enumerate(shifts):
-                    acc = [0] * m
-                    for e, c in zip(row, col):
-                        acc = list(map(add, acc, c[m - e:] + c[:m - e]))
-                    new[base + u * stride] = acc
-        vals = new
-    den = size ** L
-    out = {}
-    for pos, acc in enumerate(vals):
-        num = CyclotomicInt(m, _reduce(acc, m))
-        chars = tuple(characters[d] for d in _digits(pos, size, L))
-        total = group.zero()
-        for c in chars:
-            total = group.add(total, c)
-        if total == group.zero():
-            out[chars] = CycRational(num, den)
-        elif not num.is_zero():
-            raise NotInvariantError(
-                f"nonzero coefficient on non-socket tuple {chars}")
-    return out
+    lifted = [_lift(m, v) for v in tensor.values]
+    dtype = _dtype(m, n ** n_leaves * max(sum(map(abs, v)) for v in lifted))
+    vals = np.array(lifted, dtype=dtype).reshape((n,) * n_leaves + (m,))
+    _check_tensor_invariance(model, vals)
+    # (-chi_u)(h_a) = zeta_m^e[u, a], so entry (u, k, a, j) of the table is
+    # 1 exactly when x^(j + e[u, a]) = x^k
+    e = np.array([[group.pairing_exponent(group.neg(u), h)
+                   for h in model.elem_of_state] for u in group.characters()])
+    k = np.arange(m)
+    table = ((k + e[:, None, :, None] - k[:, None, None]) % m == 0) \
+        .astype(np.int64).astype(dtype)
+    for _axis in range(n_leaves):
+        vals = np.tensordot(vals, table, axes=([0, n_leaves], [2, 3]))
+    coeffs = _reduce_rows(vals.reshape(-1, m))
+    tuples, mask = _sockets(group, n_leaves)
+    stray = (coeffs != 0).any(axis=1) & ~mask
+    if stray.any():
+        raise NotInvariantError(
+            f"nonzero coefficient on non-socket tuple {tuples[stray.argmax()]}")
+    den = group.size ** n_leaves
+    return {chars: CycRational(CyclotomicInt(m, row), den)
+            for chars, row in zip(compress(tuples, mask),
+                                  coeffs[mask].tolist())}
 
 
 def params_to_matrices(model: GroupModel, params):

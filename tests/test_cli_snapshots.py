@@ -40,6 +40,9 @@ CASES = {
                        "--tree", CLAW, "c", "a"), 0),
     "oracle-test-z2-quartet": (("oracle-test", "--group", "Z2", "--tree",
                                 "((a,b),(c,d));", "--seed", "3"), 0),
+    # m = 4: entries carry degree-2 terms that the reduction mod Phi_4 folds
+    "oracle-test-z4-5leaf": (("oracle-test", "--group", "Z4", "--tree",
+                              "((a,b),c,(d,e));", "--seed", "3"), 0),
     "dim-what-k2p": (("dim-what", "--group", "K2P"), 0),
     "dim-what-z5": (("dim-what", "--group", "Z5"), 0),
     "appendix-demo": (("appendix-demo",), 0),

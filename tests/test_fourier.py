@@ -2,11 +2,14 @@ import random
 from itertools import product
 from math import prod
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import reorient
+from phylotope import fourier
+from phylotope.cli import ORACLE_MAX_GROUP, ORACLE_MAX_LEAVES
 from phylotope.cyclotomic import CycRational, CyclotomicInt
 from phylotope.errors import NotInvariantError, ShapeMismatchError
 from phylotope.fourier import (LeafTensor, _fixed_space_dimension,
@@ -14,7 +17,8 @@ from phylotope.fourier import (LeafTensor, _fixed_space_dimension,
                                l_chi, monomial_socket_vector,
                                params_to_matrices, raw_leaf_tensor,
                                socket_coordinates, what_dimension)
-from phylotope.groups import (abelian_model, character_eval, preset_model,
+from phylotope.groups import (abelian_model, character_eval,
+                              parse_group_spec, preset_model,
                               unique_transporter)
 from phylotope.lattice import _row_reduce_pivots
 from phylotope.polytope import enumerate_sockets
@@ -173,6 +177,16 @@ def test_tensor_index_layout():
     assert t[(2, 2)] == 8
 
 
+@pytest.mark.parametrize("assignment", [(0, 3), (2,), (0, 0, 1), (-1, 0)])
+def test_tensor_index_rejects_other_assignments(assignment):
+    # each of these once read some other entry: (1, 0), 2, 1 and 6
+    t = LeafTensor(n_states=3, n_leaves=2, values=tuple(range(9)))
+    with pytest.raises(ShapeMismatchError):
+        t.index(assignment)
+    with pytest.raises(ShapeMismatchError):
+        t[assignment]
+
+
 def test_socket_coordinates_rejects_noninvariant():
     z2 = abelian_model([2])
     vals = [0] * 8
@@ -247,6 +261,54 @@ def test_socket_shifts_match_table_transform(data):
         socket_coordinates(model, broken)
     with pytest.raises(NotInvariantError):
         _socket_coordinates_by_table(model, broken)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_wide_entries_stay_exact(data):
+    # parameters near +-2^40 give every edge matrix an entry of L1 norm near
+    # 2^40, so with two or more edges the bound passes 2^62 and the arrays
+    # hold Python ints; int64 would wrap
+    model = abelian_model(data.draw(st.sampled_from(ORACLE_GROUPS)))
+    n = model.n_states
+    tree = data.draw(st.sampled_from(
+        [t for t in ORACLE_TREES
+         if len(t.edges) > 1 and n ** t.n_vertices <= 4096]))
+    tree = reorient(tree, data.draw(st.integers(0, tree.n_vertices - 1)))
+    wide = st.builds(lambda sign, d: sign * 2 ** 40 + d,
+                     st.sampled_from([-1, 1]), st.integers(-3, 3))
+    params = [[data.draw(wide) for _ in range(model.group.size)]
+              for _ in tree.edges]
+    mats = params_to_matrices(model, params)
+    tensor = raw_leaf_tensor(model, tree, mats)
+    assert tensor.values == _leaf_tensor_by_definition(model, tree, mats)
+    assert socket_coordinates(model, tensor) == \
+        _socket_coordinates_by_table(model, tensor)
+
+
+@pytest.mark.parametrize("spec", ["Z2", "Z3", "Z4", "Z2xZ2", "CFN", "K3P"])
+def test_oracle_limits_run_on_int64(spec, monkeypatch):
+    # oracle-test draws parameters in -3..3, so no lifted entry of an edge
+    # matrix has an L1 norm above `norm`; a constant matrix reaches it on
+    # every entry, the largest bound any draw can give
+    model = parse_group_spec(spec)
+    group, n = model.group, model.n_states
+    assert group.size <= ORACLE_MAX_GROUP
+    norm = 3 * sum(max(sum(map(abs, character_eval(model, chi, h).coeffs))
+                       for h in group.elements())
+                   for chi in group.characters())
+    entry = CyclotomicInt.from_int(group.exponent, norm)
+    picked = []
+    dtype = fourier._dtype
+    monkeypatch.setattr(fourier, "_dtype", lambda m, bound: picked.append(
+        dtype(m, bound)) or picked[-1])
+    tree = parse_newick("((a,b),c,(d,e));")
+    assert len(tree.leaves) == ORACLE_MAX_LEAVES and len(tree.edges) == 7
+    for root in (tree.root, tree.leaves[0]):
+        rooted = reorient(tree, root)
+        mats = [[[entry] * n] * n] * len(rooted.edges)
+        socket_coordinates(model, raw_leaf_tensor(model, rooted, mats))
+    assert picked == [np.int64] * 4
 
 
 def test_monomial_vector_covers_all_sockets():
