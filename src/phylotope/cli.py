@@ -17,7 +17,7 @@ from .fourier import (appendix_demo, monomial_socket_vector,
                       what_dimension)
 from .groups import parse_group_file, parse_group_spec
 from .lattice import glued_polytope, idp_check, tree_idp_check
-from .polytope import build_polytope, project_orbits, vertex_file_text
+from .polytope import _CAP, build_polytope, project_orbits, vertex_file_text
 from .trees import parse_newick
 from .verify import run_checks
 
@@ -135,7 +135,9 @@ def cmd_oracle_test(args) -> int:
         coords = socket_coordinates(model, raw_leaf_tensor(model, tree, mats))
         mono = monomial_socket_vector(model, tree, params)
         for socket, value in mono.items():
-            if coords[socket] != scalar * value:
+            c = coords[socket]
+            # c.den > 0, so this is c != scalar * value without coercion
+            if c.num != scalar * value * c.den:
                 _emit(f"draws: {draws}\nagreement: FAILED at draw {k} "
                       f"socket {socket}\n", args.out)
                 return 1
@@ -199,16 +201,19 @@ def _build_parser() -> argparse.ArgumentParser:
     def add_out(p):
         p.add_argument("--out", help="write output here instead of stdout")
 
+    def add_vertex_cap(p):
+        p.add_argument("--vertex-cap", type=int, default=_CAP)
+
     p = sub.add_parser("polytope", help="enumerate vertices of a model polytope")
     add_group(p); add_tree(p); add_out(p)
     p.add_argument("--flavor", choices=("abelian", "projected"),
                    default="abelian")
-    p.add_argument("--vertex-cap", type=int, default=10 ** 6)
+    add_vertex_cap(p)
     p.set_defaults(func=cmd_polytope)
 
     p = sub.add_parser("project", help="vertices in orbit-sum coordinates")
     add_group(p); add_tree(p); add_out(p)
-    p.add_argument("--vertex-cap", type=int, default=10 ** 6)
+    add_vertex_cap(p)
     p.set_defaults(func=cmd_polytope, flavor="projected")
 
     p = sub.add_parser("normality", help="integer decomposition property check")
@@ -216,7 +221,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--flavor", choices=("abelian", "projected"),
                    default="abelian")
     p.add_argument("--max-degree", type=int, default=None)
-    p.add_argument("--vertex-cap", type=int, default=10 ** 6)
+    add_vertex_cap(p)
     p.set_defaults(func=cmd_normality)
 
     p = sub.add_parser("glue", help="glue two trees at leaves and compare the "
@@ -224,7 +229,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add_group(p); add_tree(p, repeat=True); add_out(p)
     p.add_argument("leaf1", help="leaf label in the first tree")
     p.add_argument("leaf2", help="leaf label in the second tree")
-    p.add_argument("--vertex-cap", type=int, default=10 ** 6)
+    add_vertex_cap(p)
     p.set_defaults(func=cmd_glue)
 
     p = sub.add_parser("oracle-test", help="compare the monomial socket "

@@ -41,10 +41,11 @@ volume is still scanned.
 
 The abelian polytope of a tree with two or more inner vertices is the
 fiber product of its claws over the inner edges, so tree_idp_check decides
-it on one scan per claw degree: the tree's least failing degree is its
-claws', and its point counts are a sum-product of the claws' points
-tallied by their inner-edge blocks. Only when a claw fails at some degree
-is the tree itself scanned, through that degree, for the least witness.
+it on its distinct claws, each by pulling_idp_check: the tree's least
+failing degree is its claws'. Only when a claw fails at some degree is the
+tree itself scanned, through that degree, for the least witness.
+Otherwise its point counts are a sum-product of the claws' points, each
+claw's dilates scanned and tallied by their inner-edge blocks.
 
 Overflow guards: the scan and the codes run on numpy integer arrays, each
 bounded first in Python integers. The scan of nP runs in the narrowest of
@@ -71,7 +72,7 @@ import numpy as np
 
 from .errors import (BlockWidthMismatchError, ProjectionNotInSimplexError,
                      ScaleExceededError)
-from .polytope import ModelPolytope, build_polytope, negate_block
+from .polytope import _CAP, ModelPolytope, build_polytope, negate_block
 from .trees import Tree, glue
 
 
@@ -874,48 +875,6 @@ def decompose(q, n: int, points) -> DecompositionResult:
         found=None if found is None else tuple(found), examined=examined)
 
 
-def _split_degrees(poly: LatticePolytope, max_degree: int, visit=None):
-    """The split test, degree by degree: for n = 2..max_degree in turn,
-    scan nP and yield (n, its point count, the int64 rows of nP that are
-    no sum v + p of a lattice point v of P and a point p of (n-1)P).
-    visit(n, block), when given, sees each block of the scan as it comes.
-
-    Degree n is checked block by block as the scan yields it, against the
-    sorted codes of degree n-1; only the codes of degree n are kept for the
-    next degree. A degree is scanned to its end before it is yielded, so
-    its point count and its undecomposable rows are complete.
-
-    Every degree is encoded in the code weights of one degree top: the
-    highest up to max_degree whose codes fit in int64. They encode each
-    degree below top without carry too, so a degree's codes pass unchanged
-    to the next. A degree past top raises ScaleExceededError when it
-    starts."""
-    low, span = poly.low, poly.span
-    top = max_degree
-    while top > 2 and _code_size(span, top) >= 2 ** 63:
-        top -= 1
-    weights = _code_weights(span, top)
-    vcodes = _codes(poly.lattice_points, 1, low, weights)
-    held = [vcodes]
-    for n in range(2, max_degree + 1):
-        if n > top:
-            _code_weights(span, n)   # raises: these codes pass int64
-        prev = np.concatenate(held)
-        held = []
-        bad = []
-        total = 0
-        for block in _dilate_blocks(poly, n):
-            total += len(block)
-            if visit is not None:
-                visit(n, block)
-            codes = _codes(block, n, low, weights)
-            bad.append(block[_undecomposable(codes, vcodes, prev)])
-            if n < top:
-                held.append(codes)
-        del prev   # freed before the next degree joins its codes
-        yield n, total, np.concatenate(bad)
-
-
 def idp_check(poly, max_degree: int = None) -> IdpReport:
     """Integer decomposition property, degree by degree.
 
@@ -928,18 +887,47 @@ def idp_check(poly, max_degree: int = None) -> IdpReport:
     search) before it is reported. poly may be a ModelPolytope, a
     LatticePolytope or a sequence of points.
 
-    The degrees come from _split_degrees. A failing degree is scanned to
-    its end, so the witness is the least undecomposable point in ambient
-    order and the point count of that degree is complete."""
+    Degree n is checked block by block as the scan yields it, against the
+    sorted codes of degree n-1; only the codes of degree n are kept for the
+    next degree. A failing degree is scanned to its end, so the witness is
+    the least undecomposable point in ambient order and the point count of
+    that degree is complete.
+
+    Every degree is encoded in the code weights of one degree top: the
+    highest up to max_degree whose codes fit in int64. They encode each
+    degree below top without carry too, so a degree's codes pass unchanged
+    to the next. A degree past top raises ScaleExceededError when it
+    starts."""
     if max_degree is not None and max_degree < 2:
         raise ValueError(f"max_degree must be at least 2, got {max_degree}")
     poly = _as_polytope(poly)
     lat, hrep = poly.lattice, poly.hrep
     if max_degree is None:
         max_degree = max(2, lat.rank - 1)
+    low, span = poly.low, poly.span
+    top = max_degree
+    while top > 2 and _code_size(span, top) >= 2 ** 63:
+        top -= 1
+    weights = _code_weights(span, top)
+    vcodes = _codes(poly.lattice_points, 1, low, weights)
+    held = [vcodes]
     counts = [(1, len(poly.lattice_points))]
-    for n, total, bad in _split_degrees(poly, max_degree):
+    for n in range(2, max_degree + 1):
+        if n > top:
+            _code_weights(span, n)   # raises: these codes pass int64
+        prev = np.concatenate(held)
+        held = []
+        bad = []
+        total = 0
+        for block in _dilate_blocks(poly, n):
+            total += len(block)
+            codes = _codes(block, n, low, weights)
+            bad.append(block[_undecomposable(codes, vcodes, prev)])
+            if n < top:
+                held.append(codes)
+        del prev   # freed before the next degree joins its codes
         counts.append((n, total))
+        bad = np.concatenate(bad)
         if len(bad):
             witness = min(_ambient_rows(bad, n, lat))
             if not hrep.contains(witness, n):
@@ -1159,51 +1147,32 @@ def _summed(codes, counts):
     return codes[starts], np.add.reduceat(counts, starts)
 
 
-class _ClawTally:
-    """Counts of the lattice points of a claw's dilates by their first m
-    edge blocks, one degree at a time.
+def _key_weights(poly: LatticePolytope, m: int, w: int, n: int):
+    """(g, offset): the key code of a point of the claw's dilate nP by its
+    first m edge blocks is y @ g + offset, y its lattice row.
 
     A block of a point of nP holds the multiplicities of the characters
     on its edge, w values summing to n. Its key code takes the first w-1
     as digits, radix n + 1, the first most significant; a point's key
-    code is that of its first m blocks, the first block most significant,
-    and is computed on lattice rows as y @ g + offset. Both are bounded
-    in Python integers before the first row of a degree is coded."""
-
-    def __init__(self, poly: LatticePolytope, m: int, w: int):
-        self.poly, self.m, self.w = poly, m, w
-        self.degree, self.parts = None, []
-
-    def __call__(self, n, rows):
-        if n != self.degree:
-            self.degree, self.parts = n, []
-            self._weights(n)
-        u, c = np.unique(rows @ self.g + self.offset, return_counts=True)
-        self.parts.append((u, c))
-
-    def _weights(self, n):
-        poly, m, w = self.poly, self.m, self.w
-        lat = poly.lattice
-        digit = [0] * len(lat.anchor)
-        for i in range(m):
-            for t in range(w - 1):
-                digit[i * w + t] = (n + 1) ** ((m - 1 - i) * (w - 1) + w - 2 - t)
-        g = [sum(b * d for b, d in zip(row, digit)) for row in lat.basis]
-        # |y[j]| <= n*max(|low[j]|, |low[j] + span[j]|) on nP
-        reach = max((n + 1) ** (m * (w - 1)), n * sum(
-            abs(gj) * max(abs(lo), abs(lo + s))
-            for gj, lo, s in zip(g, poly.low, poly.span)))
-        if reach >= 2 ** 63:
-            raise ScaleExceededError(
-                f"claw tally codes at degree {n} reach {reach}, beyond the "
-                "int64 bound 2**63")
-        self.g = np.array(g, dtype=np.int64)
-        self.offset = n * sum(a * d for a, d in zip(lat.anchor, digit))
-
-    def result(self):
-        """(distinct key codes, ascending; their point counts) of the
-        degree tallied last."""
-        return _summed(*map(np.concatenate, zip(*self.parts)))
+    code is that of its first m blocks, the first block most significant.
+    Both are bounded in Python integers before any row is coded; past the
+    int64 bound this raises."""
+    lat = poly.lattice
+    digit = [0] * len(lat.anchor)
+    for i in range(m):
+        for t in range(w - 1):
+            digit[i * w + t] = (n + 1) ** ((m - 1 - i) * (w - 1) + w - 2 - t)
+    g = [sum(b * d for b, d in zip(row, digit)) for row in lat.basis]
+    # |y[j]| <= n*max(|low[j]|, |low[j] + span[j]|) on nP
+    reach = max((n + 1) ** (m * (w - 1)), n * sum(
+        abs(gj) * max(abs(lo), abs(lo + s))
+        for gj, lo, s in zip(g, poly.low, poly.span)))
+    if reach >= 2 ** 63:
+        raise ScaleExceededError(
+            f"claw tally codes at degree {n} reach {reach}, beyond the "
+            "int64 bound 2**63")
+    return (np.array(g, dtype=np.int64),
+            n * sum(a * d for a, d in zip(lat.anchor, digit)))
 
 
 def _claw_plan(tree: Tree):
@@ -1261,10 +1230,10 @@ def _star(k: int) -> Tree:
 
 
 def tree_idp_check(tree: Tree, model, max_degree: int = None,
-                   cap: int = 10 ** 6) -> IdpReport:
+                   cap: int = _CAP) -> IdpReport:
     """idp_check of the abelian polytope P of model on tree, decided on
-    its claws: one scan of the standard k-claw for each degree k of an
-    inner vertex, instead of a scan of P, with the same report. The
+    its claws, the standard k-claw for each degree k of an inner vertex,
+    instead of on a scan of P, with the same report. The
     ceiling defaults to max(2, rank - 1) of P's lattice; cap bounds the
     networks of P and of each claw, as in build_polytope.
 
@@ -1299,19 +1268,19 @@ def tree_idp_check(tree: Tree, model, max_degree: int = None,
     unimodular, so they keep the failing degree and the point counts.
 
     The route. With fewer than two inner vertices P is a claw (or an edge),
-    decided by pulling_idp_check: on its pulling triangulation, which hands
-    a failing degree n back to idp_check(P, max_degree=n), or on the scan
-    where that costs less. Otherwise the
-    claws' scans run in lockstep, one degree at a time, each
-    through _split_degrees, as idp_check's does; each block also goes into
-    a _ClawTally keyed by the claw's first m blocks, m the most inner edges
-    at a vertex of that degree. When every claw passes degree n, P's count
-    is the sum-product of the tallies over the inner edges (_sum_product).
-    When a claw fails at n, P is Normal below n and fails at n, so the
-    result is idp_check(P, max_degree=n), which gives the same verdict,
-    least witness and counts as idp_check(P). A claw's nP_v has at most as
-    many points as nP, since each extends to one, so the claws' scans meet
-    no point cap that P's would not."""
+    decided by pulling_idp_check. Otherwise each distinct claw is decided
+    as a lone claw is, by pulling_idp_check(claw, max_degree): on its
+    pulling triangulation, which hands a failing degree n back to
+    idp_check(claw, max_degree=n), or on the scan where that costs less.
+    When a claw fails, P is Normal below the least failing degree n and
+    fails at n, so the result is idp_check(P, max_degree=n), which gives
+    the same verdict, least witness and counts as idp_check(P). Otherwise
+    P's count at each degree n is the sum-product over the inner edges
+    (_sum_product) of the claws' tallies: a plain scan of each claw's nP,
+    its points counted by their key codes (_key_weights) over the claw's
+    first m blocks, m the most inner edges at a vertex of that degree. A
+    claw's nP_v has at most as many points as nP, since each extends to
+    one, so the claws' scans meet no point cap that P's would not."""
     poly = _as_polytope(build_polytope(tree, model, cap=cap))
     if len(tree.inner) < 2:
         return pulling_idp_check(poly, max_degree)
@@ -1319,40 +1288,30 @@ def tree_idp_check(tree: Tree, model, max_degree: int = None,
         raise ValueError(f"max_degree must be at least 2, got {max_degree}")
     if max_degree is None:
         max_degree = max(2, poly.lattice.rank - 1)
-    counts, failed = _claw_counts(tree, model, max_degree, cap)
-    if failed is not None:
-        return idp_check(poly, max_degree=failed)
-    return IdpReport(verdict="Normal",
-                     degrees_checked=tuple(range(2, max_degree + 1)),
-                     points_per_degree=counts)
-
-
-def _claw_counts(tree: Tree, model, max_degree: int, cap: int):
-    """(points per degree of the tree polytope through max_degree, None)
-    when every claw passes; (None, n) when a claw first fails at n."""
     w = model.group.size
     plan = _claw_plan(tree)
     keyed = {}   # claw degree -> blocks its tally keys
     for _, k, has_in, outs in plan:
         keyed[k] = max(keyed.get(k, 0), has_in + len(outs))
-    claws = {k: _ClawTally(_as_polytope(build_polytope(_star(k), model,
-                                                       cap=cap)), m, w)
-             for k, m in keyed.items()}
-
-    def count(n):
-        tallies = {k: (*t.result(), t.m) for k, t in claws.items()}
-        return n, _sum_product(plan, tallies, n, w)
-
-    for t in claws.values():
-        t(1, t.poly.lattice_points)
-    counts = [count(1)]
-    scans = [_split_degrees(t.poly, max_degree, t) for t in claws.values()]
-    for n in range(2, max_degree + 1):
-        for scan in scans:
-            if len(next(scan)[2]):
-                return None, n
-        counts.append(count(n))
-    return tuple(counts), None
+    claws = {k: _as_polytope(build_polytope(_star(k), model, cap=cap))
+             for k in keyed}
+    reports = [pulling_idp_check(claw, max_degree) for claw in claws.values()]
+    failed = [r.witness_degree for r in reports if not r.normal]
+    if failed:
+        return idp_check(poly, max_degree=min(failed))
+    counts = []
+    for n in range(1, max_degree + 1):
+        tallies = {}
+        for k, claw in claws.items():
+            g, offset = _key_weights(claw, keyed[k], w, n)
+            parts = [np.unique(block @ g + offset, return_counts=True)
+                     for block in _dilate_blocks(claw, n)]
+            tallies[k] = (*_summed(*map(np.concatenate, zip(*parts))),
+                          keyed[k])
+        counts.append((n, _sum_product(plan, tallies, n, w)))
+    return IdpReport(verdict="Normal",
+                     degrees_checked=tuple(range(2, max_degree + 1)),
+                     points_per_degree=tuple(counts))
 
 
 def fiber_product(p1: ModelPolytope, block1: int, p2: ModelPolytope,
@@ -1390,7 +1349,7 @@ def fiber_product(p1: ModelPolytope, block1: int, p2: ModelPolytope,
                          block_width=w, flavor=p1.flavor)
 
 
-def glued_polytope(model, t1, leaf1, t2, leaf2, cap: int = 10 ** 6):
+def glued_polytope(model, t1, leaf1, t2, leaf2, cap: int = _CAP):
     """Polytope of the glued tree computed through the fiber product.
 
     Edge orientation flips recorded by glue() act on abelian blocks as the

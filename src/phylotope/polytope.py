@@ -162,7 +162,7 @@ class ModelPolytope:
 
 
 def build_polytope(tree: Tree, model: GroupModel,
-                   cap: int = 10 ** 6) -> ModelPolytope:
+                   cap: int = _CAP) -> ModelPolytope:
     """One vertex per network; per edge, the indicator of its character."""
     w = model.group.size
     verts = []

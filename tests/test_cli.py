@@ -4,6 +4,10 @@ import phylotope.cli
 import phylotope.lattice
 import phylotope.verify
 from phylotope.cli import main
+from phylotope.groups import parse_group_spec
+from phylotope.lattice import LatticePolytope, _star
+from phylotope.polytope import build_polytope
+from phylotope.trees import parse_newick
 
 
 def run(capsys, *argv):
@@ -127,21 +131,26 @@ def test_z6_quartet_is_decided_through_its_claw(capsys):
 
 def test_a_failing_claw_hands_its_degree_to_the_tree_scan(capsys,
                                                           monkeypatch):
-    # The Z6 3-claw first fails at degree 4, so the whole tree is scanned
-    # through degree 4 only; that scan stops at the facet cap, as it does
-    # with no claws.
-    ceilings = []
+    # The Z6 3-claw first fails at degree 4: its triangulation hands that
+    # degree to the claw's scan, and then the whole tree is scanned through
+    # degree 4 only; that scan stops at the facet cap, as it does with no
+    # claws.
+    calls = []
     scan = phylotope.lattice.idp_check
 
     def spy(poly, max_degree=None):
-        ceilings.append(max_degree)
+        calls.append((poly, max_degree))
         return scan(poly, max_degree)
 
     monkeypatch.setattr(phylotope.lattice, "idp_check", spy)
     code, out, err = run(capsys, *Z6_QUARTET)
     assert (code, out) == (3, "")
     assert err == "resource cap: dimension 25 exceeds cap 24\n"
-    assert ceilings == [4]
+    z6 = parse_group_spec("Z6")
+    claw = LatticePolytope(build_polytope(_star(3), z6).vertices)
+    tree = LatticePolytope(build_polytope(parse_newick("((a,b),(c,d));"),
+                                          z6).vertices)
+    assert calls == [(claw, 4), (tree, 4)]
 
 
 @pytest.mark.parametrize("degree", ["1", "0", "-5"])

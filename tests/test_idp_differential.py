@@ -507,6 +507,21 @@ def test_claw_route_matches_the_tree_scan(case):
         idp_check(build_polytope(tree, model), max_degree=degree)
 
 
+def test_a_triangulated_claw_is_tallied_without_a_split_test(monkeypatch):
+    # The K3P 3-claw is decided on its triangulation, so no dilate of the
+    # claw or of the tree is split-tested: the claw's dilates are only
+    # tallied. 8=637978725 is the count of the uncapped CLI run.
+    def split_test(*args):
+        raise AssertionError("a dilate was split-tested")
+
+    monkeypatch.setattr(phylotope.lattice, "_undecomposable", split_test)
+    report = tree_idp_check(parse_newick("((a,b),(c,d));"),
+                            preset_model("K3P"), max_degree=10)
+    assert report.verdict == "Normal"
+    assert report.degrees_checked == tuple(range(2, 11))
+    assert dict(report.points_per_degree)[8] == 637978725
+
+
 # Counts of idp_check on the whole tree polytope, all Normal.
 @pytest.mark.parametrize("spec,newick,counts", [
     ("Z4", "((a,b),(c,d));", (64, 1936, 35200, 429706)),
