@@ -191,10 +191,9 @@ def _build_parser() -> argparse.ArgumentParser:
                                        "preset CFN/JC/K2P/K3P")
         p.add_argument("--group-file", help="path to a group description file")
 
-    def add_tree(p, repeat=False):
-        kw = {"action": "append"} if repeat else \
-            {"action": "append", "metavar": "NEWICK"}
-        p.add_argument("--tree", **kw, help="Newick tree string")
+    def add_tree(p):
+        p.add_argument("--tree", action="append", metavar="NEWICK",
+                       help="Newick tree string")
         p.add_argument("--tree-file", action="append",
                        help="path to a Newick file")
 
@@ -226,7 +225,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("glue", help="glue two trees at leaves and compare the "
                                     "fiber product with the direct build")
-    add_group(p); add_tree(p, repeat=True); add_out(p)
+    add_group(p); add_tree(p); add_out(p)
     p.add_argument("leaf1", help="leaf label in the first tree")
     p.add_argument("leaf2", help="leaf label in the second tree")
     add_vertex_cap(p)

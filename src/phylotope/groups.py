@@ -132,9 +132,6 @@ class Permutation:
     def degree(self) -> int:
         return len(self.images)
 
-    def is_identity(self) -> bool:
-        return all(i == j for i, j in enumerate(self.images))
-
     def cycles(self):
         """Nontrivial cycles, each rotated to start at its minimum."""
         seen = [False] * len(self.images)

@@ -72,7 +72,7 @@ import numpy as np
 
 from .errors import (BlockWidthMismatchError, ProjectionNotInSimplexError,
                      ScaleExceededError)
-from .polytope import _CAP, ModelPolytope, build_polytope, negate_block
+from .polytope import _CAP, ModelPolytope, build_polytope
 from .trees import Tree, glue
 
 
@@ -1318,7 +1318,11 @@ def fiber_product(p1: ModelPolytope, block1: int, p2: ModelPolytope,
                   block2: int) -> ModelPolytope:
     """Pairs of vertices agreeing on the designated blocks, with the shared
     block written once: the polytope analogue of gluing trees along a leaf
-    edge. Both block projections must land in the standard simplex."""
+    edge. Both block projections must land in the standard simplex.
+
+    The pairs come out in increasing order with no sort: p1's vertices
+    increase, and the remainders in one shared-block bucket increase as
+    p2's vertices do, since they differ only off the block they share."""
     if p1.block_width != p2.block_width:
         raise BlockWidthMismatchError(
             f"block widths {p1.block_width} and {p2.block_width} differ")
@@ -1343,7 +1347,6 @@ def fiber_product(p1: ModelPolytope, block1: int, p2: ModelPolytope,
         key = p1.block(v, block1)
         for rest in by_proj.get(key, ()):
             verts.append(v + rest)
-    verts = sorted(set(verts))
     return ModelPolytope(vertices=tuple(verts),
                          n_blocks=p1.n_blocks + p2.n_blocks - 1,
                          block_width=w, flavor=p1.flavor)
@@ -1352,18 +1355,15 @@ def fiber_product(p1: ModelPolytope, block1: int, p2: ModelPolytope,
 def glued_polytope(model, t1, leaf1, t2, leaf2, cap: int = _CAP):
     """Polytope of the glued tree computed through the fiber product.
 
-    Edge orientation flips recorded by glue() act on abelian blocks as the
-    character negation involution; the matching condition across the merged
-    edge carries one extra negation. The returned polytope's blocks follow
-    the glued tree's edge order, so it compares directly against
-    build_polytope on the glued tree."""
+    glue() returns both factors directed as in the glued tree, with the
+    merged edge entering the second factor's side, so their polytopes'
+    blocks already carry the glued tree's signs and agree on the merged
+    edge's block. The returned polytope's blocks follow the glued tree's
+    edge order, so it compares directly against build_polytope on the
+    glued tree."""
     res = glue(t1, leaf1, t2, leaf2)
-    q1 = build_polytope(t1, model, cap=cap)
-    q2 = build_polytope(t2, model, cap=cap)
-    for i in res.flipped1:
-        q1 = negate_block(q1, model, i)
-    negs2 = set(res.flipped2) ^ {res.glued2}
-    for i in negs2:
-        q2 = negate_block(q2, model, i)
-    prod = fiber_product(q1, res.glued1, q2, res.glued2)
+    prod = fiber_product(build_polytope(res.factor1, model, cap=cap),
+                         res.glued1,
+                         build_polytope(res.factor2, model, cap=cap),
+                         res.glued2)
     return res, prod

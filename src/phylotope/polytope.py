@@ -17,7 +17,7 @@ the canonical character order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import pairwise, product
 
 from .errors import BijectionFailureError, CapExceededError
 from .groups import GroupModel
@@ -140,9 +140,13 @@ class ModelPolytope:
     flavor "abelian": one block of width |H| per edge, vertices are 0/1
     network indicators. flavor "projected": block width |O| after summing
     coordinates over dual orbits and removing duplicates.
+
+    The vertices are strictly increasing, so they are distinct and in the
+    order every vertex file lists them; construction rejects any other
+    order, and no consumer sorts them again.
     """
 
-    vertices: tuple          # tuple of int tuples, sorted
+    vertices: tuple          # tuple of int tuples, strictly increasing
     n_blocks: int
     block_width: int
     flavor: str              # "abelian" | "projected"
@@ -151,6 +155,8 @@ class ModelPolytope:
         for v in self.vertices:
             if len(v) != self.dim_ambient:
                 raise ValueError("vertex length does not match block layout")
+        if any(a >= b for a, b in pairwise(self.vertices)):
+            raise ValueError("vertices are not strictly increasing")
 
     @property
     def dim_ambient(self) -> int:
@@ -163,15 +169,23 @@ class ModelPolytope:
 
 def build_polytope(tree: Tree, model: GroupModel,
                    cap: int = _CAP) -> ModelPolytope:
-    """One vertex per network; per edge, the indicator of its character."""
+    """One vertex per network; per edge, the indicator of its character.
+
+    The edges' directions in `tree` sign the blocks: a network puts on each
+    edge the characters of the leaves on its child side, so reversing an
+    edge negates that edge's character.
+    """
     w = model.group.size
     verts = []
-    for net, _ in _index_networks(tree, model.group, cap):
+    # At the first edge where two networks differ, the larger character
+    # index puts its 1 later in the block, so the indicator rows of
+    # ascending networks descend; walking the networks backwards yields the
+    # rows in increasing order.
+    for net, _ in reversed(_index_networks(tree, model.group, cap)):
         vec = [0] * (w * len(net))
         for i, k in enumerate(net):
             vec[i * w + k] = 1
         verts.append(tuple(vec))
-    verts.sort()
     return ModelPolytope(vertices=tuple(verts), n_blocks=len(tree.edges),
                          block_width=w, flavor="abelian")
 
@@ -205,30 +219,11 @@ def project_orbits(poly: ModelPolytope, model: GroupModel) -> ModelPolytope:
                          block_width=len(orbits), flavor="projected")
 
 
-def negate_block(poly: ModelPolytope, model: GroupModel, block: int) -> ModelPolytope:
-    """Apply the chi -> -chi coordinate permutation inside one edge block
-    (transports abelian vertices across an edge orientation flip)."""
-    if poly.flavor != "abelian":
-        raise ValueError("negation acts on abelian blocks")
-    group = model.group
-    perm = [group.index(group.neg(group.element(j))) for j in range(group.size)]
-    w = poly.block_width
-    verts = []
-    for v in poly.vertices:
-        nv = list(v)
-        base = block * w
-        for j in range(w):
-            nv[base + perm[j]] = v[base + j]
-        verts.append(tuple(nv))
-    verts.sort()
-    return ModelPolytope(vertices=tuple(verts), n_blocks=poly.n_blocks,
-                         block_width=w, flavor=poly.flavor)
-
-
 def vertex_file_text(poly: ModelPolytope, group_spec: str, tree_text: str) -> str:
-    """Bit-exact text form: a header then sorted vertex lines."""
+    """Bit-exact text form: a header then one line per vertex, in the
+    polytope's increasing vertex order."""
     lines = [f"# group={group_spec} tree={tree_text} flavor={poly.flavor} "
              f"dim={poly.dim_ambient} count={len(poly.vertices)}"]
-    for v in sorted(poly.vertices):
+    for v in poly.vertices:
         lines.append(" ".join(str(x) for x in v))
     return "\n".join(lines) + "\n"

@@ -200,48 +200,44 @@ def parse_newick(text: str) -> Tree:
     return Tree(root=root, edges=tuple(edges), labels=tuple(labels))
 
 
-def _orient_from(tree: Tree, new_root: int):
-    """Edge list re-directed away from new_root, keeping positions; also the
-    set of positions whose direction flipped."""
+def _orient_from(tree: Tree, new_root: int) -> Tree:
+    """The same undirected tree rooted at new_root: every edge keeps its
+    position and is directed away from new_root."""
     adj = [[] for _ in range(tree.n_vertices)]
     for i, (u, v) in enumerate(tree.edges):
         adj[u].append((i, v))
         adj[v].append((i, u))
-    parent = {new_root: None}
+    seen = {new_root}
     order = [new_root]
+    edges = list(tree.edges)
     for v in order:
         for i, w in adj[v]:
-            if w not in parent:
-                parent[w] = (v, i)
+            if w not in seen:
+                seen.add(w)
+                edges[i] = (v, w)
                 order.append(w)
-    new_edges = list(tree.edges)
-    flipped = set()
-    for w, entry in parent.items():
-        if entry is None:
-            continue
-        v, i = entry
-        if tree.edges[i] != (v, w):
-            flipped.add(i)
-        new_edges[i] = (v, w)
-    return new_edges, frozenset(flipped)
+    return Tree(root=new_root, edges=tuple(edges), labels=tree.labels)
 
 
 @dataclass(frozen=True)
 class GlueResult:
-    """Glued tree plus the correspondence needed to transport per-edge data.
+    """Glued tree plus its two factors, directed as in the glued tree.
 
     t1's edges keep their positions, so the merged edge sits at glued1.
     edge_map2 sends t2's edge positions to result positions (None at
-    glued2, whose edge is the merged one). flipped1/flipped2 list the original edge positions whose
-    direction had to be reversed to orient the result away from its root;
-    per-edge data that is orientation-sensitive must be transported through
-    the corresponding involution on those edges.
+    glued2, whose edge is the merged one). factor1 and factor2 are t1 and
+    t2 re-rooted so that each edge they keep points the way it points in
+    the result, and the merged edge points from factor1's side into
+    factor2's: factor1 is t1, or t1 rooted at leaf1's neighbour when leaf1
+    is t1's root, and factor2 is t2 rooted at leaf2. Per-edge data that is
+    orientation-sensitive can be built on the factors and carried over by
+    position.
     """
 
     tree: Tree
     edge_map2: tuple
-    flipped1: frozenset
-    flipped2: frozenset
+    factor1: Tree
+    factor2: Tree
     glued1: int
     glued2: int
 
@@ -275,11 +271,8 @@ def glue(t1: Tree, leaf1, t2: Tree, leaf2) -> GlueResult:
     u, v = t2.edges[i2]
     p2 = u if v == l2 else v
 
-    if t1.root == l1:
-        edges1, flipped1 = _orient_from(t1, p1)
-    else:
-        edges1, flipped1 = list(t1.edges), frozenset()
-    edges2, flipped2 = _orient_from(t2, p2)
+    factor1 = _orient_from(t1, p1) if t1.root == l1 else t1
+    factor2 = _orient_from(t2, l2)
 
     vmap1 = tuple(None if x == l1 else x - (1 if x > l1 else 0)
                   for x in range(t1.n_vertices))
@@ -288,13 +281,13 @@ def glue(t1: Tree, leaf1, t2: Tree, leaf2) -> GlueResult:
                   for x in range(t2.n_vertices))
 
     out_edges = []
-    for i, (a, b) in enumerate(edges1):
+    for i, (a, b) in enumerate(factor1.edges):
         if i == i1:
             out_edges.append((vmap1[p1], vmap2[p2]))
         else:
             out_edges.append((vmap1[a], vmap1[b]))
     emap2 = []
-    for j, (a, b) in enumerate(edges2):
+    for j, (a, b) in enumerate(factor2.edges):
         if j == i2:
             emap2.append(None)
         else:
@@ -311,8 +304,7 @@ def glue(t1: Tree, leaf1, t2: Tree, leaf2) -> GlueResult:
             taken.add(x)
             labels2[k] = x
     labels = labels1 + tuple(labels2)
-    root = vmap1[p1] if t1.root == l1 else vmap1[t1.root]
-    tree = Tree(root=root, edges=tuple(out_edges), labels=labels)
-    return GlueResult(tree=tree, edge_map2=tuple(emap2),
-                      flipped1=flipped1, flipped2=flipped2,
-                      glued1=i1, glued2=i2)
+    tree = Tree(root=vmap1[factor1.root], edges=tuple(out_edges),
+                labels=labels)
+    return GlueResult(tree=tree, edge_map2=tuple(emap2), factor1=factor1,
+                      factor2=factor2, glued1=i1, glued2=i2)

@@ -19,8 +19,7 @@ def reorient(tree: Tree, new_root: int) -> Tree:
         raise UnknownVertexError(f"no vertex {new_root}")
     if new_root == tree.root:
         return tree
-    new_edges, _ = _orient_from(tree, new_root)
-    return Tree(root=new_root, edges=tuple(new_edges), labels=tree.labels)
+    return _orient_from(tree, new_root)
 
 
 def decode_vertex(poly, model, vertex) -> tuple:

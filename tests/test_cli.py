@@ -121,7 +121,8 @@ Z6_QUARTET = ("normality", "--group", "Z6", "--tree", "((a,b),(c,d));")
 
 def test_z6_quartet_is_decided_through_its_claw(capsys):
     # The whole tree polytope has dimension 25, past the facet cap of 24,
-    # so its own scan exits 3; its 3-claw, of rank 10, is scanned instead.
+    # so its own scan exits 3; its 3-claw, of rank 15 with 36 vertices, is
+    # scanned instead.
     code, out, err = run(capsys, *Z6_QUARTET, "--max-degree", "3")
     assert (code, err) == (0, "")
     assert out == ("verdict: Normal\n"

@@ -324,11 +324,28 @@ def test_fiber_product_needs_simplex_projection():
         fiber_product(proj, 0, cube, 0)
 
 
-@pytest.mark.parametrize("orders", [[2], [3], [2, 2]])
-def test_glued_polytope_matches_direct_build(orders):
+# Gluing centre-rooted claws redirects only the merged edge. The other
+# cases redirect more: (a,(b,c)); glued at its degree-1 root a is re-rooted
+# at a's neighbour, and ((x,y),(z,w)); glued at w is re-rooted at w, which
+# reverses the edges on w's path to the old root.
+@pytest.mark.parametrize("orders, t1, leaf1, t2, leaf2", [
+    pytest.param([2], "(a,b,c);", "c", "(a,b,c);", "a", id="orders0"),
+    pytest.param([3], "(a,b,c);", "c", "(a,b,c);", "a", id="orders1"),
+    pytest.param([2, 2], "(a,b,c);", "c", "(a,b,c);", "a", id="orders2"),
+    pytest.param([3], "(a,(b,c));", "a", "((x,y),(z,w));", "w",
+                 id="Z3-root-leaf-to-w"),
+    pytest.param([4], "(a,(b,c));", "a", "((x,y),(z,w));", "w",
+                 id="Z4-root-leaf-to-w"),
+    pytest.param([3], "((x,y),(z,w));", "w", "(a,(b,c));", "a",
+                 id="Z3-w-to-root-leaf"),
+    pytest.param([4], "((x,y),(z,w));", "w", "(a,(b,c));", "a",
+                 id="Z4-w-to-root-leaf"),
+])
+def test_glued_polytope_matches_direct_build(orders, t1, leaf1, t2, leaf2):
     model = abelian_model(orders)
-    res, poly = glued_polytope(model, CLAW, "c", CLAW, "a")
-    glued = glue(CLAW, "c", CLAW, "a").tree
+    t1, t2 = parse_newick(t1), parse_newick(t2)
+    res, poly = glued_polytope(model, t1, leaf1, t2, leaf2)
+    glued = glue(t1, leaf1, t2, leaf2).tree
     direct = build_polytope(glued, model)
     assert poly.vertices == direct.vertices
     assert poly.n_blocks == direct.n_blocks

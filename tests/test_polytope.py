@@ -9,9 +9,8 @@ from phylotope.errors import CapExceededError
 from phylotope.groups import abelian_model, preset_model
 from phylotope.polytope import (ModelPolytope, build_polytope,
                                 enumerate_networks, enumerate_sockets,
-                                negate_block, network_socket_bijection,
-                                project_orbits, socket_of_network,
-                                vertex_file_text)
+                                network_socket_bijection, project_orbits,
+                                socket_of_network, vertex_file_text)
 from phylotope.trees import parse_newick
 
 TREES = ("(a,b,c);", "((a,b),(c,d));", "((a,b),c,(d,e));")
@@ -171,21 +170,14 @@ def test_projection_merges_orbit_columns():
     assert project_orbits(proj, k2p) is proj
 
 
-def test_negate_block_is_involution():
-    z3 = abelian_model([3])
-    tree = parse_newick("(a,b,c);")
-    poly = build_polytope(tree, z3)
-    once = negate_block(poly, z3, 1)
-    assert set(once.vertices) != set(poly.vertices) or z3.group.size <= 2
-    twice = negate_block(once, z3, 1)
-    assert twice.vertices == poly.vertices
-
-
-def test_negate_block_trivial_for_exponent_two():
-    v4 = abelian_model([2, 2])
-    tree = parse_newick("(a,b,c);")
-    poly = build_polytope(tree, v4)
-    assert negate_block(poly, v4, 0).vertices == poly.vertices
+def test_vertices_must_strictly_increase():
+    low, high = (0, 1, 1, 0), (1, 0, 0, 1)
+    ModelPolytope(vertices=(low, high), n_blocks=2, block_width=2,
+                  flavor="abelian")
+    for verts in ((high, low), (low, low), (low, high, high)):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            ModelPolytope(vertices=verts, n_blocks=2, block_width=2,
+                          flavor="abelian")
 
 
 def test_vertex_file_format():
