@@ -6,6 +6,15 @@ integer decomposition property check, and the fiber product that mirrors
 tree gluing. A LatticePolytope carries a polytope with the data these
 derive from it, each computed once.
 
+The facet description runs on integer arrays. The double description
+keeps its rays in one 2-D array and their zero sets as packed uint64
+bitsets, so the adjacency test of all candidate pairs of a step is one
+array operation, in chunks. Every facet is then certified from one matrix
+of slacks: it holds on every point, and its tight points have affine rank
+d-1, as one fraction-free (Bareiss) elimination batched over all facets
+shows. LatticePolytope's facets, tight sets and slacks come from one such
+matrix in lattice coordinates.
+
 Dilates are enumerated by project and lift, in the intrinsic lattice
 coordinates y of a polytope P: a point of nP is x = n*anchor + y.B. The
 facets of every projection of P onto y[:j] are computed once per polytope,
@@ -55,11 +64,13 @@ once max(n, 1)*magnitude reaches 2**62, it raises. Its rows leave it as
 int64. The codes are int64 and must stay below 2**63, so the check raises
 at the first degree past top, and so do the claw tallies' int64 key codes
 past their own bound and the triangulation's int64 reducibility test past
-(r + 2)*magnitude. A triangulation raises past _PULL_CAP faces memoized or
-simplices streamed, and pulling_idp_check then scans the claw. An
-instance beyond a bound raises ScaleExceededError instead of wrapping. Rows
-go back to ambient coordinates in Python integers, so every reported number
-is exact.
+(r + 2)*magnitude. The facet arrays are int64 while each step's actual
+maxima bound the values it computes below 2**62, and Python ints
+(dtype=object) past that, on the same code path. A triangulation raises
+past _PULL_CAP faces memoized or simplices streamed, and pulling_idp_check
+then scans the claw. An instance beyond a bound raises ScaleExceededError
+instead of wrapping. Rows go back to ambient coordinates in Python
+integers, so every reported number is exact.
 """
 
 from __future__ import annotations
@@ -182,14 +193,13 @@ class HRep:
         return True
 
 
-def _row_reduce_pivots(rows, rank=None):
+def _row_reduce_pivots(rows):
     """Gauss-Jordan elimination in integers, one row at a time, stopping
-    once the rank is full, or once it reaches rank when that is given.
-    Returns (reduced rows sorted by pivot column, their pivot columns,
-    indices of the input rows that raised the rank). Each reduced row is
-    primitive, positive at its pivot and zero at the other rows' pivots."""
-    if rank is None:
-        rank = len(rows[0]) if rows else 0
+    once the rank is full. Returns (reduced rows sorted by pivot column,
+    their pivot columns, indices of the input rows that raised the rank).
+    Each reduced row is primitive, positive at its pivot and zero at the
+    other rows' pivots."""
+    rank = len(rows[0]) if rows else 0
     basis = []
     kept = []
     for idx, row in enumerate(rows):
@@ -234,6 +244,37 @@ def _kernel(rows, ncols):
     return pivots, basis
 
 
+def _absmax(a) -> int:
+    """The largest absolute value in an integer array, as a Python int."""
+    return max(int(a.max()), -int(a.min())) if a.size else 0
+
+
+def _exact(bound, *arrays):
+    """The arrays as int64 when bound, which bounds every value computed
+    from them next, is below 2**62, and as Python ints (dtype=object) past
+    it."""
+    dtype = np.int64 if bound < _INT64_SAFE else object
+    return [a if a.dtype == dtype else a.astype(dtype) for a in arrays]
+
+
+def _int_array(rows, width):
+    """Integer rows of the given width as a 2-D array, by _exact's rule on
+    their entries."""
+    try:
+        a = np.array(rows, dtype=np.int64).reshape(-1, width)
+    except OverflowError:
+        a = np.array(rows, dtype=object).reshape(-1, width)
+    return _exact(_absmax(a), a)[0]
+
+
+def _matmul(a, b):
+    """a @ b in exact integers, by _exact's rule on a bound that the
+    operands' actual maxima give every sum of products."""
+    ma, mb = _absmax(a), _absmax(b)
+    a, b = _exact(max(ma, mb, a.shape[-1] * ma * mb), a, b)
+    return a @ b
+
+
 def _initial_simplex(zpoints, d):
     """Indices of d+1 affinely independent points (greedy)."""
     base = zpoints[0]
@@ -244,74 +285,160 @@ def _initial_simplex(zpoints, d):
     return [0] + [i + 1 for i in kept]
 
 
-def _dual_dd(zpoints, d):
-    """Facets of conv(zpoints) in R^d (full-dimensional case) by double
-    description on the polar cone {v : (z_i, 1).v <= 0}: one constraint per
-    point, extreme rays of the cone are the facets.
+def _bit_count(bits):
+    """The set bits of each row of packed uint64 bitsets, along the last
+    axis: each byte is counted by lookup, and the eight counts of a word
+    are summed into its top byte by one multiplication."""
+    counts = _POPCOUNT[bits.view(np.uint8)].view(np.uint64) \
+        * np.uint64(0x0101010101010101) >> np.uint64(56)
+    total = counts[..., 0]
+    for w in range(1, counts.shape[-1]):
+        total = total + counts[..., w]
+    return total
+
+
+def _adjacent(zero, plus, minus, d):
+    """The adjacent pairs (i, j), i in plus and j in minus, of the rays
+    whose zero sets are the rows of the packed bitsets zero, as (i, j,
+    their common zero set), in plus-major order.
+
+    Two rays of the (d+1)-dimensional cone are adjacent when their common
+    zero set has at least d-1 elements and no third ray's zero set holds
+    it. Both tests run on all candidate pairs of a step at once, in chunks
+    of at most _FACET_CELLS pairs or (pair, ray) cells, word by word: bits
+    are counted through a byte lookup table, and a ray holds a common set
+    when no word of the set meets the ray's complement."""
+    words = zero.shape[1]
+    outside = ~zero
+    found = []
+    step = max(1, _FACET_CELLS // max(1, len(minus) * words))
+    rows = max(1, _FACET_CELLS // len(zero))
+    for s in range(0, len(plus), step):
+        p = plus[s:s + step]
+        common = zero[p, None] & zero[minus]
+        pi, mj = np.nonzero(_bit_count(common) >= d - 1)
+        common = common[pi, mj]
+        held = np.empty(len(common), dtype=bool)
+        for c in range(0, len(common), rows):
+            part = common[c:c + rows]
+            miss = part[:, None, 0] & outside[:, 0]
+            for w in range(1, words):
+                miss |= part[:, None, w] & outside[:, w]
+            # i and j hold it, and no third ray
+            held[c:c + rows] = (miss == 0).sum(axis=1) == 2
+        found.append((p[pi[held]], minus[mj[held]], common[held]))
+    i, j, common = (np.concatenate(parts) for parts in zip(*found))
+    return i, j, common
+
+
+def _dual_dd(zh, d):
+    """Facets of the convex hull of the points z in R^d (full-dimensional
+    case), given as the rows (z, 1) of the integer array zh, by double
+    description (Fukuda-Prodon) on the polar cone {v : (z, 1).v <= 0}: one
+    constraint per point, and the extreme rays of the cone are the facets.
+    Returns the rays as the rows of an integer array; a ray (c, c0) is the
+    facet c.z <= -c0.
 
     The initial rays are those of the simplex cone of d+1 independent
     constraints: ray j spans the kernel of all of them but the j-th, on
-    which it is negative. A ray's zero set (its tight constraints) is a
-    bitset. Two rays of the (d+1)-dimensional cone can be adjacent only
-    when they share at least d-1 tight constraints, which spares most pairs
-    the combinatorial test."""
-    cons = [tuple(z) + (1,) for z in zpoints]
-    start = _initial_simplex(zpoints, d)
-    amat = [cons[i] for i in start]
-    rays = []
-    zero_sets = []
-    start_bits = sum(1 << i for i in start)
-    for j in range(d + 1):
-        _, (ray,) = _kernel(amat[:j] + amat[j + 1:], d + 1)
-        if sum(a * x for a, x in zip(amat[j], ray)) > 0:
-            ray = tuple(-x for x in ray)
-        rays.append(ray)
-        zero_sets.append(start_bits & ~(1 << start[j]))
+    which it is negative. Each further constraint keeps the rays it does
+    not cut, minus then zero ones, and appends the primitive combination of
+    each adjacent pair (_adjacent) across it, plus-major; this fixes the
+    order of the facets. A ray's zero set (its tight constraints) is a row
+    of packed uint64 bitsets.
 
-    start_set = set(start)
-    order = [i for i in range(len(cons)) if i not in start_set]
-    for t in order:
-        a = cons[t]
-        bit = 1 << t
-        vals = [sum(x * y for x, y in zip(a, r)) for r in rays]
-        plus = [i for i, v in enumerate(vals) if v > 0]
-        if not plus:
-            zero_sets = [zs | bit if v == 0 else zs
-                         for zs, v in zip(zero_sets, vals)]
+    The rays and the values of a constraint on them are int64 while the
+    actual maxima of a step bound its sums of products below 2**62, and
+    Python ints (dtype=object) past that (_exact)."""
+    start = _initial_simplex(zh[:, :d].tolist(), d)
+    # [A^T | I], A the start constraints, reduces to rows (D_j e_j, D_j
+    # times column j of A^-1): that column vanishes on every start
+    # constraint but the j-th, where it is 1
+    reduced, _, _ = _row_reduce_pivots(
+        [col + tuple(int(i == j) for i in range(d + 1))
+         for j, col in enumerate(zip(*zh[start].tolist()))])
+    rays = _int_array([[-x for x in _primitive(row[d + 1:])]
+                       for row in reduced], d + 1)
+    zero = np.zeros((d + 1, (len(zh) + 63) // 64), dtype=np.uint64)
+    for j, t in enumerate(start):
+        zero[np.arange(d + 1) != j, t // 64] |= np.uint64(1 << t % 64)
+
+    start_set, mz = set(start), _absmax(zh)
+    for t in range(len(zh)):
+        if t in start_set:
             continue
-        minus = [i for i, v in enumerate(vals) if v < 0]
-        zero = [i for i, v in enumerate(vals) if v == 0]
-        new_rays = [rays[i] for i in minus + zero]
-        new_zero = [zero_sets[i] for i in minus] + \
-            [zero_sets[i] | bit for i in zero]
-        for i in plus:
-            zi = zero_sets[i]
-            for j in minus:
-                common = zi & zero_sets[j]
-                if common.bit_count() < d - 1:
-                    continue
-                for k, zs in enumerate(zero_sets):
-                    if (zs & common) == common and k != i and k != j:
-                        break
-                else:
-                    comb = [vals[i] * rj - vals[j] * ri
-                            for ri, rj in zip(rays[i], rays[j])]
-                    new_rays.append(_primitive(comb))
-                    new_zero.append(common | bit)
-        rays, zero_sets = new_rays, new_zero
+        word, bit = t // 64, np.uint64(1 << t % 64)
+        mr = _absmax(rays)
+        rays = _exact((d + 1) * mr * mz, rays)[0]
+        vals = rays @ zh[t]
+        at = vals == 0
+        plus = np.flatnonzero(vals > 0)
+        if not len(plus):
+            zero[at, word] |= bit
+            continue
+        minus = np.flatnonzero(vals < 0)
+        i, j, common = _adjacent(zero, plus, minus, d)
+        common[:, word] |= bit
+        rays, vals = _exact(2 * _absmax(vals) * mr, rays, vals)
+        new = vals[i, None] * rays[j] - vals[j, None] * rays[i]
+        new //= np.gcd.reduce(new, axis=1)[:, None]
+        keep = np.concatenate([minus, np.flatnonzero(at)])
+        zero = np.concatenate([zero[keep], common])
+        zero[len(minus):len(keep), word] |= bit
+        rays = np.concatenate([rays[keep], new])
+    return rays
 
-    facets = []
-    for ray in rays:
-        c, c0 = ray[:-1], ray[-1]
-        facets.append((tuple(c), -c0))
-    return facets
+
+def _ranks(stack):
+    """The ranks of a stack of integer matrices, by one fraction-free
+    (Bareiss) elimination run on all of them at once.
+
+    Column by column, each matrix takes its first row that is nonzero
+    there as pivot row, if it has one, and every row becomes p*row -
+    row[c]*pivot row, divided exactly by the matrix's previous pivot.
+    This zeroes the pivot row, so a row is a pivot once at most, and the
+    rank is the number of pivots. The stack is eliminated in place. Its
+    entries are int64 while the step's actual maxima bound its products
+    below 2**62, and Python ints past that (_exact)."""
+    m = stack
+    count = len(m)
+    ranks = np.zeros(count, dtype=np.int64)
+    prev = np.ones(count, dtype=np.int64)
+    for c in range(m.shape[2]):
+        nonzero = m[:, :, c] != 0
+        has = nonzero.any(axis=1)
+        if not has.any():
+            continue
+        mx = _absmax(m)
+        m, prev = _exact(max(mx, _absmax(prev), 2 * mx * mx), m, prev)
+        pivot = m[np.arange(count), nonzero.argmax(axis=1)]
+        p = np.where(has, pivot[:, c], 1)
+        cross = m[:, :, c, None] * pivot[:, None]
+        m *= p[:, None, None]
+        m -= cross
+        del cross
+        m //= np.where(has, prev, 1)[:, None, None]
+        prev = np.where(has, p, prev)
+        ranks += has
+    return ranks
+
+
+def _tight_ranks(zh, tight):
+    """For each row of the boolean array tight, the rank of the rows of zh
+    it marks (_ranks), each facet's rows padded with zero rows to the
+    longest."""
+    counts = tight.sum(axis=1)
+    width = int(counts.max(initial=0))
+    stack = zh[np.argsort(~tight, axis=1, kind="stable")[:, :width]]
+    stack[np.arange(width) >= counts[:, None]] = 0
+    return _ranks(stack)
 
 
 def facet_description(poly) -> HRep:
     """Exact H-representation of the convex hull of a point sequence, of a
     ModelPolytope's vertices or of a LatticePolytope: affine-hull
-    equalities plus facet inequalities found by double description on a
-    full-dimensional coordinate restriction.
+    equalities plus facet inequalities found by double description
+    (_dual_dd) on a full-dimensional coordinate restriction.
 
     The hull comes from the polytope's lattice anchor + span(basis): its
     equalities c.x == c.anchor are the kernel of the basis rows, and the
@@ -319,7 +446,12 @@ def facet_description(poly) -> HRep:
 
     Every inequality is certified a facet in the restricted coordinates:
     it holds on every point and is tight on points of affine rank d-1.
-    Raises AssertionError otherwise."""
+    Raises AssertionError otherwise. The certificate runs on one matrix of
+    slacks per chunk of facets, at most _FACET_CELLS cells: each facet's
+    tight points, homogenized, must have rank d, and their ranks come from
+    one batched elimination (_tight_ranks). The arrays follow _exact's
+    rule: int64 while the actual maxima bound the next products below
+    2**62, Python ints past it."""
     poly = _as_polytope(poly)
     pts = poly.points
     if len(pts) > _POINT_CAP:
@@ -331,26 +463,34 @@ def facet_description(poly) -> HRep:
     d = len(pivots)
     if d > _DIM_CAP:
         raise ScaleExceededError(f"dimension {d} exceeds cap {_DIM_CAP}")
-    if any(sum(ci * x for ci, x in zip(c, p)) != b
-           for c, b in equalities for p in pts):
+    dim = len(pts[0])
+    xh = _int_array([p + (1,) for p in pts], dim + 1)
+    if equalities and _matmul(_int_array([c + (-b,) for c, b in equalities],
+                                         dim + 1), xh.T).any():
         raise AssertionError("an affine-hull equality rejects an input point")
     inequalities = []
     if d > 0:
-        zpoints = [tuple(p[c] for c in pivots) for p in pts]
-        for c, rhs in _dual_dd(zpoints, d):
-            vals = [sum(ci * x for ci, x in zip(c, z)) for z in zpoints]
-            if max(vals) > rhs:
-                raise AssertionError("facet description rejects an input point")
-            tight = [z for z, v in zip(zpoints, vals) if v == rhs]
-            if not tight or len(_row_reduce_pivots(
-                    [[a - b for a, b in zip(z, tight[0])] for z in tight[1:]],
-                    rank=d - 1)[2]) < d - 1:
-                raise AssertionError(f"inequality {c} <= {rhs} is not tight "
-                                     "on a facet")
-            full = [0] * len(pts[0])
-            for x, col in zip(c, pivots):
+        zh = xh[:, pivots + [dim]]
+        rays = _dual_dd(zh, d)
+        step = max(1, _FACET_CELLS // zh.size)
+        for s in range(0, len(rays), step):
+            part = rays[s:s + step]
+            slack = -_matmul(part, zh.T)   # -c0 - c.z, ray by ray
+            bad = (slack < 0).any(axis=1)
+            flat = _tight_ranks(zh, slack == 0) < d
+            failed = np.flatnonzero(bad | flat)
+            if len(failed) and bad[failed[0]]:
+                raise AssertionError(
+                    "facet description rejects an input point")
+            if len(failed):
+                c, rhs = part[failed[0], :d].tolist(), -part[failed[0], d]
+                raise AssertionError(f"inequality {tuple(c)} <= {int(rhs)} "
+                                     "is not tight on a facet")
+        for row in rays.tolist():
+            full = [0] * dim
+            for x, col in zip(row, pivots):
                 full[col] = x
-            inequalities.append((tuple(full), rhs))
+            inequalities.append((tuple(full), -row[d]))
     return HRep(equalities=tuple(equalities), inequalities=tuple(inequalities))
 
 
@@ -371,6 +511,15 @@ _ROW_CAP = 20_000_000
 # Caps on the input of facet_description: distinct points, affine dimension.
 _POINT_CAP = 1500
 _DIM_CAP = 24
+# The facet arrays of facet_description hold int64 below this bound on the
+# values a step computes, Python ints (dtype=object) past it (_exact).
+_INT64_SAFE = 2 ** 62
+# Cells of the largest array of one chunk of the double description's
+# adjacency test and of the facet certificate.
+_FACET_CELLS = 1 << 15
+# The set bits of each byte value: a bit count for packed bitsets that
+# numpy 1.x has too.
+_POPCOUNT = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint8)
 # Cap on the faces a pulling triangulation memoizes and on the simplices it
 # yields.
 _PULL_CAP = 2_000_000
@@ -387,14 +536,18 @@ class LatticePolytope:
 
     Derived data is computed once, on first use: the lattice, the facets,
     the project-and-lift scan data and the lattice points of P. A point of
-    the dilate nP is x = n*anchor + y.B in lattice coordinates y."""
+    the dilate nP is x = n*anchor + y.B in lattice coordinates y. Points of
+    different lengths raise ValueError."""
 
-    points: tuple   # sorted, distinct integer tuples
+    points: tuple   # sorted, distinct integer tuples of one length
 
     def __post_init__(self):
         pts = tuple(sorted(set(map(tuple, self.points))))
         if not pts:
             raise ValueError("need at least one point")
+        lengths = sorted({len(p) for p in pts})
+        if len(lengths) > 1:
+            raise ValueError(f"points of different lengths {lengths}")
         object.__setattr__(self, "points", pts)
 
     @cached_property
@@ -424,29 +577,39 @@ class LatticePolytope:
                      for c, lo in zip(zip(*self._coordinates), self.low))
 
     @cached_property
+    def _facet_slacks(self) -> tuple:
+        """(rows, slack): P's facets c.y <= b, in hrep's order, as the
+        primitive rows (c, b) of an integer array, and slack[g, i] = b -
+        c.y of facet g at point i.
+
+        An hrep row (c, b) reads (c.B, b - c.anchor) in lattice coordinates,
+        as c.x = c.anchor + c.B.y at x = anchor + y.B: an equality must read
+        zero there, and a facet holds integer points, so its gcd divides its
+        side. The arrays follow _exact's rule."""
+        lat, hrep = self.lattice, self.hrep
+        dim = len(lat.anchor)
+        lift = _int_array([row + (0,) for row in lat.basis] +
+                          [tuple(-a for a in lat.anchor) + (1,)], dim + 1).T
+        if hrep.equalities and _matmul(_int_array(
+                [c + (b,) for c, b in hrep.equalities], dim + 1), lift).any():
+            raise AssertionError("an equality is not constant on the lattice")
+        rows = _matmul(_int_array([c + (b,) for c, b in hrep.inequalities],
+                                  dim + 1), lift)
+        rows //= np.gcd.reduce(rows, axis=1)[:, None]
+        at = _int_array([tuple(-x for x in y) + (1,)
+                         for y in self._coordinates], lat.rank + 1)
+        return rows, _matmul(rows, at.T)
+
+    @cached_property
     def facets(self) -> tuple:
         """P's facets in lattice coordinates, in hrep's order, as (c, b,
         tight set) with c.y <= b primitive and the tight set a bitset over
-        points."""
-        lat, hrep, ys = self.lattice, self.hrep, self._coordinates
-        r = lat.rank
-
-        def in_y(c, b):
-            """c.x <= b at x = anchor + y.B, as (w, b') with w.y <= b'."""
-            return ([sum(bi * ci for bi, ci in zip(row, c))
-                     for row in lat.basis],
-                    b - sum(ci * ai for ci, ai in zip(c, lat.anchor)))
-
-        if any(in_y(c, b) != ([0] * r, 0) for c, b in hrep.equalities):
-            raise AssertionError("an equality is not constant on the lattice")
-        facets = []
-        # a facet holds integer vertices, so its gcd divides the side
-        for row in (_primitive(w + [b]) for w, b in
-                    (in_y(c, b) for c, b in hrep.inequalities)):
-            c, b = row[:-1], row[-1]
-            facets.append((c, b, sum(1 << i for i, y in enumerate(ys)
-                                     if sum(a * x for a, x in zip(c, y)) == b)))
-        return tuple(facets)
+        points: those of zero slack."""
+        rows, slack = self._facet_slacks
+        tight = np.packbits(slack == 0, axis=1, bitorder="little")
+        return tuple((tuple(row[:-1]), row[-1],
+                      int.from_bytes(bits.tobytes(), "little"))
+                     for row, bits in zip(rows.tolist(), tight))
 
     @cached_property
     def levels(self) -> tuple:
@@ -511,9 +674,7 @@ class LatticePolytope:
     @cached_property
     def slacks(self) -> tuple:
         """slacks[g][i] = b - c.y of facet g at point i."""
-        return tuple(tuple(b - sum(a * x for a, x in zip(c, y))
-                           for y in self._coordinates)
-                     for c, b, _ in self.facets)
+        return tuple(map(tuple, self._facet_slacks[1].tolist()))
 
     @cached_property
     def vertex_bits(self) -> int:
@@ -841,13 +1002,16 @@ def decompose(q, n: int, points) -> DecompositionResult:
     point of conv(points); index-nondecreasing, so multisets are visited
     once. Failure is a complete-search certificate. points may be a point
     sequence, a ModelPolytope or a LatticePolytope. Raises ValueError for a
-    negative n."""
+    negative n and for a q whose length is not the points'."""
     if n < 0:
         raise ValueError(f"degree must be nonnegative, got {n}")
     poly = _as_polytope(points)
+    q = tuple(q)
+    if len(q) != len(poly.points[0]):
+        raise ValueError(f"point of length {len(q)} against points of "
+                         f"length {len(poly.points[0])}")
     lat, hrep = poly.lattice, poly.hrep
     s1 = sorted(_ambient_rows(poly.lattice_points, 1, lat))
-    q = tuple(q)
     examined = 0
     dead = set()
 

@@ -1,12 +1,39 @@
 """Test-only helpers and oracles that the package itself does not need."""
 
 from fractions import Fraction
+from functools import cache
 from math import gcd
 
 from phylotope.cyclotomic import (CycRational, CyclotomicInt,
                                   cyclotomic_polynomial)
 from phylotope.errors import UnknownVertexError
-from phylotope.trees import Tree, _orient_from
+from phylotope.groups import parse_group_spec
+from phylotope.lattice import (LatticePolytope, _initial_simplex, _kernel,
+                               _primitive)
+from phylotope.polytope import build_polytope, project_orbits
+from phylotope.trees import Tree, _orient_from, parse_newick
+
+# The polytopes of the idp-scan benchmark cases, and the K3P 4-leaf claw:
+# (group, tree, projected flavor).
+SCAN_CASES = {
+    "z4-claw": ("Z4", "(a,b,c);", False),
+    "z3-quartet": ("Z3", "((a,b),(c,d));", False),
+    "k2p-5leaf-projected": ("K2P", "((a,b),c,(d,e));", True),
+    "k3p-quartet": ("K3P", "((a,b),(c,d));", False),
+    "z2-caterpillar6": ("Z2", "((a,b),(c,(d,(e,f))));", False),
+    "k3p-4claw": ("K3P", "(a,b,c,d);", False),
+}
+
+
+@cache
+def scan_case(name) -> LatticePolytope:
+    """The lattice polytope of SCAN_CASES[name], built once."""
+    spec, tree, projected = SCAN_CASES[name]
+    model = parse_group_spec(spec)
+    poly = build_polytope(parse_newick(tree), model)
+    if projected:
+        poly = project_orbits(poly, model)
+    return LatticePolytope(poly.vertices)
 
 
 def leaf_labels(tree: Tree) -> tuple:
@@ -100,3 +127,62 @@ def field_inverse_by_euclid(c: CyclotomicInt) -> CycRational:
         den = den * f.denominator // gcd(den, f.denominator)
     return CycRational(CyclotomicInt(c.m, tuple(int(f * den) for f in inv)),
                        den)
+
+
+def dual_dd_reference(zpoints, d):
+    """Facets (c, rhs), c.z <= rhs, of conv(zpoints) in R^d (full-
+    dimensional case) by double description on the polar cone
+    {v : (z_i, 1).v <= 0}, one ray and one zero set at a time in Python
+    integers: the oracle for lattice._dual_dd, order included.
+
+    The initial rays are those of the simplex cone of d+1 independent
+    constraints: ray j spans the kernel of all of them but the j-th, on
+    which it is negative. A ray's zero set (its tight constraints) is a
+    Python int bitset. Two rays of the (d+1)-dimensional cone can be
+    adjacent only when they share at least d-1 tight constraints, and are
+    when no third ray's zero set holds their common one."""
+    cons = [tuple(z) + (1,) for z in zpoints]
+    start = _initial_simplex(zpoints, d)
+    amat = [cons[i] for i in start]
+    rays = []
+    zero_sets = []
+    start_bits = sum(1 << i for i in start)
+    for j in range(d + 1):
+        _, (ray,) = _kernel(amat[:j] + amat[j + 1:], d + 1)
+        if sum(a * x for a, x in zip(amat[j], ray)) > 0:
+            ray = tuple(-x for x in ray)
+        rays.append(ray)
+        zero_sets.append(start_bits & ~(1 << start[j]))
+
+    start_set = set(start)
+    order = [i for i in range(len(cons)) if i not in start_set]
+    for t in order:
+        a = cons[t]
+        bit = 1 << t
+        vals = [sum(x * y for x, y in zip(a, r)) for r in rays]
+        plus = [i for i, v in enumerate(vals) if v > 0]
+        if not plus:
+            zero_sets = [zs | bit if v == 0 else zs
+                         for zs, v in zip(zero_sets, vals)]
+            continue
+        minus = [i for i, v in enumerate(vals) if v < 0]
+        zero = [i for i, v in enumerate(vals) if v == 0]
+        new_rays = [rays[i] for i in minus + zero]
+        new_zero = [zero_sets[i] for i in minus] + \
+            [zero_sets[i] | bit for i in zero]
+        for i in plus:
+            zi = zero_sets[i]
+            for j in minus:
+                common = zi & zero_sets[j]
+                if common.bit_count() < d - 1:
+                    continue
+                for k, zs in enumerate(zero_sets):
+                    if (zs & common) == common and k != i and k != j:
+                        break
+                else:
+                    comb = [vals[i] * rj - vals[j] * ri
+                            for ri, rj in zip(rays[i], rays[j])]
+                    new_rays.append(_primitive(comb))
+                    new_zero.append(common | bit)
+        rays, zero_sets = new_rays, new_zero
+    return [(tuple(ray[:-1]), -ray[-1]) for ray in rays]

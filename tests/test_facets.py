@@ -1,0 +1,178 @@
+"""The facet description on integer arrays against its pure-Python oracle,
+and the checks that guard it: the batched facet certificate, the int64 and
+object number types, and the memory of one call."""
+
+import re
+import tracemalloc
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from helpers import SCAN_CASES, dual_dd_reference, scan_case
+from phylotope import lattice
+from phylotope.groups import abelian_model
+from phylotope.lattice import (LatticePolytope, _dual_dd, _int_array,
+                               _kernel, _row_reduce_pivots, _tight_ranks,
+                               facet_description)
+from phylotope.polytope import build_polytope
+from phylotope.trees import parse_newick
+
+
+def _restricted(points):
+    """(z, d): the points of conv(points) on the pivot coordinates of their
+    lattice, d of them, as facet_description hands them to _dual_dd."""
+    poly = LatticePolytope(points)
+    lat = poly.lattice
+    pivots, _ = _kernel(lat.basis, len(lat.anchor))
+    return [tuple(p[c] for c in pivots) for p in poly.points], len(pivots)
+
+
+def _assert_matches_reference(points):
+    """_dual_dd returns the oracle's facets, order included, and the batched
+    certificate's ranks are _row_reduce_pivots' on each facet's tight
+    points."""
+    z, d = _restricted(points)
+    if d == 0:
+        return
+    zh = _int_array([q + (1,) for q in z], d + 1)
+    rays = _dual_dd(zh, d)
+    assert [(tuple(r[:-1]), -r[-1]) for r in rays.tolist()] == \
+        dual_dd_reference(z, d)
+    rows = zh.tolist()
+    slack = [[-sum(a * b for a, b in zip(r, row)) for row in rows]
+             for r in rays.tolist()]
+    tight = np.array(slack) == 0
+    want = [len(_row_reduce_pivots([row for row, t in zip(rows, mask)
+                                    if t])[0]) for mask in tight]
+    assert _tight_ranks(zh, tight).tolist() == want
+    assert want == [d] * len(want)
+
+
+def _spy(monkeypatch, name, dtype_of):
+    """Patch lattice.name to record dtype_of(its arguments, its result) in
+    the list returned."""
+    seen = []
+    fn = getattr(lattice, name)
+
+    def spy(*args):
+        out = fn(*args)
+        seen.extend(dtype_of(args, out))
+        return out
+
+    monkeypatch.setattr(lattice, name, spy)
+    return seen
+
+
+@pytest.mark.parametrize("name", SCAN_CASES)
+def test_dual_dd_matches_reference_on_scan_cases(name):
+    _assert_matches_reference(scan_case(name).points)
+
+
+def test_dual_dd_matches_reference_on_the_z6_claw():
+    poly = build_polytope(parse_newick("(a,b,c);"), abelian_model([6]))
+    _assert_matches_reference(poly.vertices)
+    assert len(facet_description(poly).inequalities) == 400
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 5).flatmap(lambda d: st.lists(
+    st.tuples(*[st.integers(-2, 3)] * d), min_size=1, max_size=14,
+    unique=True)))
+def test_dual_dd_matches_reference_on_random_sets(pts):
+    _assert_matches_reference(pts)
+
+
+@pytest.mark.parametrize("points, big", [
+    # thin triangles at the int16 and int32 edges of the dilate scan
+    ([(0, 0), (0, 1), (1, 4096)], False),
+    ([(0, 0), (0, 1), (1, 178956971)], False),
+    # the values of a double-description step pass 2**62
+    ([(0, 0), (0, 1), (1, 2 ** 60), (1, 2 ** 60 + 1)], True),
+    ([(0, 0), (0, 1), (1, 2 ** 61), (2, 3), (1, 5)], True),
+    ([(0, 0, 7), (1, 2 ** 60, 7), (0, 1, 7), (2, 1, 7), (1, 1, 7)], True),
+], ids=["thin-2^15", "thin-2^31", "2^60", "2^61", "2^60-embedded"])
+def test_dual_dd_matches_reference_past_int64(points, big, monkeypatch):
+    z, d = _restricted(points)
+    zh = _int_array([q + (1,) for q in z], d + 1)
+    seen = _spy(monkeypatch, "_exact",
+                lambda args, out: [a.dtype for a in out])
+    _dual_dd(zh, d)
+    assert (object in seen) == big
+    _assert_matches_reference(points)
+
+
+# Restricted coordinates of 2**62 and more: the certificate's stack holds
+# Python ints from the start.
+@pytest.mark.parametrize("points", [
+    [(0,), (2 ** 62,)],
+    [(0, 0), (0, 1), (2 ** 62, 0)],
+    [(0, 0, 3), (0, 1, 3), (2 ** 63, 5, 3), (1, 1, 3)],
+], ids=["2^62-segment", "2^62-triangle", "2^63-embedded"])
+def test_facet_certificate_runs_on_python_ints(points, monkeypatch):
+    seen = _spy(monkeypatch, "_ranks", lambda args, out: [args[0].dtype])
+    _assert_matches_reference(points)
+    facet_description(points)
+    assert seen and set(seen) == {np.dtype(object)}
+
+
+@pytest.mark.parametrize("name", ["z4-claw", "k3p-4claw"])
+def test_object_arrays_give_the_same_facets(name, monkeypatch):
+    # with no int64 bound every array holds Python ints from the start
+    want = facet_description(scan_case(name).points)
+    seen = _spy(monkeypatch, "_exact",
+                lambda args, out: [a.dtype for a in out])
+    monkeypatch.setattr(lattice, "_INT64_SAFE", 0)
+    assert facet_description(scan_case(name).points) == want
+    _assert_matches_reference(scan_case(name).points)
+    assert set(seen) == {np.dtype(object)}
+
+
+def _with_extra_ray(monkeypatch, pick):
+    """Let _dual_dd append pick(rays), one more row, to its own rays."""
+    dual_dd = lattice._dual_dd
+
+    def patched(zh, d):
+        rays = dual_dd(zh, d)
+        return np.concatenate([rays, pick(rays)[None].astype(rays.dtype)])
+
+    monkeypatch.setattr(lattice, "_dual_dd", patched)
+
+
+# The square's facets, in _dual_dd's order, begin with y >= 0 and x >= 0.
+# Their sum is valid and tight at the origin alone, a ridge. At s = 2**62
+# the certificate runs on Python ints.
+@pytest.mark.parametrize("s", [1, 2 ** 62], ids=["int64", "object"])
+def test_certificate_rejects_an_inequality_tight_on_a_ridge(s, monkeypatch):
+    square = [(0, 0), (s, 0), (0, s), (s, s)]
+    hrep = facet_description(square)
+    assert hrep.inequalities[:2] == (((0, -1), 0), ((-1, 0), 0))
+    seen = _spy(monkeypatch, "_ranks", lambda args, out: [args[0].dtype])
+    _with_extra_ray(monkeypatch, lambda rays: rays[0] + rays[1])
+    with pytest.raises(AssertionError, match=re.escape(
+            "inequality (-1, -1) <= 0 is not tight on a facet")):
+        facet_description(square)
+    assert seen == [np.dtype(object) if s > 1 else np.dtype(np.int64)]
+
+
+def test_certificate_rejects_an_inequality_that_cuts_a_point(monkeypatch):
+    _with_extra_ray(monkeypatch, lambda rays: -rays[0])
+    with pytest.raises(AssertionError,
+                       match="facet description rejects an input point"):
+        facet_description([(0, 0), (1, 0), (0, 1), (1, 1)])
+
+
+def test_facet_description_memory_is_bounded():
+    # The adjacency test and the certificate hold at most _FACET_CELLS
+    # cells per chunk. At 2**15 cells the peak is about 0.75 MiB here; at
+    # 2**16 it was 1.8 MiB.
+    poly = LatticePolytope(scan_case("k2p-5leaf-projected").points)
+    tracemalloc.start()
+    try:
+        hrep = facet_description(poly)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(hrep.inequalities) == 38
+    assert peak <= 2 ** 20

@@ -13,6 +13,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import phylotope.lattice
+from helpers import SCAN_CASES, scan_case
 from phylotope.groups import abelian_model, parse_group_spec, preset_model
 from phylotope.lattice import (LatticePolytope, _code_weights, _codes,
                                _dilate_array, _dilate_blocks,
@@ -388,28 +389,6 @@ def test_thin_triangles_at_the_scan_type_edges(n, edge, below):
         (k, (k + 1) * (k + 2) // 2) for k in range(1, n + 1))
 
 
-# The polytopes of the idp-scan benchmark cases, and the K3P 4-leaf claw:
-# (group, tree, projected flavor).
-SCAN_CASES = {
-    "z4-claw": ("Z4", "(a,b,c);", False),
-    "z3-quartet": ("Z3", "((a,b),(c,d));", False),
-    "k2p-5leaf-projected": ("K2P", "((a,b),c,(d,e));", True),
-    "k3p-quartet": ("K3P", "((a,b),(c,d));", False),
-    "z2-caterpillar6": ("Z2", "((a,b),(c,(d,(e,f))));", False),
-    "k3p-4claw": ("K3P", "(a,b,c,d);", False),
-}
-
-
-@cache
-def _scan_case(name) -> LatticePolytope:
-    spec, tree, projected = SCAN_CASES[name]
-    model = parse_group_spec(spec)
-    poly = build_polytope(parse_newick(tree), model)
-    if projected:
-        poly = project_orbits(poly, model)
-    return LatticePolytope(poly.vertices)
-
-
 def _assert_levels_match_projections(poly):
     """Each level of the scan, found by Fourier-Motzkin elimination from
     P's facets, must hold exactly the facets c.y <= b with c[j] != 0 that
@@ -430,7 +409,7 @@ def _assert_levels_match_projections(poly):
 
 @pytest.mark.parametrize("name", SCAN_CASES)
 def test_levels_match_projection_facets(name):
-    _assert_levels_match_projections(_scan_case(name))
+    _assert_levels_match_projections(scan_case(name))
 
 
 @settings(max_examples=60, deadline=None)
@@ -443,7 +422,7 @@ def test_levels_match_projection_facets_on_random_sets(pts):
 
 @cache
 def _reference_scan(name, n):
-    poly = _scan_case(name)
+    poly = scan_case(name)
     W, offs, lo, hi = _dilate_setup(poly.points, poly.lattice, poly.hrep, n)
     return [list(y) for y in _dilate_points_py(W, offs, n, lo, hi)]
 
@@ -456,7 +435,7 @@ def _reference_scan(name, n):
     (name, n) for name in SCAN_CASES for n in (1, 2, 3)
     if (name, n) != ("k2p-5leaf-projected", 3)])
 def test_scan_blocks_match_reference(name, n, single):
-    poly = _scan_case(name)
+    poly = scan_case(name)
     ref = _reference_scan(name, n)
     if single:
         with _smallest_blocks():

@@ -359,3 +359,20 @@ def test_fiber_product_of_quartet_factors():
     assert q.n_blocks == 5
     assert len(q.vertices) == 8
     assert idp_check(q).normal
+
+
+def test_points_of_different_lengths_raise():
+    # zip would cut the longer points to the shorter ones: q = (1, 1, 9)
+    # was found as (0, 1) + (1, 0), and q = (1,) raised IndexError
+    triangle = [(0, 0), (1, 0), (0, 1)]
+    with pytest.raises(ValueError, match=r"length 3 against points of "
+                                         r"length 2"):
+        decompose((1, 1, 9), 2, triangle)
+    with pytest.raises(ValueError, match=r"length 1 against points of "
+                                         r"length 2"):
+        decompose((1,), 1, triangle)
+    with pytest.raises(ValueError, match=r"different lengths \[2, 3\]"):
+        LatticePolytope(triangle + [(1, 1, 0)])
+    with pytest.raises(ValueError, match="different lengths"):
+        facet_description([(0,), (1, 0)])
+    assert decompose((1, 1), 2, triangle).found == ((0, 1), (1, 0))
