@@ -10,8 +10,9 @@ by the inverse character transform), and the Z4 circulant demonstration.
 
 Everything is exact: matrices carry CyclotomicInt entries, coefficients come
 back as CycRational. Ranks over the cyclotomic field Q(zeta_m) are rational
-ranks of the realified rows, so the integer elimination of lattice.py is
-the only elimination here, and _field_rank its only caller.
+ranks of the realified rows, so lattice.py's one fraction-free elimination
+(_eliminate) is the only elimination here, and _field_rank its only
+caller.
 
 The tensor oracle works on numpy integer arrays. A value of Z[zeta_m] is
 lifted to its m coefficients in Z[x]/(x^m - 1), where a product by zeta_m^e
@@ -33,7 +34,7 @@ from itertools import compress, product
 from .cyclotomic import CycRational, CyclotomicInt, _power_basis
 from .errors import NotInvariantError, ShapeMismatchError
 from .groups import GroupModel, character_eval, unique_transporter
-from .lattice import _row_reduce_pivots
+from .lattice import _eliminate, _int_array
 from .polytope import _CAP, _index_networks
 from .trees import Tree
 
@@ -104,13 +105,15 @@ def _field_rank(rows) -> int:
     Since 1, zeta, ..., zeta^(deg-1) is a Q-basis of the field (deg the
     degree of Phi_m), the rows times those powers span over Q what the rows
     span over Q(zeta_m), a space of Q-dimension deg times the rank. Read on
-    the power basis, the products are integer rows for the one elimination
-    kernel."""
+    the power basis, the products are integer rows, and their rank is the
+    pivot count of one fraction-free elimination (_eliminate), on int64
+    or, past its bound, on Python ints."""
     m, deg = rows[0][0].m, len(rows[0][0].coeffs)
     powers = [CyclotomicInt.zeta(m, k) for k in range(deg)]
     real = [[c for e in row for c in (e * z).coeffs]
             for row in rows for z in powers]
-    return len(_row_reduce_pivots(real)[0]) // deg
+    pivot_row = _eliminate(_int_array(real, len(real[0]))[None])[1]
+    return int((pivot_row >= 0).sum()) // deg
 
 
 def what_dimension(model: GroupModel) -> int:

@@ -6,20 +6,27 @@ integer decomposition property check, and the fiber product that mirrors
 tree gluing. A LatticePolytope carries a polytope with the data these
 derive from it, each computed once.
 
-The facet description runs on integer arrays. The double description
-keeps its rays in one 2-D array and their zero sets as packed uint64
-bitsets, so the adjacency test of all candidate pairs of a step is one
-array operation, in chunks. Every facet is then certified from one matrix
-of slacks: it holds on every point, and its tight points have affine rank
-d-1, as one fraction-free (Bareiss) elimination batched over all facets
-shows. LatticePolytope's facets, tight sets and slacks come from one such
-matrix in lattice coordinates.
+The facet layer runs on integer arrays, on two kernels. One exact
+elimination, _eliminate, is a fraction-free (Bareiss) Gauss-Jordan batched
+over a stack of matrices; every rank, kernel, greedy independent set and
+inverse of the layer, and fourier's field ranks, are read off its reduced
+form. One adjacent-pair step, _combine, crosses a hyperplane: it combines
+each pair of rays on its two sides whose common zero set no third ray's
+holds. The double description keeps its rays in one 2-D array and their
+zero sets as packed uint64 bitsets, so the adjacency test of all
+candidate pairs of a step is one array operation, in chunks. Every facet
+is then certified from one matrix of slacks: it holds on every point, and
+its tight points have affine rank d-1, as one elimination batched over all
+facets shows. LatticePolytope's facets, tight sets and slacks come from
+one such matrix in lattice coordinates.
 
 Dilates are enumerated by project and lift, in the intrinsic lattice
 coordinates y of a polytope P: a point of nP is x = n*anchor + y.B. The
 facets of every projection of P onto y[:j] are computed once per polytope,
-from P's own certified facets by Fourier-Motzkin elimination over ridges,
-so the double description runs once per polytope. Level j of the scan of
+from P's own certified facets by Fourier-Motzkin elimination over ridges:
+eliminating y[j] is one _combine step across y[j] = 0, on the facets and
+their tight sets over P's points. So the double description runs once per
+polytope, and its adjacency test is the ridge test. Level j of the scan of
 nP keeps exactly the integer points of the projection of nP, for every n.
 The scan runs depth first and yields nP in small blocks, in lexicographic
 order, so no level is ever held in full; each level's bound table is built
@@ -77,7 +84,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from math import comb, gcd, lcm, prod
+from math import comb, prod
 
 import numpy as np
 
@@ -85,17 +92,6 @@ from .errors import (BlockWidthMismatchError, ProjectionNotInSimplexError,
                      ScaleExceededError)
 from .polytope import _CAP, ModelPolytope, build_polytope
 from .trees import Tree, glue
-
-
-def _primitive(row):
-    g = 0
-    for x in row:
-        g = gcd(g, x)
-        if g == 1:
-            return tuple(row)
-    if g == 0:
-        return tuple(row)
-    return tuple(x // g for x in row)
 
 
 def hermite_normal_form(rows):
@@ -145,8 +141,12 @@ class AffineLattice:
         """Integer coordinates of point - scale*anchor in the basis, or None.
 
         scale k tests membership in the lattice translated to k*anchor,
-        which is the point lattice of the dilate kP.
+        which is the point lattice of the dilate kP. Raises ValueError for
+        a point whose length is not the anchor's.
         """
+        if len(point) != len(self.anchor):
+            raise ValueError(f"point of length {len(point)} in a lattice of "
+                             f"length {len(self.anchor)}")
         v = [p - scale * a for p, a in zip(point, self.anchor)]
         coords = []
         for row in self.basis:
@@ -178,12 +178,17 @@ def spanned_lattice(points) -> AffineLattice:
 @dataclass(frozen=True)
 class HRep:
     """Exact halfspace description: equalities c.x == rhs and inequalities
-    c.x <= rhs, all integer and primitive. Dilates scale the right side."""
+    c.x <= rhs, all integer and primitive. Dilates scale the right side.
+    contains raises ValueError for a point whose length is not the rows'."""
 
     equalities: tuple
     inequalities: tuple
 
     def contains(self, point, scale: int = 1) -> bool:
+        for c, _ in (self.equalities or self.inequalities)[:1]:
+            if len(point) != len(c):
+                raise ValueError(f"point of length {len(point)} against "
+                                 f"rows of length {len(c)}")
         for c, b in self.equalities:
             if sum(x * y for x, y in zip(c, point)) != b * scale:
                 return False
@@ -191,57 +196,6 @@ class HRep:
             if sum(x * y for x, y in zip(c, point)) > b * scale:
                 return False
         return True
-
-
-def _row_reduce_pivots(rows):
-    """Gauss-Jordan elimination in integers, one row at a time, stopping
-    once the rank is full. Returns (reduced rows sorted by pivot column,
-    their pivot columns, indices of the input rows that raised the rank).
-    Each reduced row is primitive, positive at its pivot and zero at the
-    other rows' pivots."""
-    rank = len(rows[0]) if rows else 0
-    basis = []
-    kept = []
-    for idx, row in enumerate(rows):
-        if len(basis) == rank:
-            break
-        v = tuple(row)
-        for p, b in basis:
-            if v[p]:
-                v = _primitive([b[p] * x - v[p] * y for x, y in zip(v, b)])
-        piv = next((c for c, x in enumerate(v) if x), None)
-        if piv is None:
-            continue
-        if v[piv] < 0:
-            v = tuple(-x for x in v)
-        basis = [(p, _primitive([v[piv] * x - b[piv] * y
-                                 for x, y in zip(b, v)]) if b[piv] else b)
-                 for p, b in basis]
-        basis.append((piv, v))
-        kept.append(idx)
-    basis.sort(key=lambda pb: pb[0])
-    return [b for _, b in basis], [p for p, _ in basis], kept
-
-
-def _kernel(rows, ncols):
-    """(pivot columns, kernel basis) of an integer matrix with ncols
-    columns. The basis has one primitive integer vector per non-pivot
-    column f of _row_reduce_pivots: positive at f, zero at the other
-    non-pivot columns."""
-    reduced, pivots, _ = _row_reduce_pivots(rows)
-    den = 1
-    for row, p in zip(reduced, pivots):
-        den = lcm(den, row[p])
-    basis = []
-    for f in range(ncols):
-        if f in pivots:
-            continue
-        x = [0] * ncols
-        x[f] = den
-        for row, p in zip(reduced, pivots):
-            x[p] = -row[f] * (den // row[p])
-        basis.append(_primitive(x))
-    return pivots, basis
 
 
 def _absmax(a) -> int:
@@ -261,9 +215,9 @@ def _int_array(rows, width):
     """Integer rows of the given width as a 2-D array, by _exact's rule on
     their entries."""
     try:
-        a = np.array(rows, dtype=np.int64).reshape(-1, width)
+        a = np.array(rows, dtype=np.int64).reshape(len(rows), width)
     except OverflowError:
-        a = np.array(rows, dtype=object).reshape(-1, width)
+        a = np.array(rows, dtype=object).reshape(len(rows), width)
     return _exact(_absmax(a), a)[0]
 
 
@@ -275,14 +229,70 @@ def _matmul(a, b):
     return a @ b
 
 
-def _initial_simplex(zpoints, d):
-    """Indices of d+1 affinely independent points (greedy)."""
-    base = zpoints[0]
-    _, _, kept = _row_reduce_pivots(
-        [[a - b for a, b in zip(z, base)] for z in zpoints[1:]])
-    if len(kept) < d:
-        raise AssertionError("points are not full-dimensional after restriction")
-    return [0] + [i + 1 for i in kept]
+def _eliminate(stack):
+    """Fraction-free (Bareiss) Gauss-Jordan elimination of a stack of
+    integer matrices, all at once and in place. Returns (the reduced stack,
+    pivots): pivots[k, c] is the row of matrix k whose pivot is in column
+    c, or -1 when column c has none.
+
+    Column by column, each matrix takes as pivot row its first row that is
+    nonzero there and no pivot yet, if it has one. Every other row becomes
+    p*row - row[c]*pivot row, p the new pivot, divided exactly by the
+    matrix's previous pivot; the pivot row stays. So every entry is a minor
+    of the matrix (Bareiss, 1968), and every pivot equals the last one, D:
+    a pivot column is D at its pivot row and zero elsewhere, and the rows
+    divided by D are the reduced row echelon form. The rank is the number
+    of pivots, and the pivot columns are the greedy independent columns.
+    The columns stop once every row is a pivot. The entries are int64 while
+    the step's actual maxima bound its products below 2**62, and Python
+    ints past that (_exact)."""
+    m = stack
+    count, rows, cols = m.shape
+    at = np.arange(count)
+    pivots = np.full((count, cols), -1)
+    used = np.zeros((count, rows), dtype=bool)
+    prev = np.ones(count, dtype=np.int64)
+    for c in range(cols):
+        if used.all():
+            break
+        free = (m[:, :, c] != 0) & ~used
+        has = free.any(axis=1)   # the matrices with a pivot in column c
+        if not has.any():
+            continue
+        r = free.argmax(axis=1)
+        mx = _absmax(m)   # at least 1, and each prev is an entry of m
+        m, prev = _exact(2 * mx * mx, m, prev)
+        # a matrix with no pivot here takes a zero pivot row, p = 1 and
+        # divisor 1, so it stays as it is
+        pivot = m[at, r] * has[:, None]
+        p = np.where(has, pivot[:, c], 1)
+        cross = m[:, :, c, None] * pivot[:, None]
+        m *= p[:, None, None]
+        m -= cross
+        del cross
+        m //= np.where(has, prev, 1)[:, None, None]
+        m[at, r] += pivot   # the pivot row came out zero
+        used[at, r] |= has
+        pivots[:, c] = np.where(has, r, -1)
+        prev = np.where(has, p, prev)
+    return m, pivots
+
+
+def _kernel(rows, ncols):
+    """(pivot columns, kernel basis) of an integer matrix with ncols
+    columns, read off its reduced form (_eliminate), whose pivots all equal
+    D. The basis has one primitive vector per non-pivot column f: D at f,
+    zero at the other non-pivot columns and -row[f] at each row's pivot
+    column, made positive at f."""
+    (m,), (pivot_row,) = _eliminate(_int_array(rows, ncols)[None])
+    cols = np.flatnonzero(pivot_row >= 0)
+    free = np.flatnonzero(pivot_row < 0)
+    d = m[pivot_row[cols[-1]], cols[-1]] if len(cols) else 1
+    basis = np.zeros((len(free), ncols), dtype=m.dtype)
+    basis[:, free] = d * np.identity(len(free), dtype=m.dtype)
+    basis[:, cols] = -m[pivot_row[cols]][:, free].T
+    basis //= np.gcd.reduce(basis, axis=1)[:, None] * (1 if d > 0 else -1)
+    return cols.tolist(), list(map(tuple, basis.tolist()))
 
 
 def _bit_count(bits):
@@ -331,6 +341,20 @@ def _adjacent(zero, plus, minus, d):
     return i, j, common
 
 
+def _combine(rays, vals, zero, plus, minus, d):
+    """One double-description step across a hyperplane, whose values on
+    the rays are vals: for each adjacent pair (i, j) of rays, i in plus and
+    j in minus (_adjacent), in plus-major order, the primitive combination
+    vals[i]*rays[j] - vals[j]*rays[i], which lies on the hyperplane, and
+    the pair's common zero set. Returns them as two arrays, by _exact's
+    rule on the combinations."""
+    i, j, common = _adjacent(zero, plus, minus, d)
+    rays, vals = _exact(2 * _absmax(vals) * _absmax(rays), rays, vals)
+    new = vals[i, None] * rays[j] - vals[j, None] * rays[i]
+    new //= np.gcd.reduce(new, axis=1)[:, None]
+    return new, common
+
+
 def _dual_dd(zh, d):
     """Facets of the convex hull of the points z in R^d (full-dimensional
     case), given as the rows (z, 1) of the integer array zh, by double
@@ -340,25 +364,31 @@ def _dual_dd(zh, d):
     facet c.z <= -c0.
 
     The initial rays are those of the simplex cone of d+1 independent
-    constraints: ray j spans the kernel of all of them but the j-th, on
-    which it is negative. Each further constraint keeps the rays it does
-    not cut, minus then zero ones, and appends the primitive combination of
-    each adjacent pair (_adjacent) across it, plus-major; this fixes the
+    constraints A: ray j spans the kernel of all of them but the j-th, on
+    which it is negative, so it is minus column j of A^-1. One elimination
+    of [zh^T | I] gives both: A is the pivot columns of zh^T, the greedy
+    independent constraints from the first, which are the first point and
+    the greedy affinely independent ones after it, and A^-1 is read off
+    the right block. Each further constraint keeps the rays it does not
+    cut, minus then zero ones, and appends the primitive combination of
+    each adjacent pair across it (_combine), plus-major; this fixes the
     order of the facets. A ray's zero set (its tight constraints) is a row
     of packed uint64 bitsets.
 
     The rays and the values of a constraint on them are int64 while the
     actual maxima of a step bound its sums of products below 2**62, and
     Python ints (dtype=object) past that (_exact)."""
-    start = _initial_simplex(zh[:, :d].tolist(), d)
-    # [A^T | I], A the start constraints, reduces to rows (D_j e_j, D_j
-    # times column j of A^-1): that column vanishes on every start
-    # constraint but the j-th, where it is 1
-    reduced, _, _ = _row_reduce_pivots(
-        [col + tuple(int(i == j) for i in range(d + 1))
-         for j, col in enumerate(zip(*zh[start].tolist()))])
-    rays = _int_array([[-x for x in _primitive(row[d + 1:])]
-                       for row in reduced], d + 1)
+    # [zh^T | I] reduces to D*I on A's columns and to D*A^-T on the right,
+    # so the row of start constraint j ends in D times column j of A^-1
+    (m,), (pivot_row,) = _eliminate(np.concatenate(
+        [zh.T, np.identity(d + 1, dtype=zh.dtype)], axis=1)[None])
+    start = np.flatnonzero(pivot_row[:len(zh)] >= 0)
+    if len(start) <= d:
+        raise AssertionError("points are not full-dimensional after restriction")
+    rays = m[pivot_row[start], len(zh):]
+    rays //= np.gcd.reduce(rays, axis=1)[:, None] * (
+        -1 if m[pivot_row[0], 0] > 0 else 1)
+    start = start.tolist()
     zero = np.zeros((d + 1, (len(zh) + 63) // 64), dtype=np.uint64)
     for j, t in enumerate(start):
         zero[np.arange(d + 1) != j, t // 64] |= np.uint64(1 << t % 64)
@@ -368,8 +398,7 @@ def _dual_dd(zh, d):
         if t in start_set:
             continue
         word, bit = t // 64, np.uint64(1 << t % 64)
-        mr = _absmax(rays)
-        rays = _exact((d + 1) * mr * mz, rays)[0]
+        rays = _exact((d + 1) * _absmax(rays) * mz, rays)[0]
         vals = rays @ zh[t]
         at = vals == 0
         plus = np.flatnonzero(vals > 0)
@@ -377,11 +406,8 @@ def _dual_dd(zh, d):
             zero[at, word] |= bit
             continue
         minus = np.flatnonzero(vals < 0)
-        i, j, common = _adjacent(zero, plus, minus, d)
+        new, common = _combine(rays, vals, zero, plus, minus, d)
         common[:, word] |= bit
-        rays, vals = _exact(2 * _absmax(vals) * mr, rays, vals)
-        new = vals[i, None] * rays[j] - vals[j, None] * rays[i]
-        new //= np.gcd.reduce(new, axis=1)[:, None]
         keep = np.concatenate([minus, np.flatnonzero(at)])
         zero = np.concatenate([zero[keep], common])
         zero[len(minus):len(keep), word] |= bit
@@ -389,49 +415,15 @@ def _dual_dd(zh, d):
     return rays
 
 
-def _ranks(stack):
-    """The ranks of a stack of integer matrices, by one fraction-free
-    (Bareiss) elimination run on all of them at once.
-
-    Column by column, each matrix takes its first row that is nonzero
-    there as pivot row, if it has one, and every row becomes p*row -
-    row[c]*pivot row, divided exactly by the matrix's previous pivot.
-    This zeroes the pivot row, so a row is a pivot once at most, and the
-    rank is the number of pivots. The stack is eliminated in place. Its
-    entries are int64 while the step's actual maxima bound its products
-    below 2**62, and Python ints past that (_exact)."""
-    m = stack
-    count = len(m)
-    ranks = np.zeros(count, dtype=np.int64)
-    prev = np.ones(count, dtype=np.int64)
-    for c in range(m.shape[2]):
-        nonzero = m[:, :, c] != 0
-        has = nonzero.any(axis=1)
-        if not has.any():
-            continue
-        mx = _absmax(m)
-        m, prev = _exact(max(mx, _absmax(prev), 2 * mx * mx), m, prev)
-        pivot = m[np.arange(count), nonzero.argmax(axis=1)]
-        p = np.where(has, pivot[:, c], 1)
-        cross = m[:, :, c, None] * pivot[:, None]
-        m *= p[:, None, None]
-        m -= cross
-        del cross
-        m //= np.where(has, prev, 1)[:, None, None]
-        prev = np.where(has, p, prev)
-        ranks += has
-    return ranks
-
-
 def _tight_ranks(zh, tight):
     """For each row of the boolean array tight, the rank of the rows of zh
-    it marks (_ranks), each facet's rows padded with zero rows to the
-    longest."""
+    it marks: the pivots of one elimination of all of them (_eliminate),
+    each facet's rows padded with zero rows to the longest."""
     counts = tight.sum(axis=1)
     width = int(counts.max(initial=0))
     stack = zh[np.argsort(~tight, axis=1, kind="stable")[:, :width]]
     stack[np.arange(width) >= counts[:, None]] = 0
-    return _ranks(stack)
+    return (_eliminate(stack)[1] >= 0).sum(axis=1)
 
 
 def facet_description(poly) -> HRep:
@@ -619,39 +611,36 @@ class LatticePolytope:
 
         The last level is P itself, with the facets of self.facets. Each
         lower level comes from the one above by Fourier-Motzkin elimination
-        of y[j]: a facet of the projection is the projection of a facet with
-        c[j] == 0, or of a ridge where an upper facet g meets a lower facet
-        h. That ridge is the intersection of their tight sets when no third
-        facet's tight set holds it, and its facet is the primitive
-        combination -h[j]*g + g[j]*h, tight on that intersection. The ridge
-        test needs P's list to hold facets only, which facet_description
-        certifies."""
-        r = self.lattice.rank
-        facets = list(self.facets)
-        levels = [None] * r
-        for j in range(r - 1, -1, -1):
-            upper = [f for f in facets if f[0][j] > 0]
-            lower = [f for f in facets if f[0][j] < 0]
-            rows = upper + lower
-            levels[j] = (tuple(c for c, _, _ in rows),
-                         tuple(b for _, b, _ in rows), len(upper))
+        of y[j]: a facet of the projection is the projection of a facet
+        with c[j] == 0, or of a ridge where an upper facet g meets a lower
+        facet h. That ridge is the intersection of their tight sets when no
+        third facet's tight set holds it, and its facet is the primitive
+        combination -h[j]*g + g[j]*h, tight on that intersection. On the
+        rows (c, b) of _facet_slacks, with their tight sets as packed
+        uint64 bitsets, this is one double-description step across
+        c[j] = 0 (_combine): the facets with c[j] == 0 are kept, and the
+        ridges follow them, plus-major, which fixes each level's order.
+        The ridge test needs P's list to hold facets only, which
+        facet_description certifies."""
+        rows, slack = self._facet_slacks
+        bits = np.packbits(slack == 0, axis=1)
+        zero = np.pad(bits, ((0, 0), (0, -bits.shape[1] % 8))).view(np.uint64)
+        levels = [None] * self.lattice.rank
+        for j in range(len(levels) - 1, -1, -1):
+            vals = rows[:, j]
+            plus, minus = np.flatnonzero(vals > 0), np.flatnonzero(vals < 0)
+            bounds = rows[np.concatenate([plus, minus])].tolist()
+            levels[j] = (tuple(tuple(row[:j + 1]) for row in bounds),
+                         tuple(row[-1] for row in bounds), len(plus))
             if j == 0:
                 break
             # eliminate y[j]: the projection has dimension j, so a ridge of
-            # the (j+1)-dimensional polytope above has at least j points
-            tights = [t for _, _, t in facets]
-            projected = [(c[:j], b, t) for c, b, t in facets if c[j] == 0]
-            for g, bg, tg in upper:
-                for h, bh, th in lower:
-                    common = tg & th
-                    if common.bit_count() < j or sum(
-                            t & common == common for t in tights) > 2:
-                        continue
-                    row = _primitive([-h[j] * gi + g[j] * hi
-                                      for gi, hi in zip(g[:j], h[:j])] +
-                                     [-h[j] * bg + g[j] * bh])
-                    projected.append((row[:-1], row[-1], common))
-            facets = projected
+            # the (j+1)-dimensional polytope above has at least j points;
+            # every row below is zero at y[j] and past it
+            new, common = _combine(rows, vals, zero, plus, minus, j + 1)
+            keep = np.flatnonzero(vals == 0)
+            rows = np.concatenate([rows[keep], new])
+            zero = np.concatenate([zero[keep], common])
         return tuple(levels)
 
     @cached_property

@@ -2,14 +2,13 @@
 
 from fractions import Fraction
 from functools import cache
-from math import gcd
+from math import gcd, lcm
 
 from phylotope.cyclotomic import (CycRational, CyclotomicInt,
                                   cyclotomic_polynomial)
 from phylotope.errors import UnknownVertexError
 from phylotope.groups import parse_group_spec
-from phylotope.lattice import (LatticePolytope, _initial_simplex, _kernel,
-                               _primitive)
+from phylotope.lattice import LatticePolytope
 from phylotope.polytope import build_polytope, project_orbits
 from phylotope.trees import Tree, _orient_from, parse_newick
 
@@ -129,6 +128,131 @@ def field_inverse_by_euclid(c: CyclotomicInt) -> CycRational:
                        den)
 
 
+def primitive(row):
+    """row divided by the gcd of its entries, as a tuple; a zero row as it
+    is."""
+    g = 0
+    for x in row:
+        g = gcd(g, x)
+        if g == 1:
+            return tuple(row)
+    if g == 0:
+        return tuple(row)
+    return tuple(x // g for x in row)
+
+
+def row_reduce_pivots(rows):
+    """Gauss-Jordan elimination in integers, one row at a time, stopping
+    once the rank is full. Returns (reduced rows sorted by pivot column,
+    their pivot columns, indices of the input rows that raised the rank).
+    Each reduced row is primitive, positive at its pivot and zero at the
+    other rows' pivots: the oracle for lattice._eliminate."""
+    rank = len(rows[0]) if rows else 0
+    basis = []
+    kept = []
+    for idx, row in enumerate(rows):
+        if len(basis) == rank:
+            break
+        v = tuple(row)
+        for p, b in basis:
+            if v[p]:
+                v = primitive([b[p] * x - v[p] * y for x, y in zip(v, b)])
+        piv = next((c for c, x in enumerate(v) if x), None)
+        if piv is None:
+            continue
+        if v[piv] < 0:
+            v = tuple(-x for x in v)
+        basis = [(p, primitive([v[piv] * x - b[piv] * y
+                                for x, y in zip(b, v)]) if b[piv] else b)
+                 for p, b in basis]
+        basis.append((piv, v))
+        kept.append(idx)
+    basis.sort(key=lambda pb: pb[0])
+    return [b for _, b in basis], [p for p, _ in basis], kept
+
+
+def kernel_reference(rows, ncols):
+    """(pivot columns, kernel basis) of an integer matrix with ncols
+    columns. The basis has one primitive integer vector per non-pivot
+    column f of row_reduce_pivots: positive at f, zero at the other
+    non-pivot columns. The oracle for lattice._kernel."""
+    reduced, pivots, _ = row_reduce_pivots(rows)
+    den = 1
+    for row, p in zip(reduced, pivots):
+        den = lcm(den, row[p])
+    basis = []
+    for f in range(ncols):
+        if f in pivots:
+            continue
+        x = [0] * ncols
+        x[f] = den
+        for row, p in zip(reduced, pivots):
+            x[p] = -row[f] * (den // row[p])
+        basis.append(primitive(x))
+    return pivots, basis
+
+
+def initial_simplex_reference(zpoints, d):
+    """Indices of d+1 affinely independent points (greedy): the first point
+    and each later one off the affine hull of those before it. The oracle
+    for the start constraints of lattice._dual_dd."""
+    base = zpoints[0]
+    _, _, kept = row_reduce_pivots(
+        [[a - b for a, b in zip(z, base)] for z in zpoints[1:]])
+    if len(kept) < d:
+        raise AssertionError("points are not full-dimensional after restriction")
+    return [0] + [i + 1 for i in kept]
+
+
+def levels_reference(poly):
+    """LatticePolytope.levels by Fourier-Motzkin elimination over ridges,
+    one pair of facets at a time in Python integers, from poly.facets: the
+    oracle for the array levels, order included.
+
+    Eliminating y[j], a facet of the projection is the projection of a
+    facet with c[j] == 0, or of a ridge where an upper facet g meets a
+    lower facet h: the intersection of their tight sets, when it has at
+    least j points and no third facet's tight set holds it. Its facet is
+    the primitive combination -h[j]*g + g[j]*h.
+
+    The facets that hold a ridge are those through each of its points, so
+    the ridge test intersects a bitset over facets per point of the ridge,
+    where the array code tests every facet's tight set against the ridge.
+    It takes about 0.3 s on the Z4 quartet (a,(b,(c,d)));, whose levels
+    grow to 1,054 facets, and a scan of every tight set 3 to 4 s."""
+    r, n = poly.lattice.rank, len(poly.points)
+    facets = list(poly.facets)
+    levels = [None] * r
+    for j in range(r - 1, -1, -1):
+        upper = [f for f in facets if f[0][j] > 0]
+        lower = [f for f in facets if f[0][j] < 0]
+        rows = upper + lower
+        levels[j] = (tuple(c for c, _, _ in rows),
+                     tuple(b for _, b, _ in rows), len(upper))
+        if j == 0:
+            break
+        through = [sum(1 << g for g, (_, _, t) in enumerate(facets)
+                       if t >> i & 1) for i in range(n)]
+        projected = [(c[:j], b, t) for c, b, t in facets if c[j] == 0]
+        for g, bg, tg in upper:
+            for h, bh, th in lower:
+                common = tg & th
+                if common.bit_count() < j:
+                    continue
+                holders = -1
+                for i in range(n):
+                    if common >> i & 1:
+                        holders &= through[i]
+                if holders.bit_count() > 2:
+                    continue
+                row = primitive([-h[j] * gi + g[j] * hi
+                                 for gi, hi in zip(g[:j], h[:j])] +
+                                [-h[j] * bg + g[j] * bh])
+                projected.append((row[:-1], row[-1], common))
+        facets = projected
+    return tuple(levels)
+
+
 def dual_dd_reference(zpoints, d):
     """Facets (c, rhs), c.z <= rhs, of conv(zpoints) in R^d (full-
     dimensional case) by double description on the polar cone
@@ -142,13 +266,13 @@ def dual_dd_reference(zpoints, d):
     adjacent only when they share at least d-1 tight constraints, and are
     when no third ray's zero set holds their common one."""
     cons = [tuple(z) + (1,) for z in zpoints]
-    start = _initial_simplex(zpoints, d)
+    start = initial_simplex_reference(zpoints, d)
     amat = [cons[i] for i in start]
     rays = []
     zero_sets = []
     start_bits = sum(1 << i for i in start)
     for j in range(d + 1):
-        _, (ray,) = _kernel(amat[:j] + amat[j + 1:], d + 1)
+        _, (ray,) = kernel_reference(amat[:j] + amat[j + 1:], d + 1)
         if sum(a * x for a, x in zip(amat[j], ray)) > 0:
             ray = tuple(-x for x in ray)
         rays.append(ray)
@@ -182,7 +306,7 @@ def dual_dd_reference(zpoints, d):
                 else:
                     comb = [vals[i] * rj - vals[j] * ri
                             for ri, rj in zip(rays[i], rays[j])]
-                    new_rays.append(_primitive(comb))
+                    new_rays.append(primitive(comb))
                     new_zero.append(common | bit)
         rays, zero_sets = new_rays, new_zero
     return [(tuple(ray[:-1]), -ray[-1]) for ray in rays]

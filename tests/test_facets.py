@@ -1,4 +1,5 @@
-"""The facet description on integer arrays against its pure-Python oracle,
+"""The facet layer on integer arrays against its pure-Python oracles: the
+fraction-free elimination, the double description and the scan levels;
 and the checks that guard it: the batched facet certificate, the int64 and
 object number types, and the memory of one call."""
 
@@ -7,14 +8,16 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from helpers import SCAN_CASES, dual_dd_reference, scan_case
+from helpers import (SCAN_CASES, dual_dd_reference, kernel_reference,
+                     levels_reference, primitive, row_reduce_pivots,
+                     scan_case)
 from phylotope import lattice
-from phylotope.groups import abelian_model
-from phylotope.lattice import (LatticePolytope, _dual_dd, _int_array,
-                               _kernel, _row_reduce_pivots, _tight_ranks,
+from phylotope.groups import abelian_model, parse_group_spec
+from phylotope.lattice import (LatticePolytope, _dual_dd, _eliminate,
+                               _int_array, _kernel, _tight_ranks,
                                facet_description)
 from phylotope.polytope import build_polytope
 from phylotope.trees import parse_newick
@@ -31,7 +34,7 @@ def _restricted(points):
 
 def _assert_matches_reference(points):
     """_dual_dd returns the oracle's facets, order included, and the batched
-    certificate's ranks are _row_reduce_pivots' on each facet's tight
+    certificate's ranks are row_reduce_pivots' on each facet's tight
     points."""
     z, d = _restricted(points)
     if d == 0:
@@ -44,8 +47,8 @@ def _assert_matches_reference(points):
     slack = [[-sum(a * b for a, b in zip(r, row)) for row in rows]
              for r in rays.tolist()]
     tight = np.array(slack) == 0
-    want = [len(_row_reduce_pivots([row for row, t in zip(rows, mask)
-                                    if t])[0]) for mask in tight]
+    want = [len(row_reduce_pivots([row for row, t in zip(rows, mask)
+                                   if t])[0]) for mask in tight]
     assert _tight_ranks(zh, tight).tolist() == want
     assert want == [d] * len(want)
 
@@ -63,6 +66,24 @@ def _spy(monkeypatch, name, dtype_of):
 
     monkeypatch.setattr(lattice, name, spy)
     return seen
+
+
+def _certificate_dtypes(monkeypatch):
+    """The list of the dtypes of the stacks that the facet certificate
+    eliminates: those _eliminate receives while _tight_ranks runs."""
+    running = []
+    tight_ranks = lattice._tight_ranks
+
+    def spy(*args):
+        running.append(True)
+        try:
+            return tight_ranks(*args)
+        finally:
+            running.pop()
+
+    monkeypatch.setattr(lattice, "_tight_ranks", spy)
+    return _spy(monkeypatch, "_eliminate",
+                lambda args, out: [args[0].dtype] if running else [])
 
 
 @pytest.mark.parametrize("name", SCAN_CASES)
@@ -111,7 +132,7 @@ def test_dual_dd_matches_reference_past_int64(points, big, monkeypatch):
     [(0, 0, 3), (0, 1, 3), (2 ** 63, 5, 3), (1, 1, 3)],
 ], ids=["2^62-segment", "2^62-triangle", "2^63-embedded"])
 def test_facet_certificate_runs_on_python_ints(points, monkeypatch):
-    seen = _spy(monkeypatch, "_ranks", lambda args, out: [args[0].dtype])
+    seen = _certificate_dtypes(monkeypatch)
     _assert_matches_reference(points)
     facet_description(points)
     assert seen and set(seen) == {np.dtype(object)}
@@ -148,7 +169,7 @@ def test_certificate_rejects_an_inequality_tight_on_a_ridge(s, monkeypatch):
     square = [(0, 0), (s, 0), (0, s), (s, s)]
     hrep = facet_description(square)
     assert hrep.inequalities[:2] == (((0, -1), 0), ((-1, 0), 0))
-    seen = _spy(monkeypatch, "_ranks", lambda args, out: [args[0].dtype])
+    seen = _certificate_dtypes(monkeypatch)
     _with_extra_ray(monkeypatch, lambda rays: rays[0] + rays[1])
     with pytest.raises(AssertionError, match=re.escape(
             "inequality (-1, -1) <= 0 is not tight on a facet")):
@@ -176,3 +197,104 @@ def test_facet_description_memory_is_bounded():
         tracemalloc.stop()
     assert len(hrep.inequalities) == 38
     assert peak <= 2 ** 20
+
+
+@st.composite
+def stacks(draw):
+    """(matrices, scale): one to four integer matrices of one shape, each
+    of a rank drawn up to full, as products of random factors; the stack
+    is the matrices times scale, past int64 at the larger scales."""
+    rows, cols = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    entries = st.integers(-3, 3)
+    matrices = []
+    for _ in range(draw(st.integers(1, 4))):
+        k = draw(st.integers(0, min(rows, cols)))
+        b = draw(st.lists(st.lists(entries, min_size=k, max_size=k),
+                          min_size=rows, max_size=rows))
+        c = draw(st.lists(st.lists(entries, min_size=cols, max_size=cols),
+                          min_size=k, max_size=k))
+        matrices.append([[sum(b[i][t] * c[t][f] for t in range(k))
+                          for f in range(cols)] for i in range(rows)])
+    return matrices, draw(st.sampled_from([1, 2 ** 31 + 1, 2 ** 62 + 1]))
+
+
+def _stack(matrices, scale=1):
+    rows, cols = len(matrices[0]), len(matrices[0][0])
+    return _int_array([[x * scale for row in a for x in row]
+                       for a in matrices], rows * cols).reshape(-1, rows, cols)
+
+
+@settings(max_examples=100, deadline=None)
+@given(stacks())
+def test_eliminate_matches_reference(case):
+    """One batched _eliminate of a stack of mixed rank against
+    row_reduce_pivots on each matrix: the same pivot columns, hence rank;
+    every pivot equal to one D, the rows of no pivot zero, and each pivot
+    row sign(D) times the oracle's reduced row up to a positive factor.
+    Read as columns, the pivots are the oracle's greedy independent rows,
+    and _kernel is the oracle's."""
+    matrices, scale = case
+    m, pivots = _eliminate(_stack(matrices, scale))
+    if scale > 2 ** 31 and any(x for a in matrices for row in a for x in row):
+        assert m.dtype == object
+    for a, red, piv in zip(matrices, m.tolist(), pivots.tolist()):
+        want, want_cols, want_kept = row_reduce_pivots(a)
+        cols = [c for c, r in enumerate(piv) if r >= 0]
+        assert cols == want_cols
+        d = red[piv[cols[-1]]][cols[-1]] if cols else 1
+        assert all(red[piv[c]][c] == d for c in cols)
+        assert not any(x for i, row in enumerate(red)
+                       if i not in piv for x in row)
+        assert [primitive([x * (1 if d > 0 else -1) for x in red[piv[c]]])
+                for c in cols] == list(map(primitive, want))
+        kept = _eliminate(_stack([list(map(list, zip(*a)))]))[1][0]
+        assert np.flatnonzero(kept >= 0).tolist() == want_kept
+        assert _kernel(a, len(a[0])) == kernel_reference(a, len(a[0]))
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(1, 5).flatmap(lambda n: st.lists(
+    st.lists(st.integers(-4, 4), min_size=n, max_size=n),
+    min_size=n, max_size=n)), st.sampled_from([1, 2 ** 62 + 1]))
+def test_eliminate_inverts_a_square_matrix(a, scale):
+    """[A | I] reduces to [D*I | D*A^-1] for an invertible A, rows in
+    pivot order, as the double description's start rays read it."""
+    n = len(a)
+    assume(len(row_reduce_pivots(a)[1]) == n)
+    (m,), (piv,) = _eliminate(_stack(
+        [[[x * scale for x in row] + [int(i == j) for j in range(n)]
+          for i, row in enumerate(a)]]))
+    assert piv[:n].tolist() != [-1] * n and (piv[n:] == -1).all()
+    red = m[piv[:n]].tolist()
+    d = red[0][0]
+    inverse = [row[n:] for row in red]
+    assert [row[:n] for row in red] == \
+        [[d * int(i == j) for j in range(n)] for i in range(n)]
+    assert [[sum(inverse[i][t] * a[t][j] * scale for t in range(n))
+             for j in range(n)] for i in range(n)] == \
+        [[d * int(i == j) for j in range(n)] for i in range(n)]
+
+
+@pytest.mark.parametrize("name", SCAN_CASES)
+def test_levels_match_reference_on_scan_cases(name):
+    assert scan_case(name).levels == levels_reference(scan_case(name))
+
+
+# The Z6 3-claw has the largest levels of the three (1,507 facets). The two
+# Z4 quartets eliminate their inner edge's coordinates last, so their levels
+# grow to 1,054 facets, against 64 for ((a,b),(c,d));.
+@pytest.mark.parametrize("spec, newick", [
+    ("Z6", "(a,b,c);"), ("Z4", "(a,(b,(c,d)));"), ("Z4", "(b,d,(a,c));")])
+def test_levels_match_reference_on_slow_orders(spec, newick):
+    poly = LatticePolytope(build_polytope(parse_newick(newick),
+                                          parse_group_spec(spec)).vertices)
+    assert poly.levels == levels_reference(poly)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda d: st.lists(
+    st.tuples(*[st.integers(-1, 2)] * d), min_size=1, max_size=14,
+    unique=True)))
+def test_levels_match_reference_on_random_sets(pts):
+    poly = LatticePolytope(pts)
+    assert poly.levels == levels_reference(poly)

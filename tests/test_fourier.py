@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import reorient
+from helpers import reorient, row_reduce_pivots
 from phylotope import fourier
 from phylotope.cli import ORACLE_MAX_GROUP, ORACLE_MAX_LEAVES
 from phylotope.cyclotomic import CycRational, CyclotomicInt
@@ -20,7 +20,6 @@ from phylotope.fourier import (LeafTensor, _fixed_space_dimension,
 from phylotope.groups import (abelian_model, character_eval,
                               parse_group_spec, preset_model,
                               unique_transporter)
-from phylotope.lattice import _row_reduce_pivots
 from phylotope.polytope import enumerate_sockets
 from phylotope.trees import parse_newick
 
@@ -342,7 +341,7 @@ def _fixed_space_rank(model):
                     row = [0] * (n * n)
                     row[i], row[j] = 1, -1
                     rows.append(row)
-    return n * n - len(_row_reduce_pivots(rows)[0])
+    return n * n - len(row_reduce_pivots(rows)[0])
 
 
 @pytest.mark.parametrize("model", [

@@ -376,3 +376,23 @@ def test_points_of_different_lengths_raise():
     with pytest.raises(ValueError, match="different lengths"):
         facet_description([(0,), (1, 0)])
     assert decompose((1, 1), 2, triangle).found == ((0, 1), (1, 0))
+
+
+def test_membership_rejects_points_of_the_wrong_length():
+    # zip cut a longer point to the anchor's length: (1, 0, 5) had the
+    # coordinates (1, 0), (0, 0, 99) passed the halfspaces, and (1,) raised
+    # IndexError
+    triangle = [(0, 0), (1, 0), (0, 1)]
+    lat, hrep = spanned_lattice(triangle), facet_description(triangle)
+    for point in (1, 0, 5), (1,), ():
+        with pytest.raises(ValueError, match=rf"point of length {len(point)}"):
+            lat.coordinates(point)
+        with pytest.raises(ValueError, match=rf"point of length {len(point)}"):
+            lat.contains(point, scale=2)
+    for point in (0, 0, 99), (0,):
+        with pytest.raises(ValueError, match=rf"point of length {len(point)}"):
+            hrep.contains(point)
+    # a point hull has only equalities, and they check the length too
+    with pytest.raises(ValueError, match=r"point of length 1"):
+        facet_description([(2, 3)]).contains((2,))
+    assert lat.coordinates((1, 0)) == (1, 0) and hrep.contains((0, 0))
