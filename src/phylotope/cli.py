@@ -10,6 +10,7 @@ parameters from a seeded generator. Exit codes: 0 success (or Normal),
 import argparse
 import random
 import sys
+from functools import cache
 
 from .errors import CapExceededError, PhylotopeError, ScaleExceededError
 from .fourier import (appendix_demo, monomial_socket_vector,
@@ -180,7 +181,12 @@ def cmd_verify_paper(args) -> int:
     return 1 if failed else 0
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built on the first call and reused by
+    every later main call in the process. Parsing leaves it unchanged: each
+    call reads into a new namespace, and --tree and --tree-file append to a
+    new list there, their defaults being None."""
     parser = argparse.ArgumentParser(
         prog="phylotope",
         description="Lattice polytopes of group-based Markov models on trees")

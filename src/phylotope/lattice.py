@@ -56,12 +56,19 @@ ceiling once it has cost more than that bound: a low ceiling or a large
 volume is still scanned.
 
 The abelian polytope of a tree with two or more inner vertices is the
-fiber product of its claws over the inner edges, so tree_idp_check decides
-it on its distinct claws, each by pulling_idp_check: the tree's least
-failing degree is its claws'. Only when a claw fails at some degree is the
-tree itself scanned, through that degree, for the least witness.
-Otherwise its point counts are a sum-product of the claws' points, each
-claw's dilates scanned and tallied by their inner-edge blocks.
+fiber product of its claws over the inner edges (Sullivant, 2007), so
+tree_idp_check decides it on its distinct claws, each as pulling_idp_check
+does: the tree's least failing degree is its claws'. Only when a claw fails
+at some degree is the tree itself scanned, through that degree, for the
+least witness. Otherwise its point counts are a sum-product of the claws'
+points, tallied by their inner-edge blocks. A claw keyed by one block,
+which every claw of a tree with two inner vertices is, and decided on its
+triangulation, is tallied off the same stream: its parallelepiped points
+fall into classes by the first blocks of the simplex's vertices and of the
+point, and each class gives the points of every block of every dilate as a
+product of binomials, so no dilate is scanned. A claw keyed by two or more
+blocks, or sent to the scan by the route rule, has its dilates scanned and
+tallied.
 
 Overflow guards: the scan and the codes run on numpy integer arrays, each
 bounded first in Python integers. The scan of nP runs in the narrowest of
@@ -73,7 +80,10 @@ at the first degree past top, and so do the claw tallies' int64 key codes
 past their own bound and the triangulation's int64 reducibility test past
 (r + 2)*magnitude. The facet arrays are int64 while each step's actual
 maxima bound the values it computes below 2**62, and Python ints
-(dtype=object) past that, on the same code path. A triangulation raises
+(dtype=object) past that, on the same code path; so are the lattice
+coordinates of P's points and the rows they return to in ambient
+coordinates, and the class tallies, under L(n) and their binomial
+products. A triangulation raises
 past _PULL_CAP faces memoized or simplices streamed, and pulling_idp_check
 then scans the claw. An instance beyond a bound raises ScaleExceededError
 instead of wrapping. Rows go back to ambient coordinates in Python
@@ -163,6 +173,36 @@ class AffineLattice:
     def contains(self, point, scale: int = 1) -> bool:
         return self.coordinates(point, scale) is not None
 
+    def coordinate_rows(self, points):
+        """(ys, inside): the coordinates of every point of a sequence at
+        once, solved as coordinates solves one point, row by row of the
+        echelon basis, on integer arrays. ys has one row per point, and
+        inside marks the points in the lattice; the row of a point outside
+        is meaningless. The arrays follow _exact's rule on each step's
+        actual maxima. Raises ValueError for a point whose length is not
+        the anchor's."""
+        width = len(self.anchor)
+        for p in points:
+            if len(p) != width:
+                raise ValueError(f"point of length {len(p)} in a lattice of "
+                                 f"length {width}")
+        xs = _int_array(list(points) + [self.anchor], width)
+        xs = _exact(2 * _absmax(xs), xs)[0]
+        v = xs[:-1] - xs[-1]
+        cols = []
+        for row in _int_array(self.basis, width):
+            c = np.flatnonzero(row != 0)[0]
+            q = v[:, c] // row[c]
+            v, q, row = _exact(_absmax(v) + _absmax(q) * _absmax(row),
+                               v, q, row)
+            v -= q[:, None] * row
+            cols.append(q)
+        # the later rows are zero at c, so a remainder there stays in v
+        inside = ~(v != 0).any(axis=1)
+        ys = np.stack(cols, axis=1) if cols else np.zeros((len(v), 0),
+                                                          dtype=np.int64)
+        return _exact(_absmax(ys), ys)[0], inside
+
 
 def spanned_lattice(points) -> AffineLattice:
     """The affine lattice generated by a point set: anchored at the smallest
@@ -179,16 +219,19 @@ def spanned_lattice(points) -> AffineLattice:
 class HRep:
     """Exact halfspace description: equalities c.x == rhs and inequalities
     c.x <= rhs, all integer and primitive. Dilates scale the right side.
-    contains raises ValueError for a point whose length is not the rows'."""
+    contains raises ValueError for a point whose length is not the rows'.
+    A description with no rows is that of the one point of R^0, the only
+    hull facet_description gives none, so its points have length 0."""
 
     equalities: tuple
     inequalities: tuple
 
     def contains(self, point, scale: int = 1) -> bool:
-        for c, _ in (self.equalities or self.inequalities)[:1]:
-            if len(point) != len(c):
-                raise ValueError(f"point of length {len(point)} against "
-                                 f"rows of length {len(c)}")
+        rows = self.equalities or self.inequalities
+        width = len(rows[0][0]) if rows else 0
+        if len(point) != width:
+            raise ValueError(f"point of length {len(point)} against "
+                             f"rows of length {width}")
         for c, b in self.equalities:
             if sum(x * y for x, y in zip(c, point)) != b * scale:
                 return False
@@ -488,7 +531,8 @@ def facet_description(poly) -> HRep:
 
 # Cells (rows x constraints) of the widest bound table in a dilate's scan.
 # Its row count is the most rows any level holds at once, and the most
-# points in one block the scan yields.
+# points in one block the scan yields. It also bounds the cells (classes x
+# keys) of one chunk of a claw's class tallies.
 _CHUNK_CELLS = 1 << 17
 # The scan's integer types, narrowest first. The scan of nP runs in the
 # first whose signed range holds 2*max(n, 1)*magnitude: max(n, 1)*magnitude
@@ -551,22 +595,24 @@ class LatticePolytope:
         return facet_description(self)
 
     @cached_property
-    def _coordinates(self) -> list:
-        ys = [self.lattice.coordinates(p) for p in self.points]
-        if None in ys:
+    def _coordinates(self) -> np.ndarray:
+        """The lattice coordinates y of the points, one row per point, as an
+        integer array by _exact's rule (AffineLattice.coordinate_rows)."""
+        ys, inside = self.lattice.coordinate_rows(self.points)
+        if not inside.all():
             raise AssertionError("input point outside its own lattice")
         return ys
 
     @cached_property
     def low(self) -> tuple:
         """Each lattice coordinate's minimum over P."""
-        return tuple(map(min, zip(*self._coordinates)))
+        return tuple(self._coordinates.min(axis=0).tolist())
 
     @cached_property
     def span(self) -> tuple:
         """Each lattice coordinate's range over P."""
-        return tuple(max(c) - lo
-                     for c, lo in zip(zip(*self._coordinates), self.low))
+        ys = self._coordinates
+        return tuple((ys.max(axis=0) - ys.min(axis=0)).tolist())
 
     @cached_property
     def _facet_slacks(self) -> tuple:
@@ -588,8 +634,9 @@ class LatticePolytope:
         rows = _matmul(_int_array([c + (b,) for c, b in hrep.inequalities],
                                   dim + 1), lift)
         rows //= np.gcd.reduce(rows, axis=1)[:, None]
-        at = _int_array([tuple(-x for x in y) + (1,)
-                         for y in self._coordinates], lat.rank + 1)
+        ys = self._coordinates
+        at = np.concatenate([-ys, np.ones((len(ys), 1), dtype=ys.dtype)],
+                            axis=1)
         return rows, _matmul(rows, at.T)
 
     @cached_property
@@ -887,13 +934,16 @@ def _dilate_array(poly: LatticePolytope, n):
 
 
 def _ambient_rows(ys, n, lat: AffineLattice) -> list:
-    """Rows x = n*anchor + y.B of an int64 array ys, as tuples of Python
-    integers: the product runs on object arrays, so it cannot wrap."""
-    basis = np.array(lat.basis, dtype=object).reshape(lat.rank,
-                                                      len(lat.anchor))
-    xs = ys.astype(object) @ basis + np.array([n * a for a in lat.anchor],
-                                              dtype=object)
-    return list(map(tuple, xs.tolist()))
+    """Rows x = n*anchor + y.B of an integer array ys, as tuples of Python
+    integers. The product follows _exact's rule on a bound that the
+    operands' actual maxima give every entry, so it cannot wrap."""
+    width = len(lat.anchor)
+    basis = _int_array(lat.basis, width)
+    shift = _int_array([[n * a for a in lat.anchor]], width)
+    ys, basis, shift = _exact(
+        lat.rank * _absmax(ys) * _absmax(basis) + _absmax(shift),
+        ys, basis, shift)
+    return list(map(tuple, (ys @ basis + shift).tolist()))
 
 
 def lattice_points_in_dilate(points, n: int):
@@ -1136,11 +1186,20 @@ def _subgroup(gens, mod):
     return group
 
 
-def _half_open(poly: LatticePolytope, top: int):
+def _half_open(poly: LatticePolytope, top: int, width: int = 0):
     """Yield, for each simplex of P's pulling triangulation, (its normalized
     volume, the degrees of the lattice points of its half-open
     parallelepiped, the least degree in 2..top of such a point that is
-    irreducible, or None).
+    irreducible, or None, its class data).
+
+    The class data is None unless width > 0 and every point of P has a
+    unit vector e_g as its first block of width coordinates, as a claw's
+    points have on its first edge. Then it is (c, blocks): c[g] counts the
+    simplex's vertices whose first block is e_g, and blocks holds the first
+    block of each parallelepiped point, in the order of the degrees. A
+    point sum_k (a_k/h)*w_k of the cone has the first block
+    sum_k (a_k/h)*e_g(k), g(k) that of vertex k, so its entries sum to its
+    degree.
 
     The simplex is homogenized to the cone over rows w_k = (1, y_k). The
     cones over the simplices, each without the facets that separate it
@@ -1167,12 +1226,17 @@ def _half_open(poly: LatticePolytope, top: int):
         raise ScaleExceededError(
             f"reducibility values reach {(r + 2) * poly.magnitude}, beyond "
             "the int64 bound 2**63")
-    ys = poly._coordinates
+    ys = poly._coordinates.tolist()
+    if width:
+        unit = [0] * (width - 1) + [1]
+        if any(sorted(p[:width]) != unit for p in poly.points):
+            raise AssertionError("a first block is no unit vector")
+        chars = [p[:width].index(1) for p in poly.points]
     slack = poly.slacks
     units = [[b] + [-a for a in c] for c, b, _ in poly.facets]
     q = [0] * (r + 1)
     for v in _bits(poly.vertex_bits):
-        q = [a + (v + 1) * x for a, x in zip(q, (1,) + ys[v])]
+        q = [a + (v + 1) * x for a, x in zip(q, [1] + ys[v])]
     at_q = [sum(a * x for a, x in zip(u, q)) for u in units]
     normals = np.array([c for c, _, _ in poly.facets],
                        dtype=np.int64).reshape(len(units), r)
@@ -1187,6 +1251,16 @@ def _half_open(poly: LatticePolytope, top: int):
         return _flag_weights(verts, rows, [units[g][j] for g in gs] +
                              [int(j == 0)])[0]
 
+    def first_block(verts, a, h):
+        """The first block of the point sum_k (a[k]/h)*w_k."""
+        block = [0] * width
+        for x, v in zip(a, verts):
+            block[chars[v]] += x
+        if any(b % h for b in block):
+            raise AssertionError("a parallelepiped point's block is off "
+                                 "the lattice")
+        return tuple(b // h for b in block)
+
     for verts, gs in poly.pulling_triangulation():
         rows = [slack[g] for g in gs]
         m, h = _flag_weights(verts, rows, [at_q[g] for g in gs] + [q[0]])
@@ -1194,12 +1268,19 @@ def _half_open(poly: LatticePolytope, top: int):
         for k in (k for k, x in enumerate(m) if not x):
             drop[k] = next(x < 0 for x in (unit_weights(verts, rows, gs, j)[k]
                                            for j in range(1, r + 1)) if x)
+        counts = None
+        if width:
+            counts = [0] * width
+            for v in verts:
+                counts[chars[v]] += 1
+            counts = tuple(counts)
         if h == 1:
-            yield 1, (sum(drop),), None
+            yield 1, (sum(drop),), None, counts and (
+                counts, (first_block(verts, drop, 1),))
             continue
         volume = prod(row[i] for i, row in enumerate(
-            hermite_normal_form([(1,) + ys[v] for v in verts])))
-        degrees, bad = [], None
+            hermite_normal_form([[1] + ys[v] for v in verts])))
+        degrees, blocks, bad = [], [], None
         for a in _subgroup([tuple(x % h for x in
                                   unit_weights(verts, rows, gs, j))
                             for j in range(r + 1)], h):
@@ -1211,10 +1292,12 @@ def _half_open(poly: LatticePolytope, top: int):
                 raise AssertionError("a parallelepiped point is off the "
                                      "lattice")
             degrees.append(t)
+            if counts:
+                blocks.append(first_block(verts, a, h))
             if 2 <= t <= top and (bad is None or t < bad) and \
                     not reducible(t, [c for c, _ in y]):
                 bad = t
-        yield volume, tuple(degrees), bad
+        yield volume, tuple(degrees), bad, counts and (counts, tuple(blocks))
 
 
 def ehrhart_counts(h_star, r: int, top: int) -> tuple:
@@ -1245,24 +1328,46 @@ def pulling_idp_check(poly, max_degree: int = None) -> IdpReport:
     so the stream costs about as much as a scan of the dilates it has
     counted at most, and a low ceiling or a large volume goes to the scan.
     A triangulation past _PULL_CAP goes to the scan too, which has caps of
-    its own."""
+    its own.
+
+    The same stream can group its parallelepiped points into the classes
+    that count a claw's dilates by block (_pulling, _class_tallies);
+    tree_idp_check asks for them, and this check does not, so a lone claw
+    pays nothing for them."""
+    return _pulling(_as_polytope(poly), max_degree)[0]
+
+
+def _pulling(poly: LatticePolytope, max_degree, width: int = 0):
+    """(pulling_idp_check's report on P, P's classes or None).
+
+    With width > 0 the same stream groups its parallelepiped points into
+    classes (_half_open): classes[(c, block)] is how many points have the
+    first block `block`, of degree sum(block), in a simplex whose vertices
+    carry the first blocks e_g, c[g] of them. They are returned when the
+    stream decides P Normal, after a check that their multiplicities sum
+    to h* degree by degree; otherwise, and with width 0, classes is None,
+    and nothing is grouped."""
     if max_degree is not None and max_degree < 2:
         raise ValueError(f"max_degree must be at least 2, got {max_degree}")
-    poly = _as_polytope(poly)
     r = poly.lattice.rank
     if max_degree is None:
         max_degree = max(2, r - 1)
     h_star, volume, bad, whole = [0] * (r + 2), 0, None, False
+    classes = {}
     # h*_0 = 1 and h*_1 = L(1) - r - 1, whatever the stream has reached
     floor = [1, len(poly.lattice_points) - r - 1] + [0] * r
     try:
-        for count, (vol, degrees, bad) in enumerate(
-                _half_open(poly, max_degree), 1):
+        for count, (vol, degrees, bad, key) in enumerate(
+                _half_open(poly, max_degree, width), 1):
             if bad is not None:
                 break
             volume += vol
             for t in degrees:
                 h_star[t] += 1
+            if key:
+                c, blocks = key
+                for block in blocks:
+                    classes[c, block] = classes.get((c, block), 0) + 1
             if count % 64 == 0 and \
                     _SCAN_POINTS_PER_VOLUME * volume > \
                     sum(ehrhart_counts(list(map(max, h_star, floor)), r,
@@ -1277,9 +1382,9 @@ def pulling_idp_check(poly, max_degree: int = None) -> IdpReport:
         if report.normal:
             raise AssertionError(f"an irreducible point of degree {bad} "
                                  "decomposed in the scan")
-        return report
+        return report, None
     if not whole:
-        return idp_check(poly, max_degree)
+        return idp_check(poly, max_degree), None
     if sum(h_star) != volume:
         raise AssertionError(f"h* sums to {sum(h_star)}, the volumes to "
                              f"{volume}")
@@ -1287,9 +1392,17 @@ def pulling_idp_check(poly, max_degree: int = None) -> IdpReport:
     if counts[0] != len(poly.lattice_points):
         raise AssertionError(f"h* counts {counts[0]} lattice points in P, "
                              f"the scan {len(poly.lattice_points)}")
-    return IdpReport(verdict="Normal",
-                     degrees_checked=tuple(range(2, max_degree + 1)),
-                     points_per_degree=tuple(enumerate(counts, 1)))
+    if width:
+        by_degree = [0] * (r + 2)
+        for (_, block), mult in classes.items():
+            by_degree[sum(block)] += mult
+        if by_degree != h_star:
+            raise AssertionError(f"the classes count {by_degree} points by "
+                                 f"degree, h* is {h_star}")
+    report = IdpReport(verdict="Normal",
+                       degrees_checked=tuple(range(2, max_degree + 1)),
+                       points_per_degree=tuple(enumerate(counts, 1)))
+    return report, classes if width else None
 
 
 def _summed(codes, counts):
@@ -1326,6 +1439,90 @@ def _key_weights(poly: LatticePolytope, m: int, w: int, n: int):
             "int64 bound 2**63")
     return (np.array(g, dtype=np.int64),
             n * sum(a * d for a, d in zip(lat.anchor, digit)))
+
+
+def _scan_tallies(poly: LatticePolytope, m: int, w: int, top: int):
+    """Yield, for n = 1..top, (key codes, counts) of the points of the
+    claw's dilate nP by its first m edge blocks (_key_weights), from a plain
+    scan of nP."""
+    for n in range(1, top + 1):
+        g, offset = _key_weights(poly, m, w, n)
+        parts = [np.unique(block @ g + offset, return_counts=True)
+                 for block in _dilate_blocks(poly, n)]
+        yield _summed(*map(np.concatenate, zip(*parts)))
+
+
+def _blocks(n: int, w: int):
+    """The blocks of a point of degree n, w nonnegative integers summing to
+    n, as the rows of an int64 array in lexicographic order."""
+    rows = np.zeros((1, 0), dtype=np.int64)
+    for _ in range(w - 1):
+        width = n - rows.sum(axis=1) + 1   # the values of the next entry
+        ends = np.cumsum(width)
+        parent = np.repeat(np.arange(len(rows)), width)
+        value = np.arange(ends[-1]) - np.repeat(ends - width, width)
+        rows = np.column_stack([rows[parent], value])
+    return np.column_stack([rows, n - rows.sum(axis=1)])
+
+
+def _class_tallies(classes: dict, w: int, totals):
+    """Yield, for n = 1..len(totals), (key codes, counts) of the points of a
+    claw's dilate nP by its first block, as _scan_tallies gives them for
+    m = 1, counted off the claw's classes (_pulling) with no point visited.
+    totals[n-1] is the claw's L(n), from its h*.
+
+    A point of nP is p + sum_k a_k*w_k, the a_k nonnegative integers, for
+    exactly one simplex and one point p of its half-open parallelepiped
+    (Stanley, 1980). If p has degree t and first block beta, and c_g of the
+    simplex's vertices have the first block e_g, the point's first block is
+    b = beta plus, at each g, the a_k of those c_g vertices. So the class
+    (c, beta), of multiplicity mult, gives
+        mult * prod_g C(b_g - beta_g + c_g - 1, c_g - 1)
+    points of first block b when b >= beta and none otherwise, where
+    C(a - 1, -1) is 1 at a = 0 and 0 past it; the b_g - beta_g sum to n - t.
+
+    On arrays: for each g, the distinct pairs (c_g, beta_g) of the classes
+    give a table of that factor by pair and key, read off a table of
+    binomials. A chunk of classes, at most _CHUNK_CELLS cells, gathers the
+    rows of its pairs and multiplies them, and its multiplicities sum them
+    by a matrix product. Every count and partial sum is at most L(n), and
+    every partial product at most prod_g C(n + c_g - 1, c_g - 1) for some
+    class; the arrays are int64 while both are below 2**62, and Python ints
+    past that. Raises AssertionError unless the counts sum to L(n)."""
+    cs = np.array([c for c, _ in classes], dtype=np.int64).reshape(-1, w)
+    betas = np.array([b for _, b in classes], dtype=np.int64).reshape(-1, w)
+    mults = list(classes.values())
+    pad, most = int(betas.max()), int(cs.max())
+    pairs = []   # per g: the distinct (c_g, beta_g), and each class's pair
+    for g in range(w):
+        got, at = np.unique(np.stack([cs[:, g], betas[:, g]], axis=1),
+                            axis=0, return_inverse=True)
+        pairs.append((got[:, :1], got[:, 1:], at.reshape(-1)))
+    shapes = {tuple(c) for c in cs.tolist()}
+    for n, total in enumerate(totals, 1):
+        ways = [comb(n + c - 1, c - 1) if c else 1 for c in range(most + 1)]
+        worst = max(prod(ways[c] for c in shape) for shape in shapes)
+        dtype = np.int64 if max(total, worst) < _INT64_SAFE else object
+        # table[c, pad + a]: the ways to add a vertices among c
+        table = np.array([[0] * pad + [comb(a + c - 1, c - 1) if c else
+                                       int(a == 0) for a in range(n + 1)]
+                          for c in range(most + 1)], dtype=dtype)
+        keys = _blocks(n, w)
+        factors = [table[c, keys[:, g] + pad - beta]
+                   for g, (c, beta, _) in enumerate(pairs)]
+        mult = np.array(mults, dtype=dtype)
+        out = np.zeros(len(keys), dtype=dtype)
+        step = max(1, _CHUNK_CELLS // len(keys))
+        for s in range(0, len(mult), step):
+            part = factors[0][pairs[0][2][s:s + step]]
+            for factor, (_, _, at) in zip(factors[1:], pairs[1:]):
+                part *= factor[at[s:s + step]]
+            out += mult[s:s + step] @ part
+        if out.sum() != total:
+            raise AssertionError(f"the class tallies of degree {n} sum to "
+                                 f"{out.sum()}, h* counts {total}")
+        hit = np.flatnonzero(out)
+        yield keys[hit, :-1] @ (n + 1) ** np.arange(w - 2, -1, -1), out[hit]
 
 
 def _claw_plan(tree: Tree):
@@ -1429,11 +1626,18 @@ def tree_idp_check(tree: Tree, model, max_degree: int = None,
     fails at n, so the result is idp_check(P, max_degree=n), which gives
     the same verdict, least witness and counts as idp_check(P). Otherwise
     P's count at each degree n is the sum-product over the inner edges
-    (_sum_product) of the claws' tallies: a plain scan of each claw's nP,
-    its points counted by their key codes (_key_weights) over the claw's
-    first m blocks, m the most inner edges at a vertex of that degree. A
-    claw's nP_v has at most as many points as nP, since each extends to
-    one, so the claws' scans meet no point cap that P's would not."""
+    (_sum_product) of the claws' tallies: each claw's points of nP counted
+    by their key codes over the claw's first m blocks, m the most inner
+    edges at a vertex of that degree. Which route counts them:
+    - m = 1 (every claw of a tree with exactly two inner vertices) and the
+      claw decided on its triangulation: _class_tallies, off the classes
+      of the same stream (_pulling), with no dilate scanned. The tallies of
+      each degree sum to the claw's L(n) from h*, and the classes'
+      multiplicities to h*; either check raises AssertionError.
+    - m >= 2, or a claw that the route rule sends to the scan:
+      _scan_tallies, a plain scan of each nP coded by _key_weights. A
+      claw's nP_v has at most as many points as nP, since each extends to
+      one, so the claws' scans meet no point cap that P's would not."""
     poly = _as_polytope(build_polytope(tree, model, cap=cap))
     if len(tree.inner) < 2:
         return pulling_idp_check(poly, max_degree)
@@ -1448,20 +1652,23 @@ def tree_idp_check(tree: Tree, model, max_degree: int = None,
         keyed[k] = max(keyed.get(k, 0), has_in + len(outs))
     claws = {k: _as_polytope(build_polytope(_star(k), model, cap=cap))
              for k in keyed}
-    reports = [pulling_idp_check(claw, max_degree) for claw in claws.values()]
-    failed = [r.witness_degree for r in reports if not r.normal]
+    decided = {k: _pulling(claw, max_degree, w if keyed[k] == 1 else 0)
+               for k, claw in claws.items()}
+    failed = [r.witness_degree for r, _ in decided.values() if not r.normal]
     if failed:
         return idp_check(poly, max_degree=min(failed))
+    tallies = {}   # claw degree -> its tallies, degree by degree
+    for k, (report, classes) in decided.items():
+        if classes is None:
+            tallies[k] = _scan_tallies(claws[k], keyed[k], w, max_degree)
+        else:
+            tallies[k] = _class_tallies(
+                classes, w, [c for _, c in report.points_per_degree])
     counts = []
     for n in range(1, max_degree + 1):
-        tallies = {}
-        for k, claw in claws.items():
-            g, offset = _key_weights(claw, keyed[k], w, n)
-            parts = [np.unique(block @ g + offset, return_counts=True)
-                     for block in _dilate_blocks(claw, n)]
-            tallies[k] = (*_summed(*map(np.concatenate, zip(*parts))),
-                          keyed[k])
-        counts.append((n, _sum_product(plan, tallies, n, w)))
+        counts.append((n, _sum_product(
+            plan, {k: (*next(t), keyed[k]) for k, t in tallies.items()},
+            n, w)))
     return IdpReport(verdict="Normal",
                      degrees_checked=tuple(range(2, max_degree + 1)),
                      points_per_degree=tuple(counts))

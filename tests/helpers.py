@@ -8,7 +8,7 @@ from phylotope.cyclotomic import (CycRational, CyclotomicInt,
                                   cyclotomic_polynomial)
 from phylotope.errors import UnknownVertexError
 from phylotope.groups import parse_group_spec
-from phylotope.lattice import LatticePolytope
+from phylotope.lattice import LatticePolytope, lattice_points_in_dilate
 from phylotope.polytope import build_polytope, project_orbits
 from phylotope.trees import Tree, _orient_from, parse_newick
 
@@ -33,6 +33,17 @@ def scan_case(name) -> LatticePolytope:
     if projected:
         poly = project_orbits(poly, model)
     return LatticePolytope(poly.vertices)
+
+
+def scan_tally(points, width, n) -> dict:
+    """The lattice points of the dilate nP by their first block of width
+    coordinates, from a plain scan of nP in ambient coordinates: {block:
+    count}. The oracle for the tally of a claw's dilate that the tree route
+    reads off the claw's triangulation (lattice._class_tallies)."""
+    tally = {}
+    for x in lattice_points_in_dilate(points, n):
+        tally[x[:width]] = tally.get(x[:width], 0) + 1
+    return tally
 
 
 def leaf_labels(tree: Tree) -> tuple:

@@ -1,3 +1,8 @@
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 
 import phylotope.cli
@@ -315,3 +320,28 @@ def test_verify_paper_detects_corruption(capsys, monkeypatch):
                        "three-parameter-claw-vertices")
     assert code == 1
     assert "FAIL three-parameter-claw-vertices" in out
+
+
+def test_consecutive_calls_match_separate_processes(capsys):
+    # One parser serves every main call of a process, so a call must not
+    # see what an earlier one parsed: --tree appends to each call's own
+    # list. A glue call with two trees, then a normality call with one,
+    # then one with two, each as its own process and in one process.
+    runs = [
+        ("glue", "--group", "Z2", "--tree", "(a,b,c);", "--tree",
+         "(p,q,r);", "c", "p"),
+        ("normality", "--group", "Z2", "--tree", "(a,b,c);"),
+        ("normality", "--group", "Z2", "--tree", "(a,b,c);", "--tree",
+         "(a,b,c);"),
+    ]
+    env = dict(os.environ, PYTHONPATH=str(
+        pathlib.Path(phylotope.cli.__file__).parents[1]))
+    alone = []
+    for argv in runs:
+        done = subprocess.run([sys.executable, "-m", "phylotope.cli", *argv],
+                              capture_output=True, text=True, env=env)
+        alone.append((done.returncode, done.stdout, done.stderr))
+    assert [code for code, _, _ in alone] == [0, 0, 2]
+    assert alone[2][2] == "error: expected 1 tree(s), got 2\n"
+    for argv, want in zip(runs + runs, alone + alone):
+        assert run(capsys, *argv) == want

@@ -485,17 +485,40 @@ def test_claw_route_matches_the_tree_scan(case):
 
 def test_a_triangulated_claw_is_tallied_without_a_split_test(monkeypatch):
     # The K3P 3-claw is decided on its triangulation, so no dilate of the
-    # claw or of the tree is split-tested: the claw's dilates are only
-    # tallied. 8=637978725 is the count of the uncapped CLI run.
+    # claw or of the tree is split-tested, and none is scanned: the claw's
+    # dilates are tallied off its triangulation's classes. Only the claw
+    # itself, degree 1, is scanned for its lattice points. 8=637978725 is
+    # the count of the uncapped CLI run.
     def split_test(*args):
         raise AssertionError("a dilate was split-tested")
 
+    scan = phylotope.lattice._dilate_blocks
+
+    def no_dilate(poly, n):
+        if n > 1:
+            raise AssertionError(f"the dilate of degree {n} was scanned")
+        return scan(poly, n)
+
     monkeypatch.setattr(phylotope.lattice, "_undecomposable", split_test)
+    monkeypatch.setattr(phylotope.lattice, "_dilate_blocks", no_dilate)
     report = tree_idp_check(parse_newick("((a,b),(c,d));"),
                             preset_model("K3P"), max_degree=10)
     assert report.verdict == "Normal"
     assert report.degrees_checked == tuple(range(2, 11))
     assert dict(report.points_per_degree)[8] == 637978725
+
+
+def test_k3p_quartet_counts_are_a_polynomial_of_degree_15():
+    # The quartet's rank is 15, so L(n) is a polynomial of degree 15 in n
+    # and the 16th forward difference of L(0..16) vanishes; L(0) = 1.
+    report = tree_idp_check(parse_newick("((a,b),(c,d));"),
+                            preset_model("K3P"), max_degree=16)
+    assert report.verdict == "Normal"
+    values = [1] + [count for _, count in report.points_per_degree]
+    assert len(values) == 17
+    for _ in range(16):
+        values = [b - a for a, b in zip(values, values[1:])]
+    assert values == [0]
 
 
 # Counts of idp_check on the whole tree polytope, all Normal.

@@ -2,6 +2,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from phylotope import lattice
 from phylotope.errors import (BlockWidthMismatchError,
@@ -121,6 +123,45 @@ def test_claw_tally_codes_at_the_int64_edge():
     assert counts.tolist() == [1] * 16
     with pytest.raises(ScaleExceededError, match="degree 127"):
         _key_weights(poly, 3, 4, 127)
+
+
+# Point sets in dimension 1 to 4, each with some points to solve: sums
+# and differences of the generators, which lie in their lattice, and
+# arbitrary points, most of which do not. Every entry is scaled by one
+# factor, some past 2**62.
+@st.composite
+def lattice_queries(draw):
+    d = draw(st.integers(1, 4))
+    entries = st.integers(-5, 5)
+    gens = draw(st.lists(st.tuples(*[entries] * d), min_size=1, max_size=5))
+    pick = st.sampled_from(gens)
+    queries = draw(st.lists(st.one_of(
+        st.builds(lambda a, b, c: tuple(x + y - z for x, y, z in zip(a, b, c)),
+                  pick, pick, pick),
+        st.tuples(*[entries] * d)), max_size=8))
+    scale = draw(st.sampled_from([1, 3, 2 ** 61 + 1, 2 ** 62, 2 ** 70]))
+    return ([tuple(scale * x for x in p) for p in gens],
+            [tuple(scale * x for x in p) for p in gens + queries])
+
+
+@settings(max_examples=150, deadline=None)
+@given(lattice_queries())
+def test_coordinate_rows_match_coordinates(case):
+    gens, points = case
+    lat = spanned_lattice(gens)
+    ys, inside = lat.coordinate_rows(points)
+    assert ys.shape == (len(points), lat.rank)
+    for p, y, hit in zip(points, ys.tolist(), inside.tolist()):
+        want = lat.coordinates(p)
+        assert hit == (want is not None)
+        if hit:
+            assert tuple(y) == want
+
+
+def test_coordinate_rows_reject_points_of_the_wrong_length():
+    lat = spanned_lattice([(0, 0), (1, 2)])
+    with pytest.raises(ValueError, match="point of length 3"):
+        lat.coordinate_rows([(0, 0), (1, 2, 3)])
 
 
 def test_ambient_rows_beyond_int64_are_exact():
@@ -396,3 +437,14 @@ def test_membership_rejects_points_of_the_wrong_length():
     with pytest.raises(ValueError, match=r"point of length 1"):
         facet_description([(2, 3)]).contains((2,))
     assert lat.coordinates((1, 0)) == (1, 0) and hrep.contains((0, 0))
+
+
+def test_a_description_with_no_rows_checks_the_length_too():
+    # the hull of the one point of R^0 has no equality and no facet; a
+    # point of any other length used to pass it
+    hrep = facet_description([()])
+    assert hrep == lattice.HRep(equalities=(), inequalities=())
+    assert hrep.contains(())
+    for point in (1, 2), (0,):
+        with pytest.raises(ValueError, match=rf"point of length {len(point)}"):
+            hrep.contains(point)

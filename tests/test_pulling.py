@@ -9,9 +9,11 @@ from phylotope import lattice
 from phylotope.cli import main
 from phylotope.errors import ScaleExceededError
 from phylotope.groups import parse_group_spec, preset_model
-from phylotope.lattice import (LatticePolytope, _half_open, ehrhart_counts,
-                               idp_check, lattice_points_in_dilate,
-                               pulling_idp_check, tree_idp_check)
+from helpers import scan_tally
+from phylotope.lattice import (LatticePolytope, _class_tallies, _half_open,
+                               _pulling, _star, ehrhart_counts, idp_check,
+                               lattice_points_in_dilate, pulling_idp_check,
+                               tree_idp_check)
 from phylotope.polytope import build_polytope, project_orbits
 from phylotope.trees import parse_newick
 
@@ -42,7 +44,7 @@ def _decomposition(poly, top):
     """(volume histogram, h*, least irreducible degree up to top or None)
     over every simplex of the pulling triangulation."""
     volumes, h_star, least = {}, [0] * (poly.lattice.rank + 2), None
-    for volume, degrees, bad in _half_open(poly, top):
+    for volume, degrees, bad, _ in _half_open(poly, top):
         volumes[volume] = volumes.get(volume, 0) + 1
         for t in degrees:
             h_star[t] += 1
@@ -130,6 +132,82 @@ def test_claws_decided_on_the_triangulation_match_the_scan(spec, leaves,
     model = parse_group_spec(spec)
     assert tree_idp_check(tree, model) == \
         idp_check(build_polytope(tree, model))
+
+
+def _claw_classes(spec, leaves, top):
+    """(the claw polytope, its block width, its pulling report through top,
+    its classes by the first block)."""
+    model = parse_group_spec(spec)
+    claw = LatticePolytope(build_polytope(_star(leaves), model).vertices)
+    w = model.group.size
+    return (claw, w, *_pulling(claw, top, w))
+
+
+def _decoded(tallies, w):
+    """Key-coded tallies, one per degree from 1, as {block: count}."""
+    out = []
+    for n, (codes, counts) in enumerate(tallies, 1):
+        tally = {}
+        for code, count in zip(codes.tolist(), counts.tolist()):
+            block = []
+            for _ in range(w - 1):
+                code, digit = divmod(code, n + 1)
+                block.insert(0, digit)
+            tally[(*block, n - sum(block))] = count
+        out.append(tally)
+    return out
+
+
+@pytest.mark.parametrize("spec,leaves,top", [
+    ("Z2", 3, 5), ("Z3", 3, 5), ("Z4", 3, 5), ("Z2xZ2", 3, 5), ("K3P", 3, 5),
+    ("Z2", 4, 4), ("Z3", 4, 4)])
+def test_class_tallies_match_the_scan(spec, leaves, top, triangulate):
+    claw, w, report, classes = _claw_classes(spec, leaves, top)
+    assert report.normal and classes
+    totals = [count for _, count in report.points_per_degree]
+    assert _decoded(_class_tallies(classes, w, totals), w) == [
+        scan_tally(claw, w, n) for n in range(1, top + 1)]
+
+
+def test_class_tallies_are_checked_against_h_star(monkeypatch, triangulate):
+    _, w, report, classes = _claw_classes("Z3", 3, 3)
+    totals = [count for _, count in report.points_per_degree]
+    with pytest.raises(AssertionError, match="degree 2 sum to"):
+        list(_class_tallies(classes, w, [totals[0], totals[1] + 1]))
+    stream = lattice._half_open
+
+    def one_block_too_many(*args):
+        # the first simplex's first point is counted twice
+        for k, (volume, degrees, bad, (c, blocks)) in enumerate(
+                stream(*args)):
+            yield volume, degrees, bad, (c, blocks[:1] * (k == 0) + blocks)
+
+    monkeypatch.setattr(lattice, "_half_open", one_block_too_many)
+    with pytest.raises(AssertionError, match="h\\* is"):
+        _claw_classes("Z3", 3, 3)
+
+
+def test_class_tallies_past_int64_run_on_python_ints(monkeypatch,
+                                                    triangulate):
+    _, w, report, classes = _claw_classes("Z3", 3, 4)
+    totals = [count for _, count in report.points_per_degree]
+    want = _decoded(_class_tallies(classes, w, totals), w)
+    monkeypatch.setattr(lattice, "_INT64_SAFE", 2)
+    tallies = list(_class_tallies(classes, w, totals))
+    assert all(counts.dtype == object for _, counts in tallies)
+    assert _decoded(tallies, w) == want
+
+
+def test_a_lone_claw_groups_no_classes(monkeypatch):
+    stream = lattice._half_open
+
+    def no_width(poly, top, width=0):
+        assert width == 0
+        return stream(poly, top, width)
+
+    monkeypatch.setattr(lattice, "_half_open", no_width)
+    report = tree_idp_check(CLAW, parse_group_spec("Z4"))
+    assert report.normal and report.points_per_degree[-1] == (8, 307395)
 
 
 def test_z5_claw_matches_the_scan_through_degree_five(triangulate):
