@@ -30,7 +30,12 @@ polytope, and its adjacency test is the ridge test. Level j of the scan of
 nP keeps exactly the integer points of the projection of nP, for every n.
 The scan runs depth first and yields nP in small blocks, in lexicographic
 order, so no level is ever held in full; each level's bound table is built
-on its parents' products before they branch.
+on its parents' products before they branch. Lexicographic order in y is
+ambient order in x, since the basis is echelon with positive pivots:
+where two rows y first differ, at coordinate j, their points x first
+differ at the pivot column of basis row j, with the same sign. So
+nothing the scan yields is sorted again. Points are solved in the lattice by one routine,
+AffineLattice.coordinate_rows, one point or many.
 
 The IDP check decides each split q = v + p (v in P, p in (n-1)P) on one
 int64 mixed-radix code per point, in lattice coordinates: for a point of
@@ -39,7 +44,9 @@ top*span_j + 1 serves every degree k <= top, top being the highest degree
 checked whose codes fit in int64, so the codes of v and p add without carry
 to the code of q. Between degrees it keeps only the sorted codes of the
 last degree, one int64 per point, as they are. Rows return to ambient
-coordinates only for a witness and for lattice_points_in_dilate.
+coordinates only for a witness, the first undecomposable row the scan
+yields, which is the least, and for lattice_points_in_dilate (and P's
+own lattice points, for decompose).
 
 A claw is decided on a pulling triangulation instead (pulling_idp_check),
 at a cost that grows with its normalized volume rather than with its
@@ -77,17 +84,17 @@ which bounds every value and child count it computes; past int64, that is
 once max(n, 1)*magnitude reaches 2**62, it raises. Its rows leave it as
 int64. The codes are int64 and must stay below 2**63, so the check raises
 at the first degree past top, and so do the claw tallies' int64 key codes
-past their own bound and the triangulation's int64 reducibility test past
-(r + 2)*magnitude. The facet arrays are int64 while each step's actual
+past their own bound. The facet arrays are int64 while each step's actual
 maxima bound the values it computes below 2**62, and Python ints
 (dtype=object) past that, on the same code path; so are the lattice
-coordinates of P's points and the rows they return to in ambient
-coordinates, and the class tallies, under L(n) and their binomial
-products. A triangulation raises
-past _PULL_CAP faces memoized or simplices streamed, and pulling_idp_check
-then scans the claw. An instance beyond a bound raises ScaleExceededError
-instead of wrapping. Rows go back to ambient coordinates in Python
-integers, so every reported number is exact.
+coordinates of points and the rows they return to in ambient
+coordinates, the triangulation's reducibility test, on the actual maxima
+of P's facet rows and lattice points, and the class tallies, under L(n)
+and their binomial products. A triangulation raises past _PULL_CAP faces
+memoized or simplices streamed, the only bound of its stream, and
+pulling_idp_check then scans the claw. An instance beyond a bound raises
+ScaleExceededError instead of wrapping. Rows go back to ambient
+coordinates in Python integers, so every reported number is exact.
 """
 
 from __future__ import annotations
@@ -151,32 +158,24 @@ class AffineLattice:
         """Integer coordinates of point - scale*anchor in the basis, or None.
 
         scale k tests membership in the lattice translated to k*anchor,
-        which is the point lattice of the dilate kP. Raises ValueError for
-        a point whose length is not the anchor's.
+        which is the point lattice of the dilate kP. The point, shifted by
+        (k - 1)*anchor, is solved as the one row of coordinate_rows, which
+        raises ValueError for a point whose length is not the anchor's.
         """
-        if len(point) != len(self.anchor):
-            raise ValueError(f"point of length {len(point)} in a lattice of "
-                             f"length {len(self.anchor)}")
-        v = [p - scale * a for p, a in zip(point, self.anchor)]
-        coords = []
-        for row in self.basis:
-            c = next(i for i, x in enumerate(row) if x)
-            q, rem = divmod(v[c], row[c])
-            if rem:
-                return None
-            coords.append(q)
-            v = [a - q * b for a, b in zip(v, row)]
-        if any(v):
-            return None
-        return tuple(coords)
+        if len(point) == len(self.anchor):
+            point = tuple(p - (scale - 1) * a
+                          for p, a in zip(point, self.anchor))
+        ys, inside = self.coordinate_rows([point])
+        return tuple(ys[0].tolist()) if inside[0] else None
 
     def contains(self, point, scale: int = 1) -> bool:
         return self.coordinates(point, scale) is not None
 
     def coordinate_rows(self, points):
         """(ys, inside): the coordinates of every point of a sequence at
-        once, solved as coordinates solves one point, row by row of the
-        echelon basis, on integer arrays. ys has one row per point, and
+        once, by back-substitution row by row of the echelon basis, on
+        integer arrays; the one lattice solve of the package, coordinates
+        and contains included. ys has one row per point, and
         inside marks the points in the lattice; the row of a point outside
         is meaningless. The arrays follow _exact's rule on each step's
         actual maxima. Raises ValueError for a point whose length is not
@@ -192,8 +191,10 @@ class AffineLattice:
         cols = []
         for row in _int_array(self.basis, width):
             c = np.flatnonzero(row != 0)[0]
-            q = v[:, c] // row[c]
-            v, q, row = _exact(_absmax(v) + _absmax(q) * _absmax(row),
+            # a slice, so that a pivot past int64 divides an int64 v as an
+            # object array; the bound holds row itself, even at q = 0
+            q = v[:, c] // row[c:c + 1]
+            v, q, row = _exact(_absmax(v) + (_absmax(q) + 1) * _absmax(row),
                                v, q, row)
             v -= q[:, None] * row
             cols.append(q)
@@ -715,16 +716,11 @@ class LatticePolytope:
     @cached_property
     def vertex_bits(self) -> int:
         """The vertices of P among points, as a bitset: a point is a vertex
-        when the facets through it meet in it alone."""
-        bits = 0
-        for i in range(len(self.points)):
-            face = (1 << len(self.points)) - 1
-            for _, _, tight in self.facets:
-                if tight >> i & 1:
-                    face &= tight
-            if face == 1 << i:
-                bits |= 1 << i
-        return bits
+        when the facets through it, read off the slack matrix, meet in it
+        alone."""
+        tight = self._facet_slacks[1] == 0
+        return sum(1 << i for i in range(len(self.points))
+                   if tight[tight[:, i]].all(axis=0).sum() == 1)
 
     def pulling_triangulation(self):
         """Yield the simplices of the pulling triangulation of P from its
@@ -949,13 +945,14 @@ def _ambient_rows(ys, n, lat: AffineLattice) -> list:
 def lattice_points_in_dilate(points, n: int):
     """All points of (the lattice anchored at n*anchor) inside n*conv(points),
     sorted. points may be a point sequence, a ModelPolytope or a
-    LatticePolytope. Enumeration runs intrinsically in lattice coordinates.
+    LatticePolytope. Enumeration runs intrinsically in lattice coordinates,
+    in lexicographic order, which is ambient order, so no sort is needed.
     Raises ValueError for a negative n, and ScaleExceededError past _ROW_CAP
     points or the scan's int64 bound."""
     if n < 0:
         raise ValueError(f"dilate degree must be nonnegative, got {n}")
     poly = _as_polytope(points)
-    return sorted(_ambient_rows(_dilate_array(poly, n), n, poly.lattice))
+    return _ambient_rows(_dilate_array(poly, n), n, poly.lattice)
 
 
 def _code_size(span, n):
@@ -1041,7 +1038,12 @@ def decompose(q, n: int, points) -> DecompositionResult:
     point of conv(points); index-nondecreasing, so multisets are visited
     once. Failure is a complete-search certificate. points may be a point
     sequence, a ModelPolytope or a LatticePolytope. Raises ValueError for a
-    negative n and for a q whose length is not the points'."""
+    negative n and for a q whose length is not the points'.
+
+    The lattice points of P are tried in scan order, which is ambient
+    order. q is solved in the lattice of nP once, at the root: each
+    remainder q - v_1 - ... - v_k then lies in the lattice of (n - k)P, so
+    a node tests only the halfspaces of (n - k)P."""
     if n < 0:
         raise ValueError(f"degree must be nonnegative, got {n}")
     poly = _as_polytope(points)
@@ -1050,7 +1052,7 @@ def decompose(q, n: int, points) -> DecompositionResult:
         raise ValueError(f"point of length {len(q)} against points of "
                          f"length {len(poly.points[0])}")
     lat, hrep = poly.lattice, poly.hrep
-    s1 = sorted(_ambient_rows(poly.lattice_points, 1, lat))
+    s1 = _ambient_rows(poly.lattice_points, 1, lat)
     examined = 0
     dead = set()
 
@@ -1062,7 +1064,8 @@ def decompose(q, n: int, points) -> DecompositionResult:
         key = (rest, k, min_idx)
         if key in dead:
             return None
-        if not hrep.contains(rest, k) or not lat.contains(rest, k):
+        if not hrep.contains(rest, k) or \
+                k == n and not lat.contains(rest, k):
             dead.add(key)
             return None
         for idx in range(min_idx, len(s1)):
@@ -1078,35 +1081,45 @@ def decompose(q, n: int, points) -> DecompositionResult:
         found=None if found is None else tuple(found), examined=examined)
 
 
+def _ceiling(max_degree, poly=None):
+    """The degree ceiling of an IDP check of the LatticePolytope poly:
+    max_degree, or by default max(2, rank - 1) of poly's lattice, which
+    suffices for full normality of a lattice polytope. A ceiling below 2
+    would certify nothing and raises ValueError. With poly None the
+    ceiling is only checked, and comes back as it is."""
+    if max_degree is None:
+        return None if poly is None else max(2, poly.lattice.rank - 1)
+    if max_degree < 2:
+        raise ValueError(f"max_degree must be at least 2, got {max_degree}")
+    return max_degree
+
+
 def idp_check(poly, max_degree: int = None) -> IdpReport:
     """Integer decomposition property, degree by degree.
 
     For each n, every lattice point of nP must split as v + (point of
     (n-1)P) with v a lattice point of P; by induction that is exactly
-    decomposability into n points. The default degree ceiling max(2, dim-1)
-    suffices for full normality of a lattice polytope; a smaller ceiling
-    than 2 would certify nothing and raises ValueError. A failure is
+    decomposability into n points. The degree ceiling is _ceiling's:
+    max_degree, at least 2, or by default max(2, dim-1). A failure is
     re-verified independently (halfspaces, lattice membership, exhaustive
     search) before it is reported. poly may be a ModelPolytope, a
     LatticePolytope or a sequence of points.
 
     Degree n is checked block by block as the scan yields it, against the
     sorted codes of degree n-1; only the codes of degree n are kept for the
-    next degree. A failing degree is scanned to its end, so the witness is
-    the least undecomposable point in ambient order and the point count of
-    that degree is complete.
+    next degree. The scan yields nP in ambient order, so the witness, the
+    least undecomposable point, is the first the scan yields, and it is the
+    one row converted to ambient coordinates. A failing degree is scanned
+    to its end, so its point count is complete.
 
     Every degree is encoded in the code weights of one degree top: the
     highest up to max_degree whose codes fit in int64. They encode each
     degree below top without carry too, so a degree's codes pass unchanged
     to the next. A degree past top raises ScaleExceededError when it
     starts."""
-    if max_degree is not None and max_degree < 2:
-        raise ValueError(f"max_degree must be at least 2, got {max_degree}")
     poly = _as_polytope(poly)
+    max_degree = _ceiling(max_degree, poly)
     lat, hrep = poly.lattice, poly.hrep
-    if max_degree is None:
-        max_degree = max(2, lat.rank - 1)
     low, span = poly.low, poly.span
     top = max_degree
     while top > 2 and _code_size(span, top) >= 2 ** 63:
@@ -1120,19 +1133,20 @@ def idp_check(poly, max_degree: int = None) -> IdpReport:
             _code_weights(span, n)   # raises: these codes pass int64
         prev = np.concatenate(held)
         held = []
-        bad = []
+        witness = None
         total = 0
         for block in _dilate_blocks(poly, n):
             total += len(block)
             codes = _codes(block, n, low, weights)
-            bad.append(block[_undecomposable(codes, vcodes, prev)])
+            if witness is None:
+                bad = _undecomposable(codes, vcodes, prev)[:1]
+                if len(bad):
+                    witness = _ambient_rows(block[bad], n, lat)[0]
             if n < top:
                 held.append(codes)
         del prev   # freed before the next degree joins its codes
         counts.append((n, total))
-        bad = np.concatenate(bad)
-        if len(bad):
-            witness = min(_ambient_rows(bad, n, lat))
+        if witness is not None:
             if not hrep.contains(witness, n):
                 raise AssertionError("witness fails the halfspace check")
             if not lat.contains(witness, n):
@@ -1218,33 +1232,34 @@ def _half_open(poly: LatticePolytope, top: int, width: int = 0):
     simplex is unimodular. Otherwise its parallelepiped's points are the
     weights of the unit vectors, mod 1, and what they generate; the volume
     is taken apart from them, as the product of the pivots of the rows'
-    Hermite normal form. The reducibility test runs
-    in int64: a parallelepiped point has degree at most r + 1, so every
-    value it takes is below (r + 2)*magnitude, which must stay below 2**63."""
+    Hermite normal form.
+
+    The facets are P's rows and slacks (_facet_slacks). The reducibility
+    test follows _exact's rule: a parallelepiped point has degree t <= r + 1,
+    so its coordinates are at most r + 1 times the largest of P's lattice
+    points, and every value the test takes is below r*a*((r + 1)*p + 1), a
+    and p the largest entries of the facet rows and of P's lattice points."""
     r = poly.lattice.rank
-    if (r + 2) * poly.magnitude >= 2 ** 63:
-        raise ScaleExceededError(
-            f"reducibility values reach {(r + 2) * poly.magnitude}, beyond "
-            "the int64 bound 2**63")
     ys = poly._coordinates.tolist()
     if width:
         unit = [0] * (width - 1) + [1]
         if any(sorted(p[:width]) != unit for p in poly.points):
             raise AssertionError("a first block is no unit vector")
         chars = [p[:width].index(1) for p in poly.points]
-    slack = poly.slacks
-    units = [[b] + [-a for a in c] for c, b, _ in poly.facets]
+    slack, facets = poly.slacks, poly._facet_slacks[0]
+    units = [[row[-1]] + [-a for a in row[:-1]] for row in facets.tolist()]
     q = [0] * (r + 1)
     for v in _bits(poly.vertex_bits):
         q = [a + (v + 1) * x for a, x in zip(q, [1] + ys[v])]
     at_q = [sum(a * x for a, x in zip(u, q)) for u in units]
-    normals = np.array([c for c, _, _ in poly.facets],
-                       dtype=np.int64).reshape(len(units), r)
-    sides = np.array([b for _, b, _ in poly.facets], dtype=np.int64)
-    reach = normals @ poly.lattice_points.T
+    facets, points = _exact(r * _absmax(facets) * (
+        (r + 1) * _absmax(poly.lattice_points) + 1),
+        facets, poly.lattice_points)
+    normals, sides = facets[:, :-1], facets[:, -1]
+    reach = normals @ points.T
 
     def reducible(t, y):
-        need = normals @ np.array(y, dtype=np.int64) - (t - 1) * sides
+        need = normals @ np.array(y, dtype=normals.dtype) - (t - 1) * sides
         return bool((reach >= need[:, None]).all(axis=0).any())
 
     def unit_weights(verts, rows, gs, j):
@@ -1346,12 +1361,15 @@ def _pulling(poly: LatticePolytope, max_degree, width: int = 0):
     carry the first blocks e_g, c[g] of them. They are returned when the
     stream decides P Normal, after a check that their multiplicities sum
     to h* degree by degree; otherwise, and with width 0, classes is None,
-    and nothing is grouped."""
-    if max_degree is not None and max_degree < 2:
-        raise ValueError(f"max_degree must be at least 2, got {max_degree}")
+    and nothing is grouped.
+
+    The ceiling is _ceiling's. Both hand-offs, an irreducible point of
+    degree k and the route rule, or a triangulation past _PULL_CAP, are one
+    call of idp_check, with the ceiling k or max_degree. The stream raises
+    ScaleExceededError only past _PULL_CAP: its reducibility test follows
+    _exact's rule."""
+    max_degree = _ceiling(max_degree, poly)
     r = poly.lattice.rank
-    if max_degree is None:
-        max_degree = max(2, r - 1)
     h_star, volume, bad, whole = [0] * (r + 2), 0, None, False
     classes = {}
     # h*_0 = 1 and h*_1 = L(1) - r - 1, whatever the stream has reached
@@ -1375,16 +1393,16 @@ def _pulling(poly: LatticePolytope, max_degree, width: int = 0):
                 break
         else:
             whole = True
-    except ScaleExceededError:
+    except ScaleExceededError:   # past _PULL_CAP
         pass
-    if bad is not None:
-        report = idp_check(poly, max_degree=bad)
-        if report.normal:
+    # handed to the scan: an irreducible point of degree bad, the route
+    # rule or _PULL_CAP
+    if not whole:
+        report = idp_check(poly, bad or max_degree)
+        if bad and report.normal:
             raise AssertionError(f"an irreducible point of degree {bad} "
                                  "decomposed in the scan")
         return report, None
-    if not whole:
-        return idp_check(poly, max_degree), None
     if sum(h_star) != volume:
         raise AssertionError(f"h* sums to {sum(h_star)}, the volumes to "
                              f"{volume}")
@@ -1583,9 +1601,9 @@ def tree_idp_check(tree: Tree, model, max_degree: int = None,
                    cap: int = _CAP) -> IdpReport:
     """idp_check of the abelian polytope P of model on tree, decided on
     its claws, the standard k-claw for each degree k of an inner vertex,
-    instead of on a scan of P, with the same report. The
-    ceiling defaults to max(2, rank - 1) of P's lattice; cap bounds the
-    networks of P and of each claw, as in build_polytope.
+    instead of on a scan of P, with the same report. The ceiling is
+    _ceiling's on P, and it is checked before any polytope is built; cap
+    bounds the networks of P and of each claw, as in build_polytope.
 
     Why it is sound. Every inner vertex v keeps its star, the edges at v,
     whose polytope P_v is the projection of P onto their blocks. A network
@@ -1638,13 +1656,11 @@ def tree_idp_check(tree: Tree, model, max_degree: int = None,
       _scan_tallies, a plain scan of each nP coded by _key_weights. A
       claw's nP_v has at most as many points as nP, since each extends to
       one, so the claws' scans meet no point cap that P's would not."""
+    _ceiling(max_degree)   # before any polytope is built
     poly = _as_polytope(build_polytope(tree, model, cap=cap))
     if len(tree.inner) < 2:
         return pulling_idp_check(poly, max_degree)
-    if max_degree is not None and max_degree < 2:
-        raise ValueError(f"max_degree must be at least 2, got {max_degree}")
-    if max_degree is None:
-        max_degree = max(2, poly.lattice.rank - 1)
+    max_degree = _ceiling(max_degree, poly)
     w = model.group.size
     plan = _claw_plan(tree)
     keyed = {}   # claw degree -> blocks its tally keys

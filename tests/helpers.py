@@ -46,6 +46,23 @@ def scan_tally(points, width, n) -> dict:
     return tally
 
 
+def coordinates_reference(lat, point, scale=1):
+    """Integer coordinates of point - scale*anchor in the echelon basis of
+    the AffineLattice lat, or None, by back-substitution one basis row at
+    a time in Python integers: the oracle for AffineLattice.coordinate_rows
+    and coordinates."""
+    v = [p - scale * a for p, a in zip(point, lat.anchor)]
+    coords = []
+    for row in lat.basis:
+        c = next(i for i, x in enumerate(row) if x)
+        q, rem = divmod(v[c], row[c])
+        if rem:
+            return None
+        coords.append(q)
+        v = [a - q * b for a, b in zip(v, row)]
+    return None if any(v) else tuple(coords)
+
+
 def leaf_labels(tree: Tree) -> tuple:
     return tuple(tree.labels[v] for v in tree.leaves)
 

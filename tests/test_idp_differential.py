@@ -15,9 +15,9 @@ from hypothesis import strategies as st
 import phylotope.lattice
 from helpers import SCAN_CASES, scan_case
 from phylotope.groups import abelian_model, parse_group_spec, preset_model
-from phylotope.lattice import (LatticePolytope, _code_weights, _codes,
-                               _dilate_array, _dilate_blocks,
-                               _undecomposable, decompose,
+from phylotope.lattice import (LatticePolytope, _ambient_rows,
+                               _code_weights, _codes, _dilate_array,
+                               _dilate_blocks, _undecomposable, decompose,
                                facet_description, idp_check,
                                lattice_points_in_dilate, spanned_lattice,
                                tree_idp_check)
@@ -222,6 +222,28 @@ def _brute_counts(pts, max_degree):
     poly = LatticePolytope(pts)
     return tuple((n, len(_box_points(pts, n, poly.lattice, poly.hrep)))
                  for n in range(1, max_degree + 1))
+
+
+# Point sets with negative entries, many of them lower-dimensional: at most
+# as many points as coordinates, or copies of a few points moved along
+# one fixed direction.
+signed_sets = st.integers(1, 4).flatmap(lambda d: st.one_of(
+    st.lists(st.tuples(*[st.integers(-3, 3)] * d), min_size=1, max_size=6),
+    st.builds(lambda base, step, ks: [tuple(b + k * s for b, s in
+                                            zip(base, step)) for k in ks],
+              st.tuples(*[st.integers(-3, 3)] * d),
+              st.tuples(*[st.integers(-3, 3)] * d),
+              st.lists(st.integers(-2, 2), min_size=1, max_size=4))))
+
+
+@settings(max_examples=80, deadline=None)
+@given(signed_sets, st.integers(0, 3))
+def test_scan_order_is_ambient_order(pts, n):
+    # x = n*anchor + y.B keeps lexicographic order, the basis being echelon
+    # with positive pivots: the scan's order is ambient order
+    poly = LatticePolytope(pts)
+    rows = _ambient_rows(_dilate_array(poly, n), n, poly.lattice)
+    assert all(a < b for a, b in zip(rows, rows[1:]))
 
 
 @settings(max_examples=40, deadline=None)

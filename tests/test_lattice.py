@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import coordinates_reference
 from phylotope import lattice
 from phylotope.errors import (BlockWidthMismatchError,
                               ProjectionNotInSimplexError,
@@ -152,16 +153,28 @@ def test_coordinate_rows_match_coordinates(case):
     ys, inside = lat.coordinate_rows(points)
     assert ys.shape == (len(points), lat.rank)
     for p, y, hit in zip(points, ys.tolist(), inside.tolist()):
-        want = lat.coordinates(p)
+        want = coordinates_reference(lat, p)
         assert hit == (want is not None)
         if hit:
             assert tuple(y) == want
+        assert lat.coordinates(p) == want
+        shifted = tuple(x + 2 * a for x, a in zip(p, lat.anchor))
+        assert lat.coordinates(shifted, scale=3) == want
 
 
 def test_coordinate_rows_reject_points_of_the_wrong_length():
     lat = spanned_lattice([(0, 0), (1, 2)])
     with pytest.raises(ValueError, match="point of length 3"):
         lat.coordinate_rows([(0, 0), (1, 2, 3)])
+
+
+def test_small_points_solve_against_a_pivot_past_int64():
+    # an int64 column divided by a pivot past int64 raised OverflowError,
+    # and so did a basis row past int64 when every quotient was 0
+    lat = spanned_lattice([(0, 0), (1, 0), (0, 2 ** 70)])
+    ys, inside = lat.coordinate_rows([(3, 0), (0, 5)])
+    assert ys[0].tolist() == [3, 0] and inside.tolist() == [True, False]
+    assert spanned_lattice([(0,), (2 ** 70,)]).coordinates((0,)) == (0,)
 
 
 def test_ambient_rows_beyond_int64_are_exact():
@@ -324,6 +337,26 @@ def test_decompose_finds_a_certificate():
     assert res.found is not None
     assert len(res.found) == 2
     assert tuple(sum(c) for c in zip(*res.found)) == target
+
+
+def test_decompose_solves_the_lattice_once(monkeypatch):
+    # every remainder of q stays in the lattice of its dilate, so only the
+    # root is solved; a solve at every node took 3 here
+    poly = LatticePolytope(build_polytope(CLAW, abelian_model([3])).vertices)
+    pts = poly.points
+    q = tuple(map(sum, zip(pts[8], pts[4], pts[6])))
+    solves = []
+    solve = AffineLattice.coordinates
+
+    def spy(lat, point, scale=1):
+        solves.append(scale)
+        return solve(lat, point, scale)
+
+    monkeypatch.setattr(AffineLattice, "coordinates", spy)
+    found = decompose(q, 3, poly).found
+    assert solves == [3]
+    assert found == (pts[4], pts[6], pts[8])
+    assert tuple(map(sum, zip(*found))) == q
 
 
 @pytest.mark.parametrize("max_degree", [1, 0, -5])

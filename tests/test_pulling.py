@@ -248,6 +248,39 @@ def test_pull_cap_hands_the_claw_to_the_scan(monkeypatch, scans,
     assert report == idp_check(build_polytope(CLAW, model))
 
 
+def test_the_reducibility_test_runs_past_int64():
+    # one unimodular triangle whose facet rows and points reach 2**60, so
+    # (r + 2)*magnitude reaches 2**63: a private int64 guard there handed
+    # it to a scan that raised at degree 2
+    report = pulling_idp_check(LatticePolytope([(0, 0), (0, 1),
+                                                (1, 2 ** 60)]))
+    assert report.normal and report.points_per_degree == ((1, 3), (2, 6))
+
+
+@pytest.mark.parametrize("spec", ["Z4", "K2P-projected"])
+def test_the_reducibility_test_on_python_ints_matches_int64(spec,
+                                                            monkeypatch):
+    # past int64 the test runs on Python ints, on the same code path
+    poly = _projected_k2p_claw() if spec == "K2P-projected" else \
+        LatticePolytope(build_polytope(CLAW, parse_group_spec(spec)).vertices)
+    top = poly.lattice.rank + 1
+    want = list(_half_open(poly, top))
+    assert any(bad for _, _, bad, _ in want) == (spec == "K2P-projected")
+    assert any(max(degrees) >= 2 for _, degrees, _, _ in want)
+    monkeypatch.setattr(lattice, "_INT64_SAFE", 2)
+    assert list(_half_open(poly, top)) == want
+
+
+@pytest.mark.parametrize("newick", ["((a,b),(c,d));", "(a,b,c);"])
+def test_tree_ceiling_is_checked_before_any_polytope(newick):
+    # cap=1 admits no polytope, so building one first raised
+    # CapExceededError
+    with pytest.raises(ValueError, match="max_degree must be at least 2, "
+                                         "got 1"):
+        tree_idp_check(parse_newick(newick), parse_group_spec("Z3"),
+                       max_degree=1, cap=1)
+
+
 def test_pull_cap_on_simplices_raises(monkeypatch):
     # the Z2 claw is one simplex of rank 3 and no memoized face
     monkeypatch.setattr(lattice, "_PULL_CAP", 0)
