@@ -17,7 +17,8 @@ from .fourier import (appendix_demo, monomial_socket_vector,
                       params_to_matrices, raw_leaf_tensor, socket_coordinates,
                       what_dimension)
 from .groups import parse_group_file, parse_group_spec
-from .lattice import glued_polytope, idp_check, tree_idp_check
+from .lattice import (LatticePolytope, _ceiling, glued_polytope, idp_check,
+                      star_columns, tree_idp_check)
 from .polytope import _CAP, build_polytope, project_orbits, vertex_file_text
 from .trees import parse_newick
 from .verify import run_checks
@@ -84,15 +85,18 @@ def cmd_polytope(args) -> int:
 
 
 def cmd_normality(args) -> int:
+    _ceiling(args.max_degree)   # before any input is read
     model = _load_model(args)
     tree = _load_tree(args)
     if args.flavor == "abelian":
         report = tree_idp_check(tree, model, max_degree=args.max_degree,
                                 cap=args.vertex_cap)
     else:
-        poly = build_polytope(tree, model, cap=args.vertex_cap)
-        report = idp_check(_projected(poly, model, args.flavor),
-                           max_degree=args.max_degree)
+        poly = _projected(build_polytope(tree, model, cap=args.vertex_cap),
+                          model, args.flavor)
+        report = idp_check(LatticePolytope(
+            poly.vertices, stars=star_columns(tree, poly.block_width)),
+            max_degree=args.max_degree)
     _emit(report.to_text(), args.out)
     return 0 if report.normal else 1
 
@@ -268,10 +272,6 @@ def main(argv=None) -> int:
         if getattr(args, "vertex_cap", 1) < 1:
             raise ValueError(f"--vertex-cap must be at least 1, got "
                              f"{args.vertex_cap}")
-        if getattr(args, "max_degree", None) is not None \
-                and args.max_degree < 2:
-            raise ValueError(f"max_degree must be at least 2, got "
-                             f"{args.max_degree}")
         return args.func(args)
     except (CapExceededError, ScaleExceededError) as exc:
         sys.stderr.write(f"resource cap: {exc}\n")

@@ -20,14 +20,26 @@ its tight points have affine rank d-1, as one elimination batched over all
 facets shows. LatticePolytope's facets, tight sets and slacks come from
 one such matrix in lattice coordinates.
 
+The double description runs on point sets and on stars, never on a whole
+tree. The polytope of a tree, abelian or projected, is the fiber product of
+its star projections over its inner edges, each gluing a toric fiber
+product over a simplex (Sullivant, 2007), so its inequalities are its
+stars' inequalities, pulled back. A LatticePolytope that knows its stars
+(star_columns) certifies that it is that fiber product, by a sum-product
+count of the stars' points, runs the double description on each distinct
+star projection, pulls every star facet back to its own coordinates, and
+keeps those the facet certificate passes: a pulled-back row that is tight
+only on a lower face is dropped.
+
 Dilates are enumerated by project and lift, in the intrinsic lattice
 coordinates y of a polytope P: a point of nP is x = n*anchor + y.B. The
 facets of every projection of P onto y[:j] are computed once per polytope,
 from P's own certified facets by Fourier-Motzkin elimination over ridges:
 eliminating y[j] is one _combine step across y[j] = 0, on the facets and
-their tight sets over P's points. So the double description runs once per
-polytope, and its adjacency test is the ridge test. Level j of the scan of
-nP keeps exactly the integer points of the projection of nP, for every n.
+their tight sets over P's points. So the facets are found once per
+polytope, and the double description's adjacency test is the ridge test.
+Level j of the scan of nP keeps exactly the integer points of the
+projection of nP, for every n.
 The scan runs depth first and yields nP in small blocks, in lexicographic
 order, so no level is ever held in full; each level's bound table is built
 on its parents' products before they branch. Lexicographic order in y is
@@ -45,8 +57,11 @@ checked whose codes fit in int64, so the codes of v and p add without carry
 to the code of q. Between degrees it keeps only the sorted codes of the
 last degree, one int64 per point, as they are. Rows return to ambient
 coordinates only for a witness, the first undecomposable row the scan
-yields, which is the least, and for lattice_points_in_dilate (and P's
-own lattice points, for decompose).
+yields, which is the least, for lattice_points_in_dilate, and for the
+points of a decomposition. decompose searches on P's slack table: a
+remainder's facet slacks, less those of a lattice point of P, are the
+next remainder's. The lattice points of a 0/1 polytope are its points,
+so such a P is never scanned for them.
 
 A claw is decided on a pulling triangulation instead (pulling_idp_check),
 at a cost that grows with its normalized volume rather than with its
@@ -67,8 +82,9 @@ fiber product of its claws over the inner edges (Sullivant, 2007), so
 tree_idp_check decides it on its distinct claws, each as pulling_idp_check
 does: the tree's least failing degree is its claws'. Only when a claw fails
 at some degree is the tree itself scanned, through that degree, for the
-least witness. Otherwise its point counts are a sum-product of the claws'
-points, tallied by their inner-edge blocks. A claw keyed by one block,
+least witness, on facets pulled back from its stars. Otherwise its point
+counts are a sum-product of the claws' points, tallied by their inner-edge
+blocks. A claw keyed by one block,
 which every claw of a tree with two inner vertices is, and decided on its
 triangulation, is tallied off the same stream: its parallelepiped points
 fall into classes by the first blocks of the simplex's vertices and of the
@@ -99,9 +115,10 @@ coordinates in Python integers, so every reported number is exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from math import comb, prod
+from operator import mul
 
 import numpy as np
 
@@ -473,21 +490,28 @@ def _tight_ranks(zh, tight):
 def facet_description(poly) -> HRep:
     """Exact H-representation of the convex hull of a point sequence, of a
     ModelPolytope's vertices or of a LatticePolytope: affine-hull
-    equalities plus facet inequalities found by double description
-    (_dual_dd) on a full-dimensional coordinate restriction.
+    equalities plus facet inequalities, on a full-dimensional coordinate
+    restriction.
 
     The hull comes from the polytope's lattice anchor + span(basis): its
     equalities c.x == c.anchor are the kernel of the basis rows, and the
     pivot columns of the echelon basis are the restriction's coordinates.
 
-    Every inequality is certified a facet in the restricted coordinates:
-    it holds on every point and is tight on points of affine rank d-1.
-    Raises AssertionError otherwise. The certificate runs on one matrix of
-    slacks per chunk of facets, at most _FACET_CELLS cells: each facet's
-    tight points, homogenized, must have rank d, and their ranks come from
-    one batched elimination (_tight_ranks). The arrays follow _exact's
-    rule: int64 while the actual maxima bound the next products below
-    2**62, Python ints past it."""
+    The candidate inequalities come from double description (_dual_dd)
+    on the points, or, for a LatticePolytope with two or more stars, from
+    the facets of its star projections, pulled back (_star_rays): the
+    double description then runs on the stars alone.
+
+    Every candidate is certified in the restricted coordinates: it holds on
+    every point, or this raises AssertionError, and it is tight on points
+    of affine rank d-1. A double-description candidate that is not raises
+    AssertionError too; a pulled-back one that is not is a lower face of P,
+    and is dropped. The certificate runs on one matrix of slacks per chunk
+    of candidates, at most _FACET_CELLS cells: each candidate's tight
+    points, homogenized, must have rank d, and their ranks come from one
+    batched elimination (_tight_ranks). The arrays follow _exact's rule:
+    int64 while the actual maxima bound the next products below 2**62,
+    Python ints past it."""
     poly = _as_polytope(poly)
     pts = poly.points
     if len(pts) > _POINT_CAP:
@@ -507,14 +531,16 @@ def facet_description(poly) -> HRep:
     inequalities = []
     if d > 0:
         zh = xh[:, pivots + [dim]]
-        rays = _dual_dd(zh, d)
+        pulled = len(poly.stars) >= 2
+        rays = _star_rays(poly, xh, pivots) if pulled else _dual_dd(zh, d)
+        facet = np.ones(len(rays), dtype=bool)
         step = max(1, _FACET_CELLS // zh.size)
         for s in range(0, len(rays), step):
             part = rays[s:s + step]
             slack = -_matmul(part, zh.T)   # -c0 - c.z, ray by ray
             bad = (slack < 0).any(axis=1)
             flat = _tight_ranks(zh, slack == 0) < d
-            failed = np.flatnonzero(bad | flat)
+            failed = np.flatnonzero(bad if pulled else bad | flat)
             if len(failed) and bad[failed[0]]:
                 raise AssertionError(
                     "facet description rejects an input point")
@@ -522,12 +548,126 @@ def facet_description(poly) -> HRep:
                 c, rhs = part[failed[0], :d].tolist(), -part[failed[0], d]
                 raise AssertionError(f"inequality {tuple(c)} <= {int(rhs)} "
                                      "is not tight on a facet")
-        for row in rays.tolist():
+            facet[s:s + step] = ~flat
+        for row in rays[facet].tolist():
             full = [0] * dim
             for x, col in zip(row, pivots):
                 full[col] = x
             inequalities.append((tuple(full), -row[d]))
     return HRep(equalities=tuple(equalities), inequalities=tuple(inequalities))
+
+
+def _star_rays(poly, xh, pivots):
+    """The facets of each distinct star projection of the LatticePolytope
+    P, pulled back to rays (c, c0) of P's restriction to the pivot columns
+    of its lattice, as _dual_dd gives them: primitive, distinct, c.z <= -c0.
+
+    The star projections are the distinct rows of P's points (xh, less its
+    last column of ones) on each star's columns. With P's equalities they
+    describe P when P is their fiber product over the columns two stars
+    share, which _check_fiber_product certifies first. A star facet
+    c.x <= b, lifted to P's columns, then holds on P. On P's affine hull,
+    x = anchor + y.B and z = anchor_z + y.A, A the basis on the pivot
+    columns, upper triangular with positive pivots; so c.x = c.anchor +
+    y.(B.c), and c.x <= b reads c_z.z <= b - c.anchor + c_z.anchor_z for
+    the c_z with A.c_z = B.c. D*A^-1 comes off one elimination of [A | I],
+    so the ray of every lifted row (c, -b) is that row times one integer
+    matrix, then made primitive. Two lifted rows give the same halfspace of
+    P's affine hull exactly when their primitive rays are equal, so once
+    duplicates are dropped each facet of P has one ray; the certificate
+    drops the rays of lower faces."""
+    stars, dim = poly.stars, xh.shape[1] - 1
+    projections = [tuple(sorted(set(map(tuple, xh[:, list(cols)].tolist()))))
+                   for cols in stars]
+    _check_fiber_product(projections, stars, dim, len(xh))
+    lat, d = poly.lattice, len(pivots)
+    basis = _int_array(lat.basis, dim)
+    (m,), (piv,) = _eliminate(np.concatenate(
+        [basis[:, pivots], np.identity(d, dtype=basis.dtype)], axis=1)[None])
+    # A is triangular with positive pivots, so D = det A > 0; row i of
+    # to_z is D*c_z for c = e_i: c.to_z = (D*A^-1.B.c)^T
+    scale = int(m[piv[0], 0])
+    to_z = _matmul(basis.T, m[piv[:d], d:].T).tolist()
+    anchor_z = [lat.anchor[c] for c in pivots]
+    # the ray of a lifted row (c, -b), times D, is (c, -b).pull
+    pull = _int_array([row + [scale * a - sum(map(mul, row, anchor_z))]
+                       for row, a in zip(to_z, lat.anchor)] +
+                      [[0] * d + [scale]], d + 1)
+    lifted, seen = [], {}
+    for cols, key in zip(stars, projections):
+        if key not in seen:
+            seen[key] = facet_description(key).inequalities
+        for c, b in seen[key]:
+            row = [0] * (dim + 1)
+            for col, x in zip(cols, c):
+                row[col] = x
+            row[dim] = -b
+            lifted.append(row)
+    rays = _matmul(_int_array(lifted, dim + 1), pull)
+    rays //= np.gcd.reduce(rays, axis=1)[:, None]
+    return _int_array(list(dict.fromkeys(map(tuple, rays.tolist()))), d + 1)
+
+
+def _check_fiber_product(projections, stars, dim, count):
+    """Raise AssertionError unless count distinct points of length dim,
+    whose star projections (the distinct rows on each star's columns, in
+    the star's column order) are given, are all the tuples of star points
+    that agree on the columns two stars share.
+
+    The stars must cover every column, and the stars that share columns
+    must form a tree, as the stars of a tree's inner vertices do over its
+    inner edges. Every shared block must be a unit vector at every point,
+    so that each gluing is a fiber product over a simplex (Sullivant,
+    2007), and the polytope the fiber product of its stars' polytopes.
+    The tuples are counted by a sum-product over that tree: each star
+    sends its parent, by the block they share, the count of its subtree's
+    tuples. The points map one to one into the tuples, since the stars
+    cover every column, so equal counts make them equal sets."""
+    if set().union(*stars) != set(range(dim)):
+        raise AssertionError("the stars miss a column of the polytope")
+    links = [[] for _ in stars]   # per star: (neighbour, shared columns)
+    for i, a in enumerate(stars):
+        for j, b in enumerate(stars[:i]):
+            shared = sorted(set(a) & set(b))
+            if not shared:
+                continue
+            for s in (i, j):
+                at = [stars[s].index(c) for c in shared]
+                for row in projections[s]:
+                    block = sorted(row[k] for k in at)
+                    if block != [0] * (len(at) - 1) + [1]:
+                        raise AssertionError(
+                            f"the block of columns {shared} shared by two "
+                            f"stars is {block} at a point, no unit vector")
+            links[i].append((j, shared))
+            links[j].append((i, shared))
+    order, parent = [0], {0: None}
+    for s in order:
+        for t, shared in links[s]:
+            if t not in parent:
+                parent[t] = s, shared
+                order.append(t)
+    if len(order) != len(stars) or sum(map(len, links)) != 2 * len(order) - 2:
+        raise AssertionError("the stars that share columns form no tree")
+    sent = {}
+    for s in reversed(order):
+        at = {c: k for k, c in enumerate(stars[s])}
+        kids = [(t, [at[c] for c in shared]) for t, shared in links[s]
+                if parent[t] and parent[t][0] == s]
+        up = [at[c] for c in parent[s][1]] if parent[s] else []
+        out = {}
+        for row in projections[s]:
+            ways = 1
+            for t, cols in kids:
+                ways *= sent[t].get(tuple(row[k] for k in cols), 0)
+            if ways:
+                key = tuple(row[k] for k in up)
+                out[key] = out.get(key, 0) + ways
+        sent[s] = out
+    total = sent[0].get((), 0)
+    if total != count:
+        raise AssertionError(f"the stars' fiber product has {total} points, "
+                             f"the polytope {count}")
 
 
 # Cells (rows x constraints) of the widest bound table in a dilate's scan.
@@ -574,9 +714,18 @@ class LatticePolytope:
     Derived data is computed once, on first use: the lattice, the facets,
     the project-and-lift scan data and the lattice points of P. A point of
     the dilate nP is x = n*anchor + y.B in lattice coordinates y. Points of
-    different lengths raise ValueError."""
+    different lengths raise ValueError.
+
+    stars, when P is the polytope of a tree, holds the columns of the edges
+    at each inner vertex (star_columns). With two or more, the facets are
+    the stars' facets pulled back, once P is certified their fiber product
+    (facet_description); the double description then runs on the stars
+    alone."""
 
     points: tuple   # sorted, distinct integer tuples of one length
+    # column tuples, one per inner vertex of a tree; they choose how the
+    # facets are found, not what they are, so equality ignores them
+    stars: tuple = field(default=(), compare=False)
 
     def __post_init__(self):
         pts = tuple(sorted(set(map(tuple, self.points))))
@@ -586,6 +735,7 @@ class LatticePolytope:
         if len(lengths) > 1:
             raise ValueError(f"points of different lengths {lengths}")
         object.__setattr__(self, "points", pts)
+        object.__setattr__(self, "stars", tuple(map(tuple, self.stars)))
 
     @cached_property
     def lattice(self) -> AffineLattice:
@@ -705,7 +855,14 @@ class LatticePolytope:
     @cached_property
     def lattice_points(self) -> np.ndarray:
         """The lattice points of P as int64 rows of lattice coordinates y,
-        in lexicographic order."""
+        in lexicographic order: the degree-1 scan, or, when every
+        coordinate of every point is 0 or 1, the points themselves. A
+        lattice point of such a P lies in the unit cube, so it is a vertex
+        of the cube, which is a convex combination of points of P only as
+        one of them; and the points, sorted in ambient order, are in
+        lexicographic order in y."""
+        if set().union(*self.points) <= {0, 1}:
+            return self._coordinates
         return _dilate_array(self, 1)
 
     @cached_property
@@ -807,6 +964,15 @@ def _bits(x):
     """The indices of the set bits of x, ascending."""
     s = bin(x)[:1:-1]
     return [i for i, c in enumerate(s) if c == "1"]
+
+
+def star_columns(tree: Tree, width: int) -> tuple:
+    """For each inner vertex of tree, the columns of the blocks of the
+    edges at it, in edge order, each edge a block of width coordinates:
+    the stars of a LatticePolytope of the tree."""
+    return tuple(tuple(c for e, edge in enumerate(tree.edges) if v in edge
+                       for c in range(e * width, (e + 1) * width))
+                 for v in tree.inner)
 
 
 def _as_polytope(poly) -> LatticePolytope:
@@ -1042,8 +1208,14 @@ def decompose(q, n: int, points) -> DecompositionResult:
 
     The lattice points of P are tried in scan order, which is ambient
     order. q is solved in the lattice of nP once, at the root: each
-    remainder q - v_1 - ... - v_k then lies in the lattice of (n - k)P, so
-    a node tests only the halfspaces of (n - k)P."""
+    remainder q - v_1 - ... - v_k then lies in the lattice of (n - k)P, and
+    it lies in (n - k)P exactly when its facet slacks there are
+    nonnegative. A node carries that slack vector s, and the slack of its
+    child q' - v in (k - 1)P is s minus the slack of v in P; so one array
+    test against P's slack table picks every child that fits, and only
+    those are visited. examined counts the children tested, whether they
+    fit or not, and the root: the nodes of a search that visits them all.
+    A child of degree 0 fits only as the point 0, since P is bounded."""
     if n < 0:
         raise ValueError(f"degree must be nonnegative, got {n}")
     poly = _as_polytope(points)
@@ -1051,34 +1223,42 @@ def decompose(q, n: int, points) -> DecompositionResult:
     if len(q) != len(poly.points[0]):
         raise ValueError(f"point of length {len(q)} against points of "
                          f"length {len(poly.points[0])}")
-    lat, hrep = poly.lattice, poly.hrep
-    s1 = _ambient_rows(poly.lattice_points, 1, lat)
-    examined = 0
+    y = poly.lattice.coordinates(q, n)
+    if y is None:
+        return DecompositionResult(found=None, examined=1)
+    rows = poly._facet_slacks[0]
+    slack = _matmul(rows, _int_array([tuple(-a for a in y) + (n,)],
+                                     len(y) + 1).T)[:, 0]
+    if (slack < 0).any():
+        return DecompositionResult(found=None, examined=1)
+    pts = poly.lattice_points
+    table = _matmul(rows, np.concatenate(
+        [-pts, np.ones((len(pts), 1), dtype=pts.dtype)], axis=1).T)
+    slack, table = _exact(_absmax(slack) + _absmax(table), slack, table)
+    examined = 1
     dead = set()
 
-    def rec(rest, k, min_idx):
+    def rec(s, k, lo):
         nonlocal examined
-        examined += 1
         if k == 0:
-            return [] if not any(rest) else None
-        key = (rest, k, min_idx)
+            return []
+        key = (tuple(s.tolist()), k, lo)
         if key in dead:
             return None
-        if not hrep.contains(rest, k) or \
-                k == n and not lat.contains(rest, k):
-            dead.add(key)
-            return None
-        for idx in range(min_idx, len(s1)):
-            v = s1[idx]
-            sub = rec(tuple(a - b for a, b in zip(rest, v)), k - 1, idx)
+        fits = (table[:, lo:] <= s[:, None]).all(axis=0)
+        for idx in (np.flatnonzero(fits) + lo).tolist():
+            sub = rec(s - table[:, idx], k - 1, idx)
             if sub is not None:
-                return [v] + sub
+                examined += idx - lo + 1
+                return [idx] + sub
+        examined += len(pts) - lo
         dead.add(key)
         return None
 
-    found = rec(q, n, 0)
+    found = rec(slack, n, 0)
     return DecompositionResult(
-        found=None if found is None else tuple(found), examined=examined)
+        found=None if found is None else tuple(
+            _ambient_rows(pts[found], 1, poly.lattice)), examined=examined)
 
 
 def _ceiling(max_degree, poly=None):
@@ -1642,7 +1822,8 @@ def tree_idp_check(tree: Tree, model, max_degree: int = None,
     idp_check(claw, max_degree=n), or on the scan where that costs less.
     When a claw fails, P is Normal below the least failing degree n and
     fails at n, so the result is idp_check(P, max_degree=n), which gives
-    the same verdict, least witness and counts as idp_check(P). Otherwise
+    the same verdict, least witness and counts as idp_check(P); P carries
+    its stars, so its facets are pulled back from them. Otherwise
     P's count at each degree n is the sum-product over the inner edges
     (_sum_product) of the claws' tallies: each claw's points of nP counted
     by their key codes over the claw's first m blocks, m the most inner
@@ -1657,11 +1838,12 @@ def tree_idp_check(tree: Tree, model, max_degree: int = None,
       claw's nP_v has at most as many points as nP, since each extends to
       one, so the claws' scans meet no point cap that P's would not."""
     _ceiling(max_degree)   # before any polytope is built
-    poly = _as_polytope(build_polytope(tree, model, cap=cap))
+    w = model.group.size
+    poly = LatticePolytope(build_polytope(tree, model, cap=cap).vertices,
+                           stars=star_columns(tree, w))
     if len(tree.inner) < 2:
         return pulling_idp_check(poly, max_degree)
     max_degree = _ceiling(max_degree, poly)
-    w = model.group.size
     plan = _claw_plan(tree)
     keyed = {}   # claw degree -> blocks its tally keys
     for _, k, has_in, outs in plan:

@@ -338,3 +338,41 @@ def dual_dd_reference(zpoints, d):
                     new_zero.append(common | bit)
         rays, zero_sets = new_rays, new_zero
     return [(tuple(ray[:-1]), -ray[-1]) for ray in rays]
+
+
+def decompose_reference(q, n, points):
+    """(found, examined) of the exhaustive search for q = p_1 + ... + p_n,
+    each p_i a lattice point of conv(points), index-nondecreasing over the
+    lattice points in ambient order: a node tests its remainder against
+    the halfspaces of its dilate in Python integers (HRep.contains), and
+    the root against the lattice too. The oracle for lattice.decompose,
+    which tests every child at once on P's slack table; examined counts
+    every node this search enters."""
+    poly = points if isinstance(points, LatticePolytope) \
+        else LatticePolytope(points)
+    lat, hrep = poly.lattice, poly.hrep
+    s1 = lattice_points_in_dilate(poly, 1)
+    examined = 0
+    dead = set()
+
+    def rec(rest, k, lo):
+        nonlocal examined
+        examined += 1
+        if k == 0:
+            return [] if not any(rest) else None
+        key = (rest, k, lo)
+        if key in dead:
+            return None
+        if not hrep.contains(rest, k) or \
+                k == n and not lat.contains(rest, k):
+            dead.add(key)
+            return None
+        for idx in range(lo, len(s1)):
+            sub = rec(tuple(a - b for a, b in zip(rest, s1[idx])), k - 1, idx)
+            if sub is not None:
+                return [s1[idx]] + sub
+        dead.add(key)
+        return None
+
+    found = rec(tuple(q), n, 0)
+    return None if found is None else tuple(found), examined

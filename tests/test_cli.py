@@ -10,7 +10,7 @@ import phylotope.lattice
 import phylotope.verify
 from phylotope.cli import main
 from phylotope.groups import parse_group_spec
-from phylotope.lattice import LatticePolytope, _star
+from phylotope.lattice import IdpReport, LatticePolytope, _star, star_columns
 from phylotope.polytope import build_polytope
 from phylotope.trees import parse_newick
 
@@ -159,6 +159,40 @@ def test_a_failing_claw_hands_its_degree_to_the_tree_scan(capsys,
     assert calls == [(claw, 4), (tree, 4)]
 
 
+def _facets_from_stars(monkeypatch):
+    """The list of the stars of every polytope whose facets facet_description
+    pulls back from its stars, as it runs."""
+    seen, star_rays = [], phylotope.lattice._star_rays
+
+    def spy(poly, *args):
+        seen.append(poly.stars)
+        return star_rays(poly, *args)
+
+    monkeypatch.setattr(phylotope.lattice, "_star_rays", spy)
+    return seen
+
+
+def test_projected_facets_come_from_the_stars(capsys, monkeypatch):
+    seen = _facets_from_stars(monkeypatch)
+    code, out, _ = run(capsys, "normality", "--group", "K2P", "--tree",
+                       "((a,b),c,(d,e));", "--flavor", "projected")
+    assert code == 1 and "witness degree: 2" in out
+    assert seen == [star_columns(parse_newick("((a,b),c,(d,e));"), 3)]
+
+
+def test_a_scanned_tree_takes_its_facets_from_its_stars(monkeypatch):
+    # a claw reported failing at degree 2 hands the whole tree to the scan
+    seen = _facets_from_stars(monkeypatch)
+    failing = IdpReport(verdict="NotNormal", degrees_checked=(2,),
+                        witness=(), witness_degree=2)
+    monkeypatch.setattr(phylotope.lattice, "_pulling",
+                        lambda claw, max_degree, width=0: (failing, None))
+    tree = parse_newick("((a,b),(c,d));")
+    report = phylotope.lattice.tree_idp_check(tree, parse_group_spec("Z3"))
+    assert report.degrees_checked == (2,)
+    assert seen == [star_columns(tree, 3)]
+
+
 @pytest.mark.parametrize("degree", ["1", "0", "-5"])
 def test_normality_degree_ceiling_below_two_is_input_error(capsys, degree):
     code, out, err = run(capsys, "normality", "--group", "K2P",
@@ -181,6 +215,13 @@ def test_degree_ceiling_is_checked_before_enumeration(capsys, flavor):
     code, out, err = run(capsys, "normality", "--group", "K2P",
                          "--tree", "((a,b),(c,d));", "--flavor", flavor,
                          "--max-degree", "1", "--vertex-cap", "1")
+    assert (code, out) == (2, "")
+    assert err == "error: max_degree must be at least 2, got 1\n"
+
+
+def test_degree_ceiling_is_checked_before_the_group_is_read(capsys):
+    code, out, err = run(capsys, "normality", "--tree", "((a,b),(c,d));",
+                         "--max-degree", "1")
     assert (code, out) == (2, "")
     assert err == "error: max_degree must be at least 2, got 1\n"
 

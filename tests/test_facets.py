@@ -1,6 +1,8 @@
 """The facet layer on integer arrays against its pure-Python oracles: the
 fraction-free elimination, the double description and the scan levels;
-and the checks that guard it: the batched facet certificate, the int64 and
+the facets of a tree polytope pulled back from its stars, against the
+double description of the whole tree; and the checks that guard it: the
+batched facet certificate, the fiber-product certificate, the int64 and
 object number types, and the memory of one call."""
 
 import re
@@ -12,14 +14,14 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from helpers import (SCAN_CASES, dual_dd_reference, kernel_reference,
-                     levels_reference, primitive, row_reduce_pivots,
+                     levels_reference, primitive, reorient, row_reduce_pivots,
                      scan_case)
 from phylotope import lattice
 from phylotope.groups import abelian_model, parse_group_spec
 from phylotope.lattice import (LatticePolytope, _dual_dd, _eliminate,
                                _int_array, _kernel, _tight_ranks,
-                               facet_description)
-from phylotope.polytope import build_polytope
+                               facet_description, idp_check, star_columns)
+from phylotope.polytope import build_polytope, project_orbits
 from phylotope.trees import parse_newick
 
 
@@ -298,3 +300,130 @@ def test_levels_match_reference_on_slow_orders(spec, newick):
 def test_levels_match_reference_on_random_sets(pts):
     poly = LatticePolytope(pts)
     assert poly.levels == levels_reference(poly)
+
+
+# (group, projected flavor, trees) whose whole-tree double description
+# takes under about 0.4 s: trees of 4 to 6 leaves with two or more inner
+# vertices, some of degree 4.
+STAR_CASES = (
+    ("Z2", False, ("((a,b),(c,d));", "((a,b),c,(d,e));", "((a,b),(c,d,e));",
+                   "((a,b,c),(d,e,f));", "((a,b),(c,d),(e,f));",
+                   "((a,b),(c,(d,(e,f))));")),
+    ("Z3", False, ("((a,b),(c,d));", "((a,b),c,(d,e));", "((a,b),(c,d,e));",
+                   "((a,b,c),(d,e,f));")),
+    ("Z4", False, ("((a,b),(c,d));",)),
+    ("Z2xZ2", False, ("((a,b),(c,d));", "(a,b,(c,d));")),
+    ("K3P", False, ("((a,b),(c,d));",)),
+    ("K2P", True, ("((a,b),(c,d));", "((a,b),c,(d,e));", "((a,b),(c,d,e));",
+                   "(a,b,(c,d,e));", "((a,b,c),(d,e,f));")),
+    ("JC", True, ("((a,b),c,(d,e));", "((a,b),(c,d,e));",
+                  "((a,b,c),(d,e,f));", "((a,b),(c,d),(e,f));",
+                  "((a,b),c,(d,(e,f)));")),
+)
+
+
+def _tree_polytope(spec, projected, newick, root=None):
+    """(the polytope's points, its stars) for spec on newick, rooted at
+    vertex root % (vertex count) when root is given."""
+    model, tree = parse_group_spec(spec), parse_newick(newick)
+    if root is not None:
+        tree = reorient(tree, root % tree.n_vertices)
+    poly = build_polytope(tree, model)
+    if projected:
+        poly = project_orbits(poly, model)
+    return poly.vertices, star_columns(tree, poly.block_width)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(STAR_CASES).flatmap(lambda case: st.tuples(
+    st.just(case[0]), st.just(case[1]), st.sampled_from(case[2]),
+    st.integers(0, 20))), st.integers(1, 3), st.integers(-2, 2))
+def test_star_route_matches_the_double_description(case, stretch, shift):
+    """The facets pulled back from the stars, as a set, and the equalities
+    are the double description's on the same points with no stars, at a
+    leaf root or an inner one. The columns of one star only are mapped by
+    x -> stretch*x + shift, which keeps the fiber product and gives the
+    lattice pivots past 1 and an anchor off 0/1."""
+    points, stars = _tree_polytope(*case)
+    own = {c for c in range(len(points[0]))
+           if sum(c in cols for cols in stars) == 1}
+    points = [tuple(stretch * x + shift if c in own else x
+                    for c, x in enumerate(p)) for p in points]
+    want = facet_description(LatticePolytope(points))
+    got = facet_description(LatticePolytope(points, stars=stars))
+    assert got.equalities == want.equalities
+    assert len(got.inequalities) == len(set(got.inequalities))
+    assert set(got.inequalities) == set(want.inequalities)
+
+
+def test_the_double_description_runs_on_the_stars_alone(monkeypatch):
+    # the three stars of the K2P 5-leaf tree project to one point set, of
+    # 10 points
+    points, stars = _tree_polytope("K2P", True, "((a,b),c,(d,e));")
+    sizes, dual_dd = [], lattice._dual_dd
+
+    def spy(zh, d):
+        sizes.append(len(zh))
+        return dual_dd(zh, d)
+
+    monkeypatch.setattr(lattice, "_dual_dd", spy)
+    hrep = facet_description(LatticePolytope(points, stars=stars))
+    assert len(hrep.inequalities) == 38
+    assert len(stars) == 3 and sizes == [10]
+
+
+def test_the_star_route_drops_a_lower_face(monkeypatch):
+    # At the degree-4 vertex one pulled-back star facet of the K2P tree is
+    # tight on a face of P of lower dimension, not on a facet.
+    points, stars = _tree_polytope("K2P", True, "((a,b),(c,d,e));")
+    kept, star_rays = [], lattice._star_rays
+
+    def spy(*args):
+        rays = star_rays(*args)
+        kept.append(len(rays))
+        return rays
+
+    monkeypatch.setattr(lattice, "_star_rays", spy)
+    hrep = facet_description(LatticePolytope(points, stars=stars))
+    assert kept == [40] and len(hrep.inequalities) == 39
+    assert set(hrep.inequalities) == \
+        set(facet_description(points).inequalities)
+
+
+def test_both_routes_give_the_same_idp_report():
+    spec, tree, _ = SCAN_CASES["k2p-5leaf-projected"]
+    points, stars = _tree_polytope(spec, True, tree)
+    assert points == scan_case("k2p-5leaf-projected").points
+    report = idp_check(LatticePolytope(points, stars=stars))
+    assert report == idp_check(LatticePolytope(points))
+    assert report.witness_degree == 2
+
+
+def test_a_point_set_short_of_the_fiber_product_raises():
+    # every star projection keeps all its points, so the stars' fiber
+    # product still counts all 116
+    points, stars = _tree_polytope("K2P", True, "((a,b),c,(d,e));")
+    with pytest.raises(AssertionError, match=re.escape(
+            "the stars' fiber product has 116 points, the polytope 115")):
+        facet_description(LatticePolytope(points[1:], stars=stars))
+
+
+def test_a_shared_block_that_is_no_unit_vector_raises():
+    # The Z2 quartet's inner edge is its third block, columns 4 and 5.
+    points, stars = _tree_polytope("Z2", False, "((a,b),(c,d));")
+    assert stars == ((0, 1, 2, 3, 4, 5), (4, 5, 6, 7, 8, 9))
+    bent = points[:-1] + (points[-1][:4] + (1, 1) + points[-1][6:],)
+    with pytest.raises(AssertionError, match=re.escape(
+            "the block of columns [4, 5] shared by two stars is [1, 1] at "
+            "a point, no unit vector")):
+        facet_description(LatticePolytope(bent, stars=stars))
+
+
+def test_stars_must_cover_the_columns_and_form_a_tree():
+    points, stars = _tree_polytope("Z2", False, "((a,b),(c,d));")
+    with pytest.raises(AssertionError, match="miss a column"):
+        facet_description(LatticePolytope(points, stars=stars[:1] * 2))
+    # disconnected, and a cycle through blocks that are all unit vectors
+    for bad in ((stars[0], (6, 7, 8, 9)), stars + ((0, 1, 8, 9),)):
+        with pytest.raises(AssertionError, match="form no tree"):
+            facet_description(LatticePolytope(points, stars=bad))

@@ -5,14 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import coordinates_reference
+from helpers import coordinates_reference, decompose_reference, scan_case
 from phylotope import lattice
 from phylotope.errors import (BlockWidthMismatchError,
                               ProjectionNotInSimplexError,
                               ScaleExceededError)
 from phylotope.groups import abelian_model, preset_model
-from phylotope.lattice import (AffineLattice, LatticePolytope, _key_weights,
-                               _star, decompose, facet_description,
+from phylotope.lattice import (AffineLattice, LatticePolytope, _dilate_array,
+                               _key_weights, _star, decompose,
+                               facet_description,
                                fiber_product, glued_polytope,
                                hermite_normal_form, idp_check,
                                lattice_points_in_dilate, spanned_lattice)
@@ -357,6 +358,58 @@ def test_decompose_solves_the_lattice_once(monkeypatch):
     assert solves == [3]
     assert found == (pts[4], pts[6], pts[8])
     assert tuple(map(sum, zip(*found))) == q
+
+
+@st.composite
+def decompositions(draw):
+    """(points, n, q): up to 8 points in dimension 1 to 3, and q a sum of
+    n <= 4 of them moved by a step in -1..1 per coordinate, so that q lies
+    in nP, or in its lattice, or in neither. From n = 4 on, two multisets
+    of three points with the same sum and the same last point reach one
+    remainder, which the search's memo of dead nodes then skips."""
+    d = draw(st.integers(1, 3))
+    pts = draw(st.lists(st.tuples(*[st.integers(-2, 3)] * d), min_size=1,
+                        max_size=8, unique=True))
+    n = draw(st.integers(0, 4))
+    picks = draw(st.lists(st.sampled_from(pts), min_size=n, max_size=n))
+    step = draw(st.tuples(*[st.integers(-1, 1)] * d))
+    return pts, n, tuple(sum(p[i] for p in picks) + step[i]
+                         for i in range(d))
+
+
+@settings(max_examples=150, deadline=None)
+@given(decompositions())
+def test_decompose_matches_the_node_by_node_search(case):
+    """The slack-table search finds what the search that tests each node
+    against the halfspaces finds, and examines as many nodes."""
+    pts, n, q = case
+    res = decompose(q, n, pts)
+    assert (res.found, res.examined) == decompose_reference(q, n, pts)
+
+
+def test_decompose_examines_the_k2p_witness_as_before():
+    poly = scan_case("k2p-5leaf-projected")
+    witness = idp_check(poly).witness
+    res = decompose(witness, 2, poly)
+    assert res.found is None
+    assert res.examined == decompose_reference(witness, 2, poly)[1] == 117
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda d: st.lists(
+    st.tuples(*[st.integers(0, 1)] * d), min_size=1, max_size=12,
+    unique=True)), st.booleans())
+def test_lattice_points_of_a_zero_one_polytope_are_its_points(pts, stretch):
+    """The lattice points of a 0/1 point set are its points, with no scan
+    levels built; with one coordinate doubled, as the degree-1 scan finds
+    them, which may hold more."""
+    if stretch:
+        pts = [p[:-1] + (2 * p[-1],) for p in pts]
+    poly = LatticePolytope(pts)
+    got = poly.lattice_points
+    assert got.dtype == np.int64
+    assert np.array_equal(got, _dilate_array(LatticePolytope(pts), 1))
+    assert ("levels" in vars(poly)) == (stretch and any(p[-1] for p in pts))
 
 
 @pytest.mark.parametrize("max_degree", [1, 0, -5])

@@ -218,6 +218,16 @@ def test_z5_claw_matches_the_scan_through_degree_five(triangulate):
                                         (4, 19175), (5, 102251))
 
 
+def test_a_zero_one_claw_is_decided_without_scan_levels():
+    # its lattice points are its points, so neither its levels nor the
+    # scan's magnitude are built
+    poly = LatticePolytope(build_polytope(CLAW,
+                                          parse_group_spec("Z4")).vertices)
+    report = pulling_idp_check(poly)
+    assert report.normal and report.degrees_checked == tuple(range(2, 9))
+    assert not {"levels", "magnitude"} & set(vars(poly))
+
+
 def test_claw_route_does_not_scan_a_normal_claw(monkeypatch):
     def scan(*args, **kwargs):
         raise AssertionError("the scan ran")
