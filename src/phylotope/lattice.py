@@ -17,8 +17,8 @@ zero sets as packed uint64 bitsets, so the adjacency test of all
 candidate pairs of a step is one array operation, in chunks. Every facet
 is then certified from one matrix of slacks: it holds on every point, and
 its tight points have affine rank d-1, as one elimination batched over all
-facets shows. LatticePolytope's facets, tight sets and slacks come from
-one such matrix in lattice coordinates.
+facets shows. LatticePolytope keeps one facet table, _facet_slacks: its
+facet rows and slacks in lattice coordinates, from one such matrix.
 
 The double description runs on point sets and on stars, never on a whole
 tree. The polytope of a tree, abelian or projected, is the fiber product of
@@ -84,7 +84,11 @@ does: the tree's least failing degree is its claws'. Only when a claw fails
 at some degree is the tree itself scanned, through that degree, for the
 least witness, on facets pulled back from its stars. Otherwise its point
 counts are a sum-product of the claws' points, tallied by their inner-edge
-blocks. A claw keyed by one block,
+blocks. The stars, linked by the columns they share, form a tree
+(_star_tree), and one sum-product over it (_sum_product) counts both the
+fiber product that certifies a tree's facets, on the stars' points, and
+a tree's points per degree, on its claws' tallies; a tree's count at
+degree 1 is checked against its points. A claw keyed by one block,
 which every claw of a tree with two inner vertices is, and decided on its
 triangulation, is tallied off the same stream: its parallelepiped points
 fall into classes by the first blocks of the simplex's vertices and of the
@@ -615,33 +619,52 @@ def _check_fiber_product(projections, stars, dim, count):
     that agree on the columns two stars share.
 
     The stars must cover every column, and the stars that share columns
-    must form a tree, as the stars of a tree's inner vertices do over its
-    inner edges. Every shared block must be a unit vector at every point,
-    so that each gluing is a fiber product over a simplex (Sullivant,
-    2007), and the polytope the fiber product of its stars' polytopes.
-    The tuples are counted by a sum-product over that tree: each star
-    sends its parent, by the block they share, the count of its subtree's
-    tuples. The points map one to one into the tuples, since the stars
-    cover every column, so equal counts make them equal sets."""
+    must form a tree (_star_tree), as the stars of a tree's inner vertices
+    do over its inner edges. Every shared block must be a unit vector at
+    every point, so that each gluing is a fiber product over a simplex
+    (Sullivant, 2007), and the polytope the fiber product of its stars'
+    polytopes. The tuples are counted by the sum-product over that tree
+    (_sum_product), each star's table its points by their shared blocks.
+    The points map one to one into the tuples, since the stars cover every
+    column, so equal counts make them equal sets."""
     if set().union(*stars) != set(range(dim)):
         raise AssertionError("the stars miss a column of the polytope")
+    plan = _star_tree(stars)
+    tables = {}
+    for s, up, kids in plan:
+        at = {c: k for k, c in enumerate(stars[s])}
+        links = ([up] if up else []) + [cols for _, cols in kids]
+        tables[s] = []
+        for row in projections[s]:
+            blocks = tuple(tuple(row[at[c]] for c in cols) for cols in links)
+            for cols, block in zip(links, blocks):
+                if sorted(block) != [0] * (len(cols) - 1) + [1]:
+                    raise AssertionError(
+                        f"the block of columns {list(cols)} shared by two "
+                        f"stars is {sorted(block)} at a point, no unit "
+                        "vector")
+            tables[s].append((blocks, 1))
+    total = _sum_product(plan, tables)
+    if total != count:
+        raise AssertionError(f"the stars' fiber product has {total} points, "
+                             f"the polytope {count}")
+
+
+def _star_tree(stars):
+    """The stars (column tuples) linked by the columns they share, as a
+    plan for _sum_product: (star, up, kids) for each star, after its
+    children, rooted at star 0, which comes last. up holds the columns the
+    star shares with its parent, sorted, and is empty at the root; kids
+    holds (child, the columns they share) in star order. Raises
+    AssertionError unless the links form a tree."""
     links = [[] for _ in stars]   # per star: (neighbour, shared columns)
     for i, a in enumerate(stars):
         for j, b in enumerate(stars[:i]):
-            shared = sorted(set(a) & set(b))
-            if not shared:
-                continue
-            for s in (i, j):
-                at = [stars[s].index(c) for c in shared]
-                for row in projections[s]:
-                    block = sorted(row[k] for k in at)
-                    if block != [0] * (len(at) - 1) + [1]:
-                        raise AssertionError(
-                            f"the block of columns {shared} shared by two "
-                            f"stars is {block} at a point, no unit vector")
-            links[i].append((j, shared))
-            links[j].append((i, shared))
-    order, parent = [0], {0: None}
+            shared = tuple(sorted(set(a) & set(b)))
+            if shared:
+                links[i].append((j, shared))
+                links[j].append((i, shared))
+    order, parent = [0], {0: (None, ())}
     for s in order:
         for t, shared in links[s]:
             if t not in parent:
@@ -649,25 +672,34 @@ def _check_fiber_product(projections, stars, dim, count):
                 order.append(t)
     if len(order) != len(stars) or sum(map(len, links)) != 2 * len(order) - 2:
         raise AssertionError("the stars that share columns form no tree")
+    return [(s, parent[s][1], [(t, shared) for t, shared in links[s]
+                               if parent[t][0] == s])
+            for s in reversed(order)]
+
+
+def _sum_product(plan, tables):
+    """The tuples of rows, one of tables[s] for each star s of the plan
+    (_star_tree), that agree on every block two linked stars share, each
+    counted as the product of its rows' counts, in Python integers.
+
+    tables[s] lists (blocks, count): the blocks of star s on its links,
+    the one it shares with its parent first, when it has one, then one per
+    child, in kids' order; a block may be any hashable value the two ends
+    of a link agree on. Each star sends its parent, keyed by the block
+    they share, the count of its subtree's tuples."""
     sent = {}
-    for s in reversed(order):
-        at = {c: k for k, c in enumerate(stars[s])}
-        kids = [(t, [at[c] for c in shared]) for t, shared in links[s]
-                if parent[t] and parent[t][0] == s]
-        up = [at[c] for c in parent[s][1]] if parent[s] else []
+    for s, up, kids in plan:
+        into = [sent[t] for t, _ in kids]
+        lead = 1 if up else 0
         out = {}
-        for row in projections[s]:
-            ways = 1
-            for t, cols in kids:
-                ways *= sent[t].get(tuple(row[k] for k in cols), 0)
-            if ways:
-                key = tuple(row[k] for k in up)
-                out[key] = out.get(key, 0) + ways
+        for blocks, count in tables[s]:
+            for got, block in zip(into, blocks[lead:]):
+                count *= got.get(block, 0)
+            if count:
+                head = blocks[0] if up else ()
+                out[head] = out.get(head, 0) + count
         sent[s] = out
-    total = sent[0].get((), 0)
-    if total != count:
-        raise AssertionError(f"the stars' fiber product has {total} points, "
-                             f"the polytope {count}")
+    return sent[plan[-1][0]].get((), 0)
 
 
 # Cells (rows x constraints) of the widest bound table in a dilate's scan.
@@ -791,23 +823,12 @@ class LatticePolytope:
         return rows, _matmul(rows, at.T)
 
     @cached_property
-    def facets(self) -> tuple:
-        """P's facets in lattice coordinates, in hrep's order, as (c, b,
-        tight set) with c.y <= b primitive and the tight set a bitset over
-        points: those of zero slack."""
-        rows, slack = self._facet_slacks
-        tight = np.packbits(slack == 0, axis=1, bitorder="little")
-        return tuple((tuple(row[:-1]), row[-1],
-                      int.from_bytes(bits.tobytes(), "little"))
-                     for row, bits in zip(rows.tolist(), tight))
-
-    @cached_property
     def levels(self) -> tuple:
         """levels[j] bounds y[j] given y[:j]: the facets c.y <= b of the
         projection of P onto y[:j+1] with c[j] != 0, as (coefficient rows,
         right sides, count of upper bounds c[j] > 0, which come first).
 
-        The last level is P itself, with the facets of self.facets. Each
+        The last level is P itself, with its facets (_facet_slacks). Each
         lower level comes from the one above by Fourier-Motzkin elimination
         of y[j]: a facet of the projection is the projection of a facet
         with c[j] == 0, or of a ridge where an upper facet g meets a lower
@@ -866,11 +887,6 @@ class LatticePolytope:
         return _dilate_array(self, 1)
 
     @cached_property
-    def slacks(self) -> tuple:
-        """slacks[g][i] = b - c.y of facet g at point i."""
-        return tuple(map(tuple, self._facet_slacks[1].tolist()))
-
-    @cached_property
     def vertex_bits(self) -> int:
         """The vertices of P among points, as a bitset: a point is a vertex
         when the facets through it, read off the slack matrix, meet in it
@@ -884,10 +900,10 @@ class LatticePolytope:
         least vertex, each as its flag (v_0..v_r, g_0..g_{r-1}): v_k is the
         least vertex of the face F_k, F_0 = P, and F_{k+1} = F_k & tight(g_k)
         is a facet of F_k that misses v_k. Faces are bitsets over the
-        vertices, v_k indices into points, g_k indices into facets. Of the
-        facets that cut F_{k+1}, g_k is one of least slack at v_k, so that
-        a unimodular simplex's slacks multiply to 1 wherever they can
-        (_half_open).
+        vertices, v_k indices into points, g_k indices into P's facet rows
+        (_facet_slacks). Of the facets that cut F_{k+1}, g_k is one of least
+        slack at v_k, so that a unimodular simplex's slacks multiply to 1
+        wherever they can (_half_open).
 
         The facets of a face F are the inclusion-maximal proper nonempty
         sets F & tight(g). One such set S is maximal exactly when every
@@ -896,8 +912,12 @@ class LatticePolytope:
         directly; the facets of every other face that miss its least vertex
         are memoized. Past _PULL_CAP faces memoized or simplices yielded,
         this raises ScaleExceededError."""
-        vbits, slacks = self.vertex_bits, self.slacks
-        tights = [t & vbits for _, _, t in self.facets]
+        vbits, slack = self.vertex_bits, self._facet_slacks[1]
+        slacks = slack.tolist()
+        # per facet, its tight points as a bitset; faces are sets of
+        # vertices, so a face meets it in vertices only
+        tights = [int.from_bytes(bits.tobytes(), "little") for bits
+                  in np.packbits(slack == 0, axis=1, bitorder="little")]
         # bitsets over facets: those through point v, those at slack 1
         through, near = ([sum(1 << g for g, row in enumerate(slacks)
                               if row[v] == s) for v in range(len(self.points))]
@@ -1426,7 +1446,8 @@ def _half_open(poly: LatticePolytope, top: int, width: int = 0):
         if any(sorted(p[:width]) != unit for p in poly.points):
             raise AssertionError("a first block is no unit vector")
         chars = [p[:width].index(1) for p in poly.points]
-    slack, facets = poly.slacks, poly._facet_slacks[0]
+    facets, slack = poly._facet_slacks
+    slack = slack.tolist()
     units = [[row[-1]] + [-a for a in row[:-1]] for row in facets.tolist()]
     q = [0] * (r + 1)
     for v in _bits(poly.vertex_bits):
@@ -1723,54 +1744,6 @@ def _class_tallies(classes: dict, w: int, totals):
         yield keys[hit, :-1] @ (n + 1) ** np.arange(w - 2, -1, -1), out[hit]
 
 
-def _claw_plan(tree: Tree):
-    """The inner vertices of tree, each after its inner children, as
-    (vertex, degree, whether its edge from its parent is inner, its inner
-    children in edge order). The last is the inner vertex nearest the
-    root, the only one whose edge from its parent is not inner."""
-    inner = set(tree.inner)
-    kids = tree.children_map
-    top = tree.root if tree.root in inner else kids[tree.root][0][1]
-    order = [top]
-    for v in order:
-        order.extend(c for _, c in kids[v] if c in inner)
-    return [(v, tree.degree[v], v != top, [c for _, c in kids[v] if c in inner])
-            for v in reversed(order)]
-
-
-def _sum_product(plan, tallies, n, w):
-    """Lattice points of nP for the tree polytope P: the sum over the
-    inner-edge blocks of the product of the claws' counts, as messages
-    from each inner vertex to its parent keyed by the block of the edge
-    between them, in Python integers.
-
-    tallies[k] is (key codes, counts, m) of the k-claw's dilate. At a
-    vertex of degree k the blocks of its edge from its parent and of its
-    inner children's edges are the k-claw's first blocks, in that order;
-    the claw is symmetric under block permutation, so the tally of its
-    first m blocks, marginalized, counts any of them. The blocks are glued
-    as the claw has them, with no chi -> -chi on an edge from a parent:
-    negating every block below an edge is a unimodular map of P onto that
-    gluing, so the counts are the same."""
-    q = (n + 1) ** (w - 1)
-    msgs = {}
-    for v, k, has_in, outs in plan:
-        keys, counts, m = tallies[k]
-        used = has_in + len(outs)
-        keys, counts = _summed(keys // q ** (m - used), counts)
-        cols = [(keys // q ** (used - 1 - i) % q).tolist()
-                for i in range(used)]
-        msg = {}
-        for key, c in zip(zip(*cols), counts.tolist()):
-            for child, block in zip(outs, key[has_in:]):
-                c *= msgs[child].get(block, 0)
-            if c:
-                head = key[0] if has_in else None
-                msg[head] = msg.get(head, 0) + c
-        msgs[v] = msg
-    return msgs[plan[-1][0]].get(None, 0)
-
-
 def _star(k: int) -> Tree:
     """The k-leaf claw, its edges leaving the centre."""
     return Tree(root=0, edges=tuple((0, i) for i in range(1, k + 1)),
@@ -1824,10 +1797,19 @@ def tree_idp_check(tree: Tree, model, max_degree: int = None,
     fails at n, so the result is idp_check(P, max_degree=n), which gives
     the same verdict, least witness and counts as idp_check(P); P carries
     its stars, so its facets are pulled back from them. Otherwise
-    P's count at each degree n is the sum-product over the inner edges
-    (_sum_product) of the claws' tallies: each claw's points of nP counted
-    by their key codes over the claw's first m blocks, m the most inner
-    edges at a vertex of that degree. Which route counts them:
+    P's count at each degree n is the sum-product over its star tree
+    (_star_tree of P's stars, _sum_product) of the claws' tallies: each
+    claw's points of nP counted by their key codes over the claw's first m
+    blocks, m the most inner edges at a vertex of that degree. A star with
+    u inner edges reads the tally of its claw marginalized to the first u
+    blocks, decoded block by block: the claw is symmetric under block
+    permutation, so they count any u of its blocks. The blocks are glued
+    as the claw has them, with no chi -> -chi on an edge from a parent:
+    negating every block on one side of an edge is a unimodular map of P
+    onto that gluing, so the counts are the same, at any root of the star
+    tree. P is 0/1, so its lattice points are its points, and the count at
+    n = 1 must be len(P.points), or this raises AssertionError. Which route
+    counts the tallies:
     - m = 1 (every claw of a tree with exactly two inner vertices) and the
       claw decided on its triangulation: _class_tallies, off the classes
       of the same stream (_pulling), with no dilate scanned. The tallies of
@@ -1844,10 +1826,12 @@ def tree_idp_check(tree: Tree, model, max_degree: int = None,
     if len(tree.inner) < 2:
         return pulling_idp_check(poly, max_degree)
     max_degree = _ceiling(max_degree, poly)
-    plan = _claw_plan(tree)
+    plan = _star_tree(poly.stars)
+    shape = {s: (len(poly.stars[s]) // w, (1 if up else 0) + len(kids))
+             for s, up, kids in plan}   # star -> (claw degree, inner edges)
     keyed = {}   # claw degree -> blocks its tally keys
-    for _, k, has_in, outs in plan:
-        keyed[k] = max(keyed.get(k, 0), has_in + len(outs))
+    for k, used in shape.values():
+        keyed[k] = max(keyed.get(k, 0), used)
     claws = {k: _as_polytope(build_polytope(_star(k), model, cap=cap))
              for k in keyed}
     decided = {k: _pulling(claw, max_degree, w if keyed[k] == 1 else 0)
@@ -1864,9 +1848,19 @@ def tree_idp_check(tree: Tree, model, max_degree: int = None,
                 classes, w, [c for _, c in report.points_per_degree])
     counts = []
     for n in range(1, max_degree + 1):
-        counts.append((n, _sum_product(
-            plan, {k: (*next(t), keyed[k]) for k, t in tallies.items()},
-            n, w)))
+        q = (n + 1) ** (w - 1)   # one block's key codes are 0..q-1
+        got = {k: next(t) for k, t in tallies.items()}
+        tables = {}
+        for s, (k, used) in shape.items():
+            keys, tally = _summed(got[k][0] // q ** (keyed[k] - used),
+                                  got[k][1])
+            blocks = [(keys // q ** (used - 1 - i) % q).tolist()
+                      for i in range(used)]
+            tables[s] = zip(zip(*blocks), tally.tolist())
+        counts.append((n, _sum_product(plan, tables)))
+    if counts[0][1] != len(poly.points):
+        raise AssertionError(f"the claws count {counts[0][1]} points of P, "
+                             f"P has {len(poly.points)}")
     return IdpReport(verdict="Normal",
                      degrees_checked=tuple(range(2, max_degree + 1)),
                      points_per_degree=tuple(counts))

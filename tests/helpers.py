@@ -234,8 +234,8 @@ def initial_simplex_reference(zpoints, d):
 
 def levels_reference(poly):
     """LatticePolytope.levels by Fourier-Motzkin elimination over ridges,
-    one pair of facets at a time in Python integers, from poly.facets: the
-    oracle for the array levels, order included.
+    one pair of facets at a time in Python integers, from the facet table
+    poly._facet_slacks: the oracle for the array levels, order included.
 
     Eliminating y[j], a facet of the projection is the projection of a
     facet with c[j] == 0, or of a ridge where an upper facet g meets a
@@ -249,7 +249,10 @@ def levels_reference(poly):
     It takes about 0.3 s on the Z4 quartet (a,(b,(c,d)));, whose levels
     grow to 1,054 facets, and a scan of every tight set 3 to 4 s."""
     r, n = poly.lattice.rank, len(poly.points)
-    facets = list(poly.facets)
+    rows, slack = poly._facet_slacks
+    facets = [(tuple(row[:-1]), row[-1],
+               sum(1 << i for i, s in enumerate(gaps) if s == 0))
+              for row, gaps in zip(rows.tolist(), slack.tolist())]
     levels = [None] * r
     for j in range(r - 1, -1, -1):
         upper = [f for f in facets if f[0][j] > 0]

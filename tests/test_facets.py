@@ -2,8 +2,9 @@
 fraction-free elimination, the double description and the scan levels;
 the facets of a tree polytope pulled back from its stars, against the
 double description of the whole tree; and the checks that guard it: the
-batched facet certificate, the fiber-product certificate, the int64 and
-object number types, and the memory of one call."""
+batched facet certificate, the fiber-product certificate and the star
+tree it counts over, the int64 and object number types, and the memory of
+one call."""
 
 import re
 import tracemalloc
@@ -19,10 +20,11 @@ from helpers import (SCAN_CASES, dual_dd_reference, kernel_reference,
 from phylotope import lattice
 from phylotope.groups import abelian_model, parse_group_spec
 from phylotope.lattice import (LatticePolytope, _dual_dd, _eliminate,
-                               _int_array, _kernel, _tight_ranks,
-                               facet_description, idp_check, star_columns)
+                               _int_array, _kernel, _star_tree, _sum_product,
+                               _tight_ranks, facet_description, idp_check,
+                               star_columns)
 from phylotope.polytope import build_polytope, project_orbits
-from phylotope.trees import parse_newick
+from phylotope.trees import Tree, parse_newick
 
 
 def _restricted(points):
@@ -397,6 +399,56 @@ def test_both_routes_give_the_same_idp_report():
     report = idp_check(LatticePolytope(points, stars=stars))
     assert report == idp_check(LatticePolytope(points))
     assert report.witness_degree == 2
+
+
+@st.composite
+def star_trees(draw):
+    """(group spec, tree): a tree with 2 to 5 inner vertices, each of
+    degree 3 or more, rooted at any vertex. The inner vertices come first,
+    each but the first below an earlier one, and take leaves up to a drawn
+    degree, at most 3 for Z3."""
+    spec = draw(st.sampled_from(["Z2", "Z3"]))
+    k = draw(st.integers(2, 5))
+    edges = [(draw(st.integers(0, v - 1)), v) for v in range(1, k)]
+    for v in range(k):
+        degree = sum(v in edge for edge in edges)
+        want = draw(st.integers(3, 4 if spec == "Z2" else 3))
+        edges += [(v, len(edges) + 1 + i)
+                  for i in range(max(0, want - degree))]
+    n = len(edges) + 1
+    tree = Tree(root=0, edges=tuple(edges),
+                labels=(None,) * k + tuple(f"x{i}" for i in range(k, n)))
+    return spec, reorient(tree, draw(st.integers(0, n - 1)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(star_trees())
+def test_the_star_tree_of_a_tree(case):
+    spec, tree = case
+    model = parse_group_spec(spec)
+    w = model.group.size
+    points = build_polytope(tree, model).vertices
+    stars = star_columns(tree, w)
+    plan = _star_tree(stars)
+    place = {s: i for i, (s, _, _) in enumerate(plan)}
+    assert sorted(place) == list(range(len(tree.inner)))
+    assert all(place[t] < place[s] for s, _, kids in plan for t, _ in kids)
+    assert plan[-1][1] == ()
+    inner = set(tree.inner)
+    edges = sorted(tuple(range(e * w, (e + 1) * w))
+                   for e, (u, v) in enumerate(tree.edges)
+                   if u in inner and v in inner)
+    ups = sorted((s, up) for s, up, _ in plan[:-1])
+    assert sorted(up for _, up in ups) == edges
+    assert sorted((t, cols) for _, _, kids in plan for t, cols in kids) == ups
+    tables = {}
+    for s, up, kids in plan:
+        links = ([up] if up else []) + [cols for _, cols in kids]
+        rows = {tuple(p[c] for c in stars[s]) for p in points}
+        at = {c: i for i, c in enumerate(stars[s])}
+        tables[s] = [(tuple(tuple(row[at[c]] for c in cols)
+                            for cols in links), 1) for row in rows]
+    assert _sum_product(plan, tables) == len(points)
 
 
 def test_a_point_set_short_of_the_fiber_product_raises():

@@ -6,6 +6,7 @@ from fractions import Fraction
 from functools import cache
 from itertools import combinations, product
 from math import gcd
+import re
 
 import numpy as np
 import pytest
@@ -17,8 +18,8 @@ from helpers import SCAN_CASES, scan_case
 from phylotope.groups import abelian_model, parse_group_spec, preset_model
 from phylotope.lattice import (LatticePolytope, _ambient_rows,
                                _code_weights, _codes, _dilate_array,
-                               _dilate_blocks, _undecomposable, decompose,
-                               facet_description, idp_check,
+                               _dilate_blocks, _star, _undecomposable,
+                               decompose, facet_description, idp_check,
                                lattice_points_in_dilate, spanned_lattice,
                                tree_idp_check)
 from phylotope.polytope import build_polytope, project_orbits
@@ -560,6 +561,35 @@ def test_claw_route_matches_pinned_scan_counts(spec, newick, counts):
     assert report.verdict == "Normal" and report.witness is None
     assert report.degrees_checked == tuple(range(2, len(counts) + 1))
     assert report.points_per_degree == tuple(enumerate(counts, 1))
+
+
+def test_a_normal_trees_count_at_degree_one_is_its_points(monkeypatch):
+    # P is 0/1, so its lattice points are its 27 points
+    sum_product = phylotope.lattice._sum_product
+    monkeypatch.setattr(phylotope.lattice, "_sum_product",
+                        lambda plan, tables: sum_product(plan, tables) + 1)
+    with pytest.raises(AssertionError, match=re.escape(
+            "the claws count 28 points of P, P has 27")):
+        tree_idp_check(parse_newick("((a,b),(c,d));"),
+                       parse_group_spec("Z3"))
+
+
+# Each gluing at an inner edge is a fiber product over the simplex of the
+# edge's |G| characters, which has dimension |G| - 1.
+@pytest.mark.parametrize("spec", ["Z2", "Z3", "Z4", "Z2xZ2", "K3P", "Z5"])
+@pytest.mark.parametrize("newick", [
+    "((a,b),(c,d));", "((a,b),c,(d,e));", "((a,b,c),(d,e,f));",
+    "(a,(b,(c,(d,e))));", "((a,b),(c,(d,(e,f))));"])
+def test_a_trees_rank_is_its_claws_ranks_glued(spec, newick):
+    model, tree = parse_group_spec(spec), parse_newick(newick)
+
+    def rank(t):
+        return LatticePolytope(build_polytope(t, model).vertices).lattice.rank
+
+    inner = set(tree.inner)
+    inner_edges = sum(u in inner and v in inner for u, v in tree.edges)
+    assert rank(tree) == sum(rank(_star(tree.degree[v])) for v in inner) - \
+        (model.group.size - 1) * inner_edges
 
 
 # By Buczynska-Wisniewski (JEMS 2007), the binary model's Hilbert function
