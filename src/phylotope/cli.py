@@ -17,8 +17,8 @@ from .fourier import (appendix_demo, monomial_socket_vector,
                       params_to_matrices, raw_leaf_tensor, socket_coordinates,
                       what_dimension)
 from .groups import parse_group_file, parse_group_spec
-from .lattice import (LatticePolytope, _ceiling, glued_polytope, idp_check,
-                      star_columns, tree_idp_check)
+from .lattice import (LatticePolytope, _ceiling, glued_polytope,
+                      star_columns, star_idp_check, tree_idp_check)
 from .polytope import _CAP, build_polytope, project_orbits, vertex_file_text
 from .trees import parse_newick
 from .verify import run_checks
@@ -94,7 +94,7 @@ def cmd_normality(args) -> int:
     else:
         poly = _projected(build_polytope(tree, model, cap=args.vertex_cap),
                           model, args.flavor)
-        report = idp_check(LatticePolytope(
+        report = star_idp_check(LatticePolytope(
             poly.vertices, stars=star_columns(tree, poly.block_width)),
             max_degree=args.max_degree)
     _emit(report.to_text(), args.out)

@@ -77,25 +77,34 @@ scan's points from below, so the stream gives way to the scan of the whole
 ceiling once it has cost more than that bound: a low ceiling or a large
 volume is still scanned.
 
-The abelian polytope of a tree with two or more inner vertices is the
-fiber product of its claws over the inner edges (Sullivant, 2007), so
-tree_idp_check decides it on its distinct claws, each as pulling_idp_check
-does: the tree's least failing degree is its claws'. Only when a claw fails
-at some degree is the tree itself scanned, through that degree, for the
-least witness, on facets pulled back from its stars. Otherwise its point
-counts are a sum-product of the claws' points, tallied by their inner-edge
+The polytope of a tree with two or more inner vertices is the fiber
+product of its star projections over the inner edges (Sullivant, 2007):
+the lattice points of its dilates are the tuples of its stars' that agree
+on the inner edges, and such a tuple is a sum of points of the tree's
+polytope exactly when every part is (star_idp_check proves it). So
+star_idp_check decides a projected tree on its distinct star projections,
+each scanned and split-tested as idp_check does: the tree's count is a
+sum-product of its stars' points, it fails first where a star does, and
+its least witness is found by a greedy descent over its blocks on the
+same sum-products, then certified without its facets. The abelian
+polytope of a tree is the fiber product of its claws, so tree_idp_check
+decides it on its distinct claws, each as pulling_idp_check does: the
+tree's least failing degree is its claws'. Only when a claw fails at some
+degree is the tree itself scanned, through that degree, for the least
+witness, on facets pulled back from its stars. Otherwise its point counts
+are a sum-product of the claws' points, tallied by their inner-edge
 blocks. The stars, linked by the columns they share, form a tree
-(_star_tree), and one sum-product over it (_sum_product) counts both the
-fiber product that certifies a tree's facets, on the stars' points, and
-a tree's points per degree, on its claws' tallies; a tree's count at
-degree 1 is checked against its points. A claw keyed by one block,
-which every claw of a tree with two inner vertices is, and decided on its
-triangulation, is tallied off the same stream: its parallelepiped points
-fall into classes by the first blocks of the simplex's vertices and of the
-point, and each class gives the points of every block of every dilate as a
-product of binomials, so no dilate is scanned. A claw keyed by two or more
-blocks, or sent to the scan by the route rule, has its dilates scanned and
-tallied.
+(_star_tree), and one sum-product over it (_sum_product) counts the fiber
+product that certifies a tree, on the stars' points, and a tree's points
+per degree, on its stars' dilates or on its claws' tallies; an abelian
+tree's count at degree 1 is checked against its points. A claw keyed by
+one block, which every claw of a tree with two inner vertices is, and
+decided on its triangulation, is tallied off the same stream: its
+parallelepiped points fall into classes by the first blocks of the
+simplex's vertices and of the point, and each class gives the points of
+every block of every dilate as a product of binomials, so no dilate is
+scanned. A claw keyed by two or more blocks, or sent to the scan by the
+route rule, has its dilates scanned and tallied.
 
 Overflow guards: the scan and the codes run on numpy integer arrays, each
 bounded first in Python integers. The scan of nP runs in the narrowest of
@@ -566,24 +575,19 @@ def _star_rays(poly, xh, pivots):
     P, pulled back to rays (c, c0) of P's restriction to the pivot columns
     of its lattice, as _dual_dd gives them: primitive, distinct, c.z <= -c0.
 
-    The star projections are the distinct rows of P's points (xh, less its
-    last column of ones) on each star's columns. With P's equalities they
-    describe P when P is their fiber product over the columns two stars
-    share, which _check_fiber_product certifies first. A star facet
-    c.x <= b, lifted to P's columns, then holds on P. On P's affine hull,
-    x = anchor + y.B and z = anchor_z + y.A, A the basis on the pivot
-    columns, upper triangular with positive pivots; so c.x = c.anchor +
-    y.(B.c), and c.x <= b reads c_z.z <= b - c.anchor + c_z.anchor_z for
-    the c_z with A.c_z = B.c. D*A^-1 comes off one elimination of [A | I],
+    With P's equalities the star projections (star_projections) describe P,
+    which they certify to be their fiber product over the columns two stars
+    share. A star facet c.x <= b, lifted to P's columns, then holds on P.
+    On P's affine hull, x = anchor + y.B and z = anchor_z + y.A, A the basis
+    on the pivot columns, upper triangular with positive pivots; so c.x =
+    c.anchor + y.(B.c), and c.x <= b reads c_z.z <= b - c.anchor +
+    c_z.anchor_z for the c_z with A.c_z = B.c. D*A^-1 comes off one elimination of [A | I],
     so the ray of every lifted row (c, -b) is that row times one integer
     matrix, then made primitive. Two lifted rows give the same halfspace of
     P's affine hull exactly when their primitive rays are equal, so once
     duplicates are dropped each facet of P has one ray; the certificate
     drops the rays of lower faces."""
     stars, dim = poly.stars, xh.shape[1] - 1
-    projections = [tuple(sorted(set(map(tuple, xh[:, list(cols)].tolist()))))
-                   for cols in stars]
-    _check_fiber_product(projections, stars, dim, len(xh))
     lat, d = poly.lattice, len(pivots)
     basis = _int_array(lat.basis, dim)
     (m,), (piv,) = _eliminate(np.concatenate(
@@ -598,7 +602,7 @@ def _star_rays(poly, xh, pivots):
                        for row, a in zip(to_z, lat.anchor)] +
                       [[0] * d + [scale]], d + 1)
     lifted, seen = [], {}
-    for cols, key in zip(stars, projections):
+    for cols, key in zip(stars, poly.star_projections):
         if key not in seen:
             seen[key] = facet_description(key).inequalities
         for c, b in seen[key]:
@@ -752,7 +756,8 @@ class LatticePolytope:
     at each inner vertex (star_columns). With two or more, the facets are
     the stars' facets pulled back, once P is certified their fiber product
     (facet_description); the double description then runs on the stars
-    alone."""
+    alone. star_idp_check decides such a P on its star projections
+    (star_projections) without its facets."""
 
     points: tuple   # sorted, distinct integer tuples of one length
     # column tuples, one per inner vertex of a tree; they choose how the
@@ -776,6 +781,19 @@ class LatticePolytope:
     @cached_property
     def hrep(self) -> HRep:
         return facet_description(self)
+
+    @cached_property
+    def star_projections(self) -> tuple:
+        """For each star, the distinct rows of P's points on its columns,
+        sorted, in the star's column order: P's star projections, once P is
+        certified their fiber product (_check_fiber_product)."""
+        dim = len(self.points[0])
+        xs = _int_array(self.points, dim)
+        projections = tuple(tuple(sorted(set(map(tuple, xs[:, list(cols)]
+                                                 .tolist()))))
+                            for cols in self.stars)
+        _check_fiber_product(projections, self.stars, dim, len(xs))
+        return projections
 
     @cached_property
     def _coordinates(self) -> np.ndarray:
@@ -1115,17 +1133,22 @@ def _dilate_array(poly: LatticePolytope, n):
                            *_dilate_blocks(poly, n)])
 
 
-def _ambient_rows(ys, n, lat: AffineLattice) -> list:
-    """Rows x = n*anchor + y.B of an integer array ys, as tuples of Python
-    integers. The product follows _exact's rule on a bound that the
-    operands' actual maxima give every entry, so it cannot wrap."""
+def _ambient(ys, n, lat: AffineLattice):
+    """Rows x = n*anchor + y.B of an integer array ys, as an integer array.
+    The product follows _exact's rule on a bound that the operands' actual
+    maxima give every entry, so it cannot wrap."""
     width = len(lat.anchor)
     basis = _int_array(lat.basis, width)
     shift = _int_array([[n * a for a in lat.anchor]], width)
     ys, basis, shift = _exact(
         lat.rank * _absmax(ys) * _absmax(basis) + _absmax(shift),
         ys, basis, shift)
-    return list(map(tuple, (ys @ basis + shift).tolist()))
+    return ys @ basis + shift
+
+
+def _ambient_rows(ys, n, lat: AffineLattice) -> list:
+    """The rows of _ambient, as tuples of Python integers."""
+    return list(map(tuple, _ambient(ys, n, lat).tolist()))
 
 
 def lattice_points_in_dilate(points, n: int):
@@ -1294,6 +1317,56 @@ def _ceiling(max_degree, poly=None):
     return max_degree
 
 
+def _split_scan(poly: LatticePolytope, max_degree: int, first: bool):
+    """The split test of idp_check on P, degree by degree: a generator of
+    (n, blocks) for n = 2..max_degree, where blocks yields (rows, bad) for
+    each block of rows of nP (_dilate_blocks), bad the positions in rows of
+    the points that are no sum v + p of a lattice point v of P and a point
+    p of (n-1)P (_undecomposable). With first, only the first such point of
+    a degree is sought: bad holds at most it, and once it is found the rest
+    of the degree is not tested. A degree's blocks must be exhausted before
+    the next degree is asked for.
+
+    Every degree is encoded in the code weights of one degree top: the
+    highest up to max_degree whose codes fit in int64. They encode each
+    degree below top without carry too, so a degree's codes pass unchanged
+    to the next, and only the sorted codes of the last degree are kept. The
+    weights and the codes of P are made before this returns; a degree past
+    top raises ScaleExceededError when it starts."""
+    low, span = poly.low, poly.span
+    top = max_degree
+    while top > 2 and _code_size(span, top) >= 2 ** 63:
+        top -= 1
+    weights = _code_weights(span, top)
+    vcodes = _codes(poly.lattice_points, 1, low, weights)
+    held = [vcodes]
+
+    def blocks(n, prev):
+        found = False
+        for rows in _dilate_blocks(poly, n):
+            codes = _codes(rows, n, low, weights)
+            bad = codes[:0]
+            if not found:
+                bad = _undecomposable(codes, vcodes, prev)[:1 if first
+                                                           else None]
+                found = first and len(bad) > 0
+            if n < top:
+                held.append(codes)
+            yield rows, bad
+
+    def degrees():
+        nonlocal held
+        for n in range(2, max_degree + 1):
+            if n > top:
+                _code_weights(span, n)   # raises: these codes pass int64
+            prev = np.concatenate(held)
+            held = []
+            yield n, blocks(n, prev)
+            del prev   # freed before the next degree joins its codes
+
+    return degrees()
+
+
 def idp_check(poly, max_degree: int = None) -> IdpReport:
     """Integer decomposition property, degree by degree.
 
@@ -1306,45 +1379,23 @@ def idp_check(poly, max_degree: int = None) -> IdpReport:
     LatticePolytope or a sequence of points.
 
     Degree n is checked block by block as the scan yields it, against the
-    sorted codes of degree n-1; only the codes of degree n are kept for the
-    next degree. The scan yields nP in ambient order, so the witness, the
-    least undecomposable point, is the first the scan yields, and it is the
-    one row converted to ambient coordinates. A failing degree is scanned
-    to its end, so its point count is complete.
-
-    Every degree is encoded in the code weights of one degree top: the
-    highest up to max_degree whose codes fit in int64. They encode each
-    degree below top without carry too, so a degree's codes pass unchanged
-    to the next. A degree past top raises ScaleExceededError when it
-    starts."""
+    sorted codes of degree n-1 (_split_scan). The scan yields nP in ambient
+    order, so the witness, the least undecomposable point, is the first
+    the scan yields, and it is the one row converted to ambient
+    coordinates. A failing degree is scanned to its end, so its point
+    count is complete."""
     poly = _as_polytope(poly)
     max_degree = _ceiling(max_degree, poly)
     lat, hrep = poly.lattice, poly.hrep
-    low, span = poly.low, poly.span
-    top = max_degree
-    while top > 2 and _code_size(span, top) >= 2 ** 63:
-        top -= 1
-    weights = _code_weights(span, top)
-    vcodes = _codes(poly.lattice_points, 1, low, weights)
-    held = [vcodes]
+    degrees = _split_scan(poly, max_degree, first=True)
     counts = [(1, len(poly.lattice_points))]
-    for n in range(2, max_degree + 1):
-        if n > top:
-            _code_weights(span, n)   # raises: these codes pass int64
-        prev = np.concatenate(held)
-        held = []
+    for n, blocks in degrees:
         witness = None
         total = 0
-        for block in _dilate_blocks(poly, n):
-            total += len(block)
-            codes = _codes(block, n, low, weights)
-            if witness is None:
-                bad = _undecomposable(codes, vcodes, prev)[:1]
-                if len(bad):
-                    witness = _ambient_rows(block[bad], n, lat)[0]
-            if n < top:
-                held.append(codes)
-        del prev   # freed before the next degree joins its codes
+        for rows, bad in blocks:
+            total += len(rows)
+            if len(bad):
+                witness = _ambient_rows(rows[bad], n, lat)[0]
         counts.append((n, total))
         if witness is not None:
             if not hrep.contains(witness, n):
@@ -1357,6 +1408,166 @@ def idp_check(poly, max_degree: int = None) -> IdpReport:
                              degrees_checked=tuple(range(2, n + 1)),
                              witness=witness, witness_degree=n,
                              points_per_degree=tuple(counts))
+    return IdpReport(verdict="Normal",
+                     degrees_checked=tuple(range(2, max_degree + 1)),
+                     points_per_degree=tuple(counts))
+
+
+def star_idp_check(poly, max_degree: int = None) -> IdpReport:
+    """idp_check's report on a LatticePolytope P with two or more stars,
+    the polytope of a tree, decided on its distinct star projections P_s
+    (star_projections) instead of on P: no facets, levels or dilates of P
+    are built. With fewer than two stars this is idp_check(P). The ceiling
+    is _ceiling's on P.
+
+    The fiber-product lemma. Let P be the fiber product of the P_s over the
+    blocks that linked stars share (_star_tree), each block a unit vector
+    e_g at every point, as star_projections certifies. Then for n >= 1:
+    (a) the lattice points of nP are the tuples of lattice points of the
+    nP_s that agree on the shared blocks; (b) such a tuple is a sum of n
+    lattice points of P exactly when every part is a sum of n lattice
+    points of its P_s.
+    - (a) Each nP_s, and its lattice, spanned by the projections of P's
+      points, is a projection of nP and of its lattice. Conversely, glue
+      one link at a time: P is the fiber product of its projections P_1,
+      P_2 onto the two sides of the link, and a value e_g of the block at
+      a point of either side is that of a point of P, so both sides have
+      it. For parts q_1, q_2 that agree on the block, write q_1 = sum c_u u
+      and q_2 = sum d_x x as integer combinations of points with
+      coefficient sum n, let a be the block, and take points u_g, x_g with
+      block e_g. Then (q_1, q_2) = sum c_u (u, x_g(u)) + sum d_x (u_g(x), x)
+      - sum a_g (u_g, x_g), g(u) the value of u on the block: a combination
+      of points of P with sum n, so (q_1, q_2) lies in the lattice of nP.
+      With real weights summing to n instead, a_g is the weight of the
+      points with block e_g on each side, and (q_1, q_2) is the sum of
+      lam_u*mu_x/a_g (u, x) over the pairs of equal block e_g: a point of
+      nP.
+    - (b) A split of the tuple into n points of P restricts to one of each
+      part. If each part is a sum of n points of its P_s, the summands at
+      both ends of a link carry e_g on it a_g times each; pair them by that
+      value, link by link from the root of the star tree: that makes n
+      tuples that agree on every link, points of P, summing to the tuple.
+    tree_idp_check rests on the same lemma. So nP counts the sum-product
+    over the star tree (_sum_product) of the points of the nP_s, keyed by
+    their shared blocks, and a point of nP is undecomposable exactly when
+    some part is. Every point q_s of nP_s is a part of one, by (a): past
+    each link, with block a, extend it by sum_g a_g times the far side of a
+    point of P with e_g there. So P first fails at the least degree at
+    which some P_s does.
+
+    The route. Each distinct P_s is scanned degree by degree, its points
+    marked undecomposable by idp_check's split test (_split_scan); below the
+    least failing degree every P_s is Normal, so a point no v + p is no sum
+    of n points either. P's count at degree n is the sum-product of the
+    points of the nP_s, at degree 1 of their lattice points. At the least
+    failing degree n the witness, the least undecomposable point of nP in
+    ambient order, is found by a greedy descent over P's blocks, the runs
+    of consecutive columns that lie in the same stars (each inner edge's
+    block is one), in ambient order: each block takes its least value for
+    which the tuples that agree with the values fixed so far, less those
+    whose parts are all unmarked, stay above 0. Once every block is fixed
+    one tuple remains, with a marked part. It is certified without P's
+    facets: it lies in P's lattice at scale n, each part lies in its star's
+    halfspaces (P_s's hrep), and decompose finds no split of its first
+    marked part in its star; each failure raises AssertionError. With the
+    lemma, that makes it an undecomposable point of nP."""
+    poly = _as_polytope(poly)
+    if len(poly.stars) < 2:
+        return idp_check(poly, max_degree)
+    max_degree = _ceiling(max_degree, poly)
+    lat, stars = poly.lattice, poly.stars
+    projections = poly.star_projections
+    plan = _star_tree(stars)
+    distinct = {key: LatticePolytope(key) for key in projections}
+    at = [{c: i for i, c in enumerate(cols)} for cols in stars]
+    links = {s: ([up] if up else []) + [cols for _, cols in kids]
+             for s, up, kids in plan}
+    runs = []   # P's blocks in ambient order: (columns, the stars of them)
+    for c in range(len(poly.points[0])):
+        holders = [s for s, cols in enumerate(at) if c in cols]
+        if runs and runs[-1][1] == holders:
+            runs[-1][0].append(c)
+        else:
+            runs.append(([c], holders))
+    scans = {key: _split_scan(q, max_degree, first=False)
+             for key, q in distinct.items()}
+
+    def degree(n):
+        """Per star s: its points of nP_s as ambient rows, their marks, and
+        their link blocks, as a code per point and the blocks of each
+        code."""
+        got = {}
+        for key, q in distinct.items():
+            ys, marked = [], []
+            for block, bad in ([(q.lattice_points, [])] if n == 1
+                               else next(scans[key])[1]):
+                mark = np.zeros(len(block), dtype=bool)
+                mark[bad] = True
+                ys.append(block)
+                marked.append(mark)
+            got[key] = (_ambient(np.concatenate(ys), n, q.lattice),
+                        np.concatenate(marked))
+        rows, marks, codes, heads = [], [], [], []
+        for s, key in enumerate(projections):
+            pos = [[at[s][c] for c in link] for link in links[s]]
+            ends = np.cumsum([0] + list(map(len, pos))).tolist()
+            keys, code = np.unique(got[key][0][:, sum(pos, [])], axis=0,
+                                   return_inverse=True)
+            rows.append(got[key][0])
+            marks.append(got[key][1])
+            codes.append(code.reshape(-1))
+            heads.append([tuple(tuple(row[a:b])
+                                for a, b in zip(ends, ends[1:]))
+                          for row in keys.tolist()])
+        return rows, marks, codes, heads
+
+    def count(codes, heads, keep):
+        """The tuples of points, one per star s among those keep[s] marks,
+        that agree on every link (_sum_product)."""
+        return _sum_product(plan, [
+            [(heads[s][c], k) for c, k in enumerate(np.bincount(
+                codes[s][keep[s]], minlength=len(heads[s])).tolist()) if k]
+            for s in range(len(stars))])
+
+    counts = []
+    for n in range(1, max_degree + 1):
+        rows, marks, codes, heads = degree(n)
+        keep = [np.ones(len(r), dtype=bool) for r in rows]
+        counts.append((n, count(codes, heads, keep)))
+        if not any(mark.any() for mark in marks):
+            continue
+        witness = []
+        for cols, holders in runs:
+            pos = {s: [at[s][c] for c in cols] for s in holders}
+            first = holders[0]
+            held = rows[first][keep[first]][:, pos[first]]
+            for value in sorted(set(map(tuple, held.tolist()))):
+                trial = list(keep)
+                for s in holders:
+                    trial[s] = keep[s] & (rows[s][:, pos[s]] ==
+                                          np.array(value)).all(axis=1)
+                plain = [k & ~mark for k, mark in zip(trial, marks)]
+                if count(codes, heads, trial) > count(codes, heads, plain):
+                    break
+            else:
+                raise AssertionError("no value of a block keeps an "
+                                     "undecomposable point")
+            keep = trial
+            witness += value
+        witness = tuple(witness)
+        parts = [tuple(witness[c] for c in cols) for cols in stars]
+        for s, part in enumerate(parts):
+            if not distinct[projections[s]].hrep.contains(part, n):
+                raise AssertionError("witness fails the halfspace check")
+        if not lat.contains(witness, n):
+            raise AssertionError("witness fails the lattice check")
+        s = next(s for s, mark in enumerate(marks) if mark[keep[s]].any())
+        if decompose(parts[s], n, distinct[projections[s]]).found is not None:
+            raise AssertionError("witness decomposed on re-verification")
+        return IdpReport(verdict="NotNormal",
+                         degrees_checked=tuple(range(2, n + 1)),
+                         witness=witness, witness_degree=n,
+                         points_per_degree=tuple(counts))
     return IdpReport(verdict="Normal",
                      degrees_checked=tuple(range(2, max_degree + 1)),
                      points_per_degree=tuple(counts))
@@ -1763,26 +1974,12 @@ def tree_idp_check(tree: Tree, model, max_degree: int = None,
     of the tree is a tuple of networks of the stars that agree on the inner
     edges, so a vertex of P is a tuple of vertices of the P_v that agree
     on the inner-edge blocks, each such block a simplex vertex e_g: P is
-    the fiber product of the P_v over the inner edges. So is nP, lattice
-    points included. Glue one inner edge at a time, with block a there:
-    write q_1 = sum c_u u and q_2 = sum d_x x as integer combinations of
-    vertices with coefficient sum n, and for each g take vertices u_g, x_g
-    with block e_g. Then (q_1, q_2) = (q_1, sum a_g x_g) + (sum a_g u_g,
-    q_2) - (sum a_g u_g, sum a_g x_g), and (q_1, sum a_g x_g) is
-    sum c_u (u, x_g(u)), g(u) the character of u on the edge, so (q_1, q_2)
-    lies in the lattice of nP.
-
-    - If every part q_v of a lattice point q of nP is a sum of n vertices
-      of P_v, the block a of an inner edge counts, at both of its ends,
-      the summands with each value e_g on it. Pair the summands of the two
-      ends by that value, edge by edge from the root down: q is a sum of n
-      vertices of P.
-    - If a part q_v is no such sum, extend it past each inner edge with
-      block a by sum_g a_g times a vertex of the far side that has e_g on
-      the edge (every character appears on every edge). That is a lattice
-      point of nP, and a decomposition of it would restrict to one of q_v.
-
-    So the least failing degree of P is the least over its stars. The star
+    the fiber product of the P_v over the inner edges. By the fiber-product
+    lemma (star_idp_check), the lattice points of nP are the tuples of
+    lattice points of the nP_v that agree on the inner-edge blocks, such a
+    tuple is a sum of n points of P exactly when every part is, and every
+    point of nP_v is a part of one. So the least failing degree of P is
+    the least over its stars. The star
     of v is the standard k-claw, whose edges all leave its centre, after a
     permutation of the blocks and chi -> -chi on the block of the edge from
     v's parent, where the network's signed sum has -chi. Both maps are

@@ -11,7 +11,7 @@ import phylotope.verify
 from phylotope.cli import main
 from phylotope.groups import parse_group_spec
 from phylotope.lattice import IdpReport, LatticePolytope, _star, star_columns
-from phylotope.polytope import build_polytope
+from phylotope.polytope import build_polytope, project_orbits
 from phylotope.trees import parse_newick
 
 
@@ -173,11 +173,31 @@ def _facets_from_stars(monkeypatch):
 
 
 def test_projected_facets_come_from_the_stars(capsys, monkeypatch):
-    seen = _facets_from_stars(monkeypatch)
+    # A projected tree is decided on its star projections: every facet
+    # description and every dilate scan of the run is on the points of one
+    # of them, never on those of the tree's polytope P.
+    seen = []
+    for name in ("facet_description", "_dilate_blocks"):
+        real = getattr(phylotope.lattice, name)
+
+        def spy(poly, *args, real=real, name=name):
+            seen.append((name, phylotope.lattice._as_polytope(poly).points))
+            return real(poly, *args)
+
+        monkeypatch.setattr(phylotope.lattice, name, spy)
+    newick = "((a,b),c,(d,e));"
     code, out, _ = run(capsys, "normality", "--group", "K2P", "--tree",
-                       "((a,b),c,(d,e));", "--flavor", "projected")
+                       newick, "--flavor", "projected")
     assert code == 1 and "witness degree: 2" in out
-    assert seen == [star_columns(parse_newick("((a,b),c,(d,e));"), 3)]
+    k2p = parse_group_spec("K2P")
+    points = project_orbits(build_polytope(parse_newick(newick), k2p),
+                            k2p).vertices
+    projections = {tuple(sorted({tuple(p[c] for c in cols) for p in points}))
+                   for cols in star_columns(parse_newick(newick), 3)}
+    assert {name for name, _ in seen} == {"facet_description",
+                                          "_dilate_blocks"}
+    assert all(pts in projections for _, pts in seen)
+    assert all(pts != points for _, pts in seen)
 
 
 def test_a_scanned_tree_takes_its_facets_from_its_stars(monkeypatch):

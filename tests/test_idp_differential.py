@@ -21,7 +21,7 @@ from phylotope.lattice import (LatticePolytope, _ambient_rows,
                                _dilate_blocks, _star, _undecomposable,
                                decompose, facet_description, idp_check,
                                lattice_points_in_dilate, spanned_lattice,
-                               tree_idp_check)
+                               star_columns, star_idp_check, tree_idp_check)
 from phylotope.polytope import build_polytope, project_orbits
 from phylotope.trees import parse_newick
 
@@ -479,12 +479,13 @@ TREE_LIMITS = {"Z2": (6, 4), "Z3": (5, 3), "Z4": (4, 3), "Z2xZ2": (4, 3)}
 
 
 @st.composite
-def abelian_trees(draw):
+def random_trees(draw, limits):
     """(group spec, Newick string, degree ceiling): a random tree whose
     clades have two or three members, rooted at a leaf or at an inner
-    vertex."""
-    spec = draw(st.sampled_from(sorted(TREE_LIMITS)))
-    most, top = TREE_LIMITS[spec]
+    vertex, in any clade order, within limits[spec] = (most leaves,
+    highest ceiling)."""
+    spec = draw(st.sampled_from(sorted(limits)))
+    most, top = limits[spec]
     items = list(draw(st.permutations("abcdef"[:draw(st.integers(4, most))])))
     leaf_root = items.pop() if draw(st.booleans()) else None
     while len(items) > (1 if leaf_root else 3):
@@ -497,13 +498,47 @@ def abelian_trees(draw):
 
 
 @settings(max_examples=15, deadline=None)
-@given(abelian_trees())
+@given(random_trees(TREE_LIMITS))
 def test_claw_route_matches_the_tree_scan(case):
     spec, newick, degree = case
     model, tree = parse_group_spec(spec), parse_newick(newick)
     assume(len(tree.inner) >= 2)
     assert tree_idp_check(tree, model, max_degree=degree) == \
         idp_check(build_polytope(tree, model), max_degree=degree)
+
+
+# Per model, the most leaves and the highest ceiling where the scan of the
+# whole projected tree stays cheap: under 0.25 s for the K2P trees, which
+# fail at degree 2, and 0.13 s for the JC trees of six leaves at degree 4.
+PROJECTED_LIMITS = {"K2P": (6, 3), "JC": (6, 4)}
+
+
+def _projected_tree(spec, newick):
+    model, tree = parse_group_spec(spec), parse_newick(newick)
+    poly = project_orbits(build_polytope(tree, model), model)
+    return LatticePolytope(poly.vertices,
+                           stars=star_columns(tree, poly.block_width))
+
+
+@settings(max_examples=15, deadline=None)
+@given(random_trees(PROJECTED_LIMITS))
+def test_star_route_matches_the_projected_tree_scan(case):
+    # idp_check scans the whole projected tree; the star route builds
+    # nothing of it but its lattice and its star projections
+    spec, newick, degree = case
+    assume(len(parse_newick(newick).inner) >= 2)
+    assert star_idp_check(_projected_tree(spec, newick), degree) == \
+        idp_check(_projected_tree(spec, newick), degree)
+
+
+def test_a_witness_whose_marked_part_decomposes_raises(monkeypatch):
+    # Every point marked undecomposable: the least point of 2P is taken as
+    # the witness, and its marked part is a sum of two points of its star.
+    monkeypatch.setattr(phylotope.lattice, "_undecomposable",
+                        lambda codes, vcodes, prev: np.arange(len(codes)))
+    with pytest.raises(AssertionError, match=re.escape(
+            "witness decomposed on re-verification")):
+        star_idp_check(_projected_tree("JC", "((a,b),(c,d));"))
 
 
 def test_a_triangulated_claw_is_tallied_without_a_split_test(monkeypatch):
