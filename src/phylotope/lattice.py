@@ -581,12 +581,12 @@ def _star_rays(poly, xh, pivots):
     On P's affine hull, x = anchor + y.B and z = anchor_z + y.A, A the basis
     on the pivot columns, upper triangular with positive pivots; so c.x =
     c.anchor + y.(B.c), and c.x <= b reads c_z.z <= b - c.anchor +
-    c_z.anchor_z for the c_z with A.c_z = B.c. D*A^-1 comes off one elimination of [A | I],
-    so the ray of every lifted row (c, -b) is that row times one integer
-    matrix, then made primitive. Two lifted rows give the same halfspace of
-    P's affine hull exactly when their primitive rays are equal, so once
-    duplicates are dropped each facet of P has one ray; the certificate
-    drops the rays of lower faces."""
+    c_z.anchor_z for the c_z with A.c_z = B.c. D*A^-1 comes off one
+    elimination of [A | I], so the ray of every lifted row (c, -b) is that
+    row times one integer matrix, then made primitive. Two lifted rows give
+    the same halfspace of P's affine hull exactly when their primitive rays
+    are equal, so once duplicates are dropped each facet of P has one ray;
+    the certificate drops the rays of lower faces."""
     stars, dim = poly.stars, xh.shape[1] - 1
     lat, d = poly.lattice, len(pivots)
     basis = _int_array(lat.basis, dim)
