@@ -17,9 +17,8 @@ from .fourier import (appendix_demo, monomial_socket_vector,
                       params_to_matrices, raw_leaf_tensor, socket_coordinates,
                       what_dimension)
 from .groups import parse_group_file, parse_group_spec
-from .lattice import (LatticePolytope, _ceiling, glued_polytope,
-                      star_columns, star_idp_check, tree_idp_check)
-from .polytope import _CAP, build_polytope, project_orbits, vertex_file_text
+from .lattice import _ceiling, glued_polytope, tree_idp_check
+from .polytope import _CAP, _projected, build_polytope, vertex_file_text
 from .trees import parse_newick
 from .verify import run_checks
 
@@ -65,16 +64,6 @@ def _emit(text: str, out):
         sys.stdout.write(text)
 
 
-def _projected(poly, model, flavor):
-    if flavor != "projected":
-        return poly
-    if model.is_abelian:
-        raise ValueError(
-            "projected flavor needs a model with a symmetry group larger "
-            "than its abelian core; use the abelian flavor here")
-    return project_orbits(poly, model)
-
-
 def cmd_polytope(args) -> int:
     model = _load_model(args)
     tree = _load_tree(args)
@@ -88,15 +77,8 @@ def cmd_normality(args) -> int:
     _ceiling(args.max_degree)   # before any input is read
     model = _load_model(args)
     tree = _load_tree(args)
-    if args.flavor == "abelian":
-        report = tree_idp_check(tree, model, max_degree=args.max_degree,
-                                cap=args.vertex_cap)
-    else:
-        poly = _projected(build_polytope(tree, model, cap=args.vertex_cap),
-                          model, args.flavor)
-        report = star_idp_check(LatticePolytope(
-            poly.vertices, stars=star_columns(tree, poly.block_width)),
-            max_degree=args.max_degree)
+    report = tree_idp_check(tree, model, args.flavor,
+                            max_degree=args.max_degree, cap=args.vertex_cap)
     _emit(report.to_text(), args.out)
     return 0 if report.normal else 1
 

@@ -29,7 +29,9 @@ stars' inequalities, pulled back. A LatticePolytope that knows its stars
 count of the stars' points, runs the double description on each distinct
 star projection, pulls every star facet back to its own coordinates, and
 keeps those the facet certificate passes: a pulled-back row that is tight
-only on a lower face is dropped.
+only on a lower face is dropped. tree_idp_check needs no facets of a tree
+at all; a whole-tree idp_check of a LatticePolytope with stars, the
+tests' oracle for it, does.
 
 Dilates are enumerated by project and lift, in the intrinsic lattice
 coordinates y of a polytope P: a point of nP is x = n*anchor + y.B. The
@@ -55,10 +57,12 @@ kP, digit j is y[j] - k*min y[j] in [0, k*span_j]. One radix
 top*span_j + 1 serves every degree k <= top, top being the highest degree
 checked whose codes fit in int64, so the codes of v and p add without carry
 to the code of q. Between degrees it keeps only the sorted codes of the
-last degree, one int64 per point, as they are. Rows return to ambient
-coordinates only for a witness, the first undecomposable row the scan
-yields, which is the least, for lattice_points_in_dilate, and for the
-points of a decomposition. decompose searches on P's slack table: a
+last degree, one int64 per point, as they are; a degree's rows, when a
+tree's witness needs them, are decoded from its codes (_decode). Rows
+return to ambient coordinates only for a witness, the first undecomposable
+row the scan yields, which is the least, for a tree's claws at the degree
+of its witness, for lattice_points_in_dilate, and for the points of a
+decomposition. decompose searches on P's slack table: a
 remainder's facet slacks, less those of a lattice point of P, are the
 next remainder's. The lattice points of a 0/1 polytope are its points,
 so such a P is never scanned for them.
@@ -77,34 +81,28 @@ scan's points from below, so the stream gives way to the scan of the whole
 ceiling once it has cost more than that bound: a low ceiling or a large
 volume is still scanned.
 
-The polytope of a tree with two or more inner vertices is the fiber
-product of its star projections over the inner edges (Sullivant, 2007):
-the lattice points of its dilates are the tuples of its stars' that agree
-on the inner edges, and such a tuple is a sum of points of the tree's
-polytope exactly when every part is (star_idp_check proves it). So
-star_idp_check decides a projected tree on its distinct star projections,
-each scanned and split-tested as idp_check does: the tree's count is a
-sum-product of its stars' points, it fails first where a star does, and
-its least witness is found by a greedy descent over its blocks on the
-same sum-products, then certified without its facets. The abelian
-polytope of a tree is the fiber product of its claws, so tree_idp_check
-decides it on its distinct claws, each as pulling_idp_check does: the
-tree's least failing degree is its claws'. Only when a claw fails at some
-degree is the tree itself scanned, through that degree, for the least
-witness, on facets pulled back from its stars. Otherwise its point counts
-are a sum-product of the claws' points, tallied by their inner-edge
-blocks. The stars, linked by the columns they share, form a tree
-(_star_tree), and one sum-product over it (_sum_product) counts the fiber
-product that certifies a tree, on the stars' points, and a tree's points
-per degree, on its stars' dilates or on its claws' tallies; an abelian
-tree's count at degree 1 is checked against its points. A claw keyed by
-one block, which every claw of a tree with two inner vertices is, and
-decided on its triangulation, is tallied off the same stream: its
-parallelepiped points fall into classes by the first blocks of the
-simplex's vertices and of the point, and each class gives the points of
-every block of every dilate as a product of binomials, so no dilate is
-scanned. A claw keyed by two or more blocks, or sent to the scan by the
-route rule, has its dilates scanned and tallied.
+The polytope P of a tree with two or more inner vertices, abelian or
+projected, is the fiber product of its stars over the inner edges
+(Sullivant, 2007), and each star is the standard claw of its degree up to
+a permutation of its columns: chi -> -chi on the block of the edge from
+its parent (_claw_columns). The lattice points of nP are the tuples of its
+stars' points that agree on the inner edges, and such a tuple is a sum of
+points of P exactly when every part is (tree_idp_check proves it). So
+tree_idp_check decides P on one claw per vertex degree, each decided once
+as pulling_idp_check does and its dilates counted once per degree
+(_claw_degrees): off the classes of its triangulation's stream, where the
+claw is keyed by one block and triangulated, so no dilate is scanned; by a
+plain scan of each dilate, where the triangulation showed the claw Normal;
+and by one scan that both tallies and split-tests each dilate, where the
+triangulation hands the claw on. The stars, linked by the columns they
+share, form a tree (_star_tree), and one sum-product over it (_sum_product)
+counts P's points per degree, on its claws' tallies by inner-edge blocks,
+and, on the stars' points, the fiber product that certifies a
+LatticePolytope with stars. P first fails where a claw does; there the
+claws' rows, read through each star's column map, give P's least witness by
+a greedy descent over its columns (_descent), certified without P's facets.
+P itself is built only for its points, against which its count at degree 1
+is checked, and its lattice, which holds the witness.
 
 Overflow guards: the scan and the codes run on numpy integer arrays, each
 bounded first in Python integers. The scan of nP runs in the narrowest of
@@ -121,7 +119,7 @@ coordinates, the triangulation's reducibility test, on the actual maxima
 of P's facet rows and lattice points, and the class tallies, under L(n)
 and their binomial products. A triangulation raises past _PULL_CAP faces
 memoized or simplices streamed, the only bound of its stream, and
-pulling_idp_check then scans the claw. An instance beyond a bound raises
+the claw goes to the scan. An instance beyond a bound raises
 ScaleExceededError instead of wrapping. Rows go back to ambient
 coordinates in Python integers, so every reported number is exact.
 """
@@ -129,7 +127,7 @@ coordinates in Python integers, so every reported number is exact.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from math import comb, prod
 from operator import mul
 
@@ -137,7 +135,7 @@ import numpy as np
 
 from .errors import (BlockWidthMismatchError, ProjectionNotInSimplexError,
                      ScaleExceededError)
-from .polytope import _CAP, ModelPolytope, build_polytope
+from .polytope import _CAP, ModelPolytope, _projected, build_polytope
 from .trees import Tree, glue
 
 
@@ -736,6 +734,9 @@ _POPCOUNT = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint8)
 # Cap on the faces a pulling triangulation memoizes and on the simplices it
 # yields.
 _PULL_CAP = 2_000_000
+# The message of a claw whose scan finds no undecomposable point through
+# the degree of an irreducible point of its triangulation.
+_DECOMPOSED = "an irreducible point of degree {} decomposed in the scan"
 # The dilate-scan points that cost about as much as one unit of normalized
 # volume triangulated. Measured on claws of rank 8 to 15, the ratio lies
 # between 2 and 40; the scan's cost per point grows with the lattice points
@@ -755,9 +756,10 @@ class LatticePolytope:
     stars, when P is the polytope of a tree, holds the columns of the edges
     at each inner vertex (star_columns). With two or more, the facets are
     the stars' facets pulled back, once P is certified their fiber product
-    (facet_description); the double description then runs on the stars
-    alone. star_idp_check decides such a P on its star projections
-    (star_projections) without its facets."""
+    (star_projections, facet_description); the double description then
+    runs on the stars alone. tree_idp_check decides a tree on its claws and
+    builds no facets of P, so only a whole-tree idp_check, the oracle of the
+    tests, reads P's stars."""
 
     points: tuple   # sorted, distinct integer tuples of one length
     # column tuples, one per inner vertex of a tree; they choose how the
@@ -1236,6 +1238,16 @@ class IdpReport:
         return "\n".join(lines) + "\n"
 
 
+def _report(counts, witness=None) -> IdpReport:
+    """The report of the point counts ((1, L(1)), ..., (n, L(n))) of a check
+    through degree n, which failed there with witness when one is given."""
+    n = counts[-1][0]
+    return IdpReport(verdict="Normal" if witness is None else "NotNormal",
+                     degrees_checked=tuple(range(2, n + 1)), witness=witness,
+                     witness_degree=None if witness is None else n,
+                     points_per_degree=tuple(counts))
+
+
 @dataclass(frozen=True)
 class DecompositionResult:
     found: tuple     # n points summing to q, or None
@@ -1318,14 +1330,16 @@ def _ceiling(max_degree, poly=None):
 
 
 def _split_scan(poly: LatticePolytope, max_degree: int, first: bool):
-    """The split test of idp_check on P, degree by degree: a generator of
-    (n, blocks) for n = 2..max_degree, where blocks yields (rows, bad) for
-    each block of rows of nP (_dilate_blocks), bad the positions in rows of
+    """The split test of idp_check on P, degree by degree: (weights, a
+    generator of (n, blocks) for n = 1..max_degree), where blocks yields
+    (rows, codes, bad) for each block of rows of nP (_dilate_blocks), codes
+    their codes (_codes) in the weights, and bad the positions in rows of
     the points that are no sum v + p of a lattice point v of P and a point
     p of (n-1)P (_undecomposable). With first, only the first such point of
     a degree is sought: bad holds at most it, and once it is found the rest
-    of the degree is not tested. A degree's blocks must be exhausted before
-    the next degree is asked for.
+    of the degree is not tested. Degree 1 is one block, P's lattice points,
+    with no split test. A degree's blocks must be exhausted before the next
+    degree is asked for.
 
     Every degree is encoded in the code weights of one degree top: the
     highest up to max_degree whose codes fit in int64. They encode each
@@ -1352,10 +1366,11 @@ def _split_scan(poly: LatticePolytope, max_degree: int, first: bool):
                 found = first and len(bad) > 0
             if n < top:
                 held.append(codes)
-            yield rows, bad
+            yield rows, codes, bad
 
     def degrees():
         nonlocal held
+        yield 1, iter([(poly.lattice_points, vcodes, vcodes[:0])])
         for n in range(2, max_degree + 1):
             if n > top:
                 _code_weights(span, n)   # raises: these codes pass int64
@@ -1364,7 +1379,17 @@ def _split_scan(poly: LatticePolytope, max_degree: int, first: bool):
             yield n, blocks(n, prev)
             del prev   # freed before the next degree joins its codes
 
-    return degrees()
+    return weights, degrees()
+
+
+def _decode(codes, n, low, weights):
+    """The rows y of nP whose codes in the given weights (_codes) are the
+    concatenated arrays codes, in their order: digit j of a code is its
+    quotient by weights[j], reduced mod its radix weights[j-1] //
+    weights[j] below the first."""
+    digits = np.concatenate(codes)[:, None] // weights
+    digits[:, 1:] %= weights[:-1] // weights[1:]
+    return digits + n * np.asarray(low, dtype=np.int64)
 
 
 def idp_check(poly, max_degree: int = None) -> IdpReport:
@@ -1387,12 +1412,12 @@ def idp_check(poly, max_degree: int = None) -> IdpReport:
     poly = _as_polytope(poly)
     max_degree = _ceiling(max_degree, poly)
     lat, hrep = poly.lattice, poly.hrep
-    degrees = _split_scan(poly, max_degree, first=True)
-    counts = [(1, len(poly.lattice_points))]
+    _, degrees = _split_scan(poly, max_degree, first=True)
+    counts = []
     for n, blocks in degrees:
         witness = None
         total = 0
-        for rows, bad in blocks:
+        for rows, _, bad in blocks:
             total += len(rows)
             if len(bad):
                 witness = _ambient_rows(rows[bad], n, lat)[0]
@@ -1404,173 +1429,8 @@ def idp_check(poly, max_degree: int = None) -> IdpReport:
                 raise AssertionError("witness fails the lattice check")
             if decompose(witness, n, poly).found is not None:
                 raise AssertionError("witness decomposed on re-verification")
-            return IdpReport(verdict="NotNormal",
-                             degrees_checked=tuple(range(2, n + 1)),
-                             witness=witness, witness_degree=n,
-                             points_per_degree=tuple(counts))
-    return IdpReport(verdict="Normal",
-                     degrees_checked=tuple(range(2, max_degree + 1)),
-                     points_per_degree=tuple(counts))
-
-
-def star_idp_check(poly, max_degree: int = None) -> IdpReport:
-    """idp_check's report on a LatticePolytope P with two or more stars,
-    the polytope of a tree, decided on its distinct star projections P_s
-    (star_projections) instead of on P: no facets, levels or dilates of P
-    are built. With fewer than two stars this is idp_check(P). The ceiling
-    is _ceiling's on P.
-
-    The fiber-product lemma. Let P be the fiber product of the P_s over the
-    blocks that linked stars share (_star_tree), each block a unit vector
-    e_g at every point, as star_projections certifies. Then for n >= 1:
-    (a) the lattice points of nP are the tuples of lattice points of the
-    nP_s that agree on the shared blocks; (b) such a tuple is a sum of n
-    lattice points of P exactly when every part is a sum of n lattice
-    points of its P_s.
-    - (a) Each nP_s, and its lattice, spanned by the projections of P's
-      points, is a projection of nP and of its lattice. Conversely, glue
-      one link at a time: P is the fiber product of its projections P_1,
-      P_2 onto the two sides of the link, and a value e_g of the block at
-      a point of either side is that of a point of P, so both sides have
-      it. For parts q_1, q_2 that agree on the block, write q_1 = sum c_u u
-      and q_2 = sum d_x x as integer combinations of points with
-      coefficient sum n, let a be the block, and take points u_g, x_g with
-      block e_g. Then (q_1, q_2) = sum c_u (u, x_g(u)) + sum d_x (u_g(x), x)
-      - sum a_g (u_g, x_g), g(u) the value of u on the block: a combination
-      of points of P with sum n, so (q_1, q_2) lies in the lattice of nP.
-      With real weights summing to n instead, a_g is the weight of the
-      points with block e_g on each side, and (q_1, q_2) is the sum of
-      lam_u*mu_x/a_g (u, x) over the pairs of equal block e_g: a point of
-      nP.
-    - (b) A split of the tuple into n points of P restricts to one of each
-      part. If each part is a sum of n points of its P_s, the summands at
-      both ends of a link carry e_g on it a_g times each; pair them by that
-      value, link by link from the root of the star tree: that makes n
-      tuples that agree on every link, points of P, summing to the tuple.
-    tree_idp_check rests on the same lemma. So nP counts the sum-product
-    over the star tree (_sum_product) of the points of the nP_s, keyed by
-    their shared blocks, and a point of nP is undecomposable exactly when
-    some part is. Every point q_s of nP_s is a part of one, by (a): past
-    each link, with block a, extend it by sum_g a_g times the far side of a
-    point of P with e_g there. So P first fails at the least degree at
-    which some P_s does.
-
-    The route. Each distinct P_s is scanned degree by degree, its points
-    marked undecomposable by idp_check's split test (_split_scan); below the
-    least failing degree every P_s is Normal, so a point no v + p is no sum
-    of n points either. P's count at degree n is the sum-product of the
-    points of the nP_s, at degree 1 of their lattice points. At the least
-    failing degree n the witness, the least undecomposable point of nP in
-    ambient order, is found by a greedy descent over P's blocks, the runs
-    of consecutive columns that lie in the same stars (each inner edge's
-    block is one), in ambient order: each block takes its least value for
-    which the tuples that agree with the values fixed so far, less those
-    whose parts are all unmarked, stay above 0. Once every block is fixed
-    one tuple remains, with a marked part. It is certified without P's
-    facets: it lies in P's lattice at scale n, each part lies in its star's
-    halfspaces (P_s's hrep), and decompose finds no split of its first
-    marked part in its star; each failure raises AssertionError. With the
-    lemma, that makes it an undecomposable point of nP."""
-    poly = _as_polytope(poly)
-    if len(poly.stars) < 2:
-        return idp_check(poly, max_degree)
-    max_degree = _ceiling(max_degree, poly)
-    lat, stars = poly.lattice, poly.stars
-    projections = poly.star_projections
-    plan = _star_tree(stars)
-    distinct = {key: LatticePolytope(key) for key in projections}
-    at = [{c: i for i, c in enumerate(cols)} for cols in stars]
-    links = {s: ([up] if up else []) + [cols for _, cols in kids]
-             for s, up, kids in plan}
-    runs = []   # P's blocks in ambient order: (columns, the stars of them)
-    for c in range(len(poly.points[0])):
-        holders = [s for s, cols in enumerate(at) if c in cols]
-        if runs and runs[-1][1] == holders:
-            runs[-1][0].append(c)
-        else:
-            runs.append(([c], holders))
-    scans = {key: _split_scan(q, max_degree, first=False)
-             for key, q in distinct.items()}
-
-    def degree(n):
-        """Per star s: its points of nP_s as ambient rows, their marks, and
-        their link blocks, as a code per point and the blocks of each
-        code."""
-        got = {}
-        for key, q in distinct.items():
-            ys, marked = [], []
-            for block, bad in ([(q.lattice_points, [])] if n == 1
-                               else next(scans[key])[1]):
-                mark = np.zeros(len(block), dtype=bool)
-                mark[bad] = True
-                ys.append(block)
-                marked.append(mark)
-            got[key] = (_ambient(np.concatenate(ys), n, q.lattice),
-                        np.concatenate(marked))
-        rows, marks, codes, heads = [], [], [], []
-        for s, key in enumerate(projections):
-            pos = [[at[s][c] for c in link] for link in links[s]]
-            ends = np.cumsum([0] + list(map(len, pos))).tolist()
-            keys, code = np.unique(got[key][0][:, sum(pos, [])], axis=0,
-                                   return_inverse=True)
-            rows.append(got[key][0])
-            marks.append(got[key][1])
-            codes.append(code.reshape(-1))
-            heads.append([tuple(tuple(row[a:b])
-                                for a, b in zip(ends, ends[1:]))
-                          for row in keys.tolist()])
-        return rows, marks, codes, heads
-
-    def count(codes, heads, keep):
-        """The tuples of points, one per star s among those keep[s] marks,
-        that agree on every link (_sum_product)."""
-        return _sum_product(plan, [
-            [(heads[s][c], k) for c, k in enumerate(np.bincount(
-                codes[s][keep[s]], minlength=len(heads[s])).tolist()) if k]
-            for s in range(len(stars))])
-
-    counts = []
-    for n in range(1, max_degree + 1):
-        rows, marks, codes, heads = degree(n)
-        keep = [np.ones(len(r), dtype=bool) for r in rows]
-        counts.append((n, count(codes, heads, keep)))
-        if not any(mark.any() for mark in marks):
-            continue
-        witness = []
-        for cols, holders in runs:
-            pos = {s: [at[s][c] for c in cols] for s in holders}
-            first = holders[0]
-            held = rows[first][keep[first]][:, pos[first]]
-            for value in sorted(set(map(tuple, held.tolist()))):
-                trial = list(keep)
-                for s in holders:
-                    trial[s] = keep[s] & (rows[s][:, pos[s]] ==
-                                          np.array(value)).all(axis=1)
-                plain = [k & ~mark for k, mark in zip(trial, marks)]
-                if count(codes, heads, trial) > count(codes, heads, plain):
-                    break
-            else:
-                raise AssertionError("no value of a block keeps an "
-                                     "undecomposable point")
-            keep = trial
-            witness += value
-        witness = tuple(witness)
-        parts = [tuple(witness[c] for c in cols) for cols in stars]
-        for s, part in enumerate(parts):
-            if not distinct[projections[s]].hrep.contains(part, n):
-                raise AssertionError("witness fails the halfspace check")
-        if not lat.contains(witness, n):
-            raise AssertionError("witness fails the lattice check")
-        s = next(s for s, mark in enumerate(marks) if mark[keep[s]].any())
-        if decompose(parts[s], n, distinct[projections[s]]).found is not None:
-            raise AssertionError("witness decomposed on re-verification")
-        return IdpReport(verdict="NotNormal",
-                         degrees_checked=tuple(range(2, n + 1)),
-                         witness=witness, witness_degree=n,
-                         points_per_degree=tuple(counts))
-    return IdpReport(verdict="Normal",
-                     degrees_checked=tuple(range(2, max_degree + 1)),
-                     points_per_degree=tuple(counts))
+            return _report(counts, witness)
+    return _report(counts)
 
 
 def _flag_weights(verts, rows, values):
@@ -1744,8 +1604,9 @@ def pulling_idp_check(poly, max_degree: int = None) -> IdpReport:
     splits when p does. At the first irreducible point, of degree k <=
     max_degree, the stream stops and the result is idp_check(P,
     max_degree=k), whose verdict, least witness and counts are the
-    scan's. Otherwise P is Normal through max_degree and its counts come
-    from h*, checked against the volumes and the lattice points of P.
+    scan's; it must fail, or this raises AssertionError. Otherwise P is
+    Normal through max_degree and its counts come from h*, checked against
+    the volumes and the lattice points of P.
 
     The route. The h* streamed so far, with h*_0 = 1 and h*_1 = L(1) - r -
     1 known from the start, gives by ehrhart_counts a lower bound on the
@@ -1760,12 +1621,29 @@ def pulling_idp_check(poly, max_degree: int = None) -> IdpReport:
     The same stream can group its parallelepiped points into the classes
     that count a claw's dilates by block (_pulling, _class_tallies);
     tree_idp_check asks for them, and this check does not, so a lone claw
-    pays nothing for them."""
-    return _pulling(_as_polytope(poly), max_degree)[0]
+    pays nothing for them. tree_idp_check takes a claw that the stream
+    hands on to its own scan, which counts and split-tests each dilate
+    once."""
+    poly = _as_polytope(poly)
+    max_degree = _ceiling(max_degree, poly)
+    report, _, bad = _pulling(poly, max_degree)
+    if report is None:
+        report = idp_check(poly, bad or max_degree)
+        if bad and report.normal:
+            raise AssertionError(_DECOMPOSED.format(bad))
+    return report
 
 
 def _pulling(poly: LatticePolytope, max_degree, width: int = 0):
-    """(pulling_idp_check's report on P, P's classes or None).
+    """(P's report from its pulling triangulation, or None, P's classes or
+    None, the degree of its irreducible point, or None): the stream of
+    pulling_idp_check.
+
+    The report is None when the stream hands P to the scan: at an
+    irreducible point of degree bad, which the scan through bad must
+    confirm, or by the route rule or past _PULL_CAP, bad None, when P is to
+    be scanned through max_degree. Otherwise P is Normal through
+    max_degree, with its counts from h*.
 
     With width > 0 the same stream groups its parallelepiped points into
     classes (_half_open): classes[(c, block)] is how many points have the
@@ -1775,11 +1653,9 @@ def _pulling(poly: LatticePolytope, max_degree, width: int = 0):
     to h* degree by degree; otherwise, and with width 0, classes is None,
     and nothing is grouped.
 
-    The ceiling is _ceiling's. Both hand-offs, an irreducible point of
-    degree k and the route rule, or a triangulation past _PULL_CAP, are one
-    call of idp_check, with the ceiling k or max_degree. The stream raises
-    ScaleExceededError only past _PULL_CAP: its reducibility test follows
-    _exact's rule."""
+    The ceiling is _ceiling's. The stream raises ScaleExceededError only
+    past _PULL_CAP, which hands P to the scan: its reducibility test
+    follows _exact's rule."""
     max_degree = _ceiling(max_degree, poly)
     r = poly.lattice.rank
     h_star, volume, bad, whole = [0] * (r + 2), 0, None, False
@@ -1807,14 +1683,8 @@ def _pulling(poly: LatticePolytope, max_degree, width: int = 0):
             whole = True
     except ScaleExceededError:   # past _PULL_CAP
         pass
-    # handed to the scan: an irreducible point of degree bad, the route
-    # rule or _PULL_CAP
     if not whole:
-        report = idp_check(poly, bad or max_degree)
-        if bad and report.normal:
-            raise AssertionError(f"an irreducible point of degree {bad} "
-                                 "decomposed in the scan")
-        return report, None
+        return None, None, bad
     if sum(h_star) != volume:
         raise AssertionError(f"h* sums to {sum(h_star)}, the volumes to "
                              f"{volume}")
@@ -1829,10 +1699,8 @@ def _pulling(poly: LatticePolytope, max_degree, width: int = 0):
         if by_degree != h_star:
             raise AssertionError(f"the classes count {by_degree} points by "
                                  f"degree, h* is {h_star}")
-    report = IdpReport(verdict="Normal",
-                       degrees_checked=tuple(range(2, max_degree + 1)),
-                       points_per_degree=tuple(enumerate(counts, 1)))
-    return report, classes if width else None
+    return _report(tuple(enumerate(counts, 1))), \
+        classes if width else None, None
 
 
 def _summed(codes, counts):
@@ -1869,17 +1737,6 @@ def _key_weights(poly: LatticePolytope, m: int, w: int, n: int):
             "int64 bound 2**63")
     return (np.array(g, dtype=np.int64),
             n * sum(a * d for a, d in zip(lat.anchor, digit)))
-
-
-def _scan_tallies(poly: LatticePolytope, m: int, w: int, top: int):
-    """Yield, for n = 1..top, (key codes, counts) of the points of the
-    claw's dilate nP by its first m edge blocks (_key_weights), from a plain
-    scan of nP."""
-    for n in range(1, top + 1):
-        g, offset = _key_weights(poly, m, w, n)
-        parts = [np.unique(block @ g + offset, return_counts=True)
-                 for block in _dilate_blocks(poly, n)]
-        yield _summed(*map(np.concatenate, zip(*parts)))
 
 
 def _blocks(n: int, w: int):
@@ -1961,92 +1818,191 @@ def _star(k: int) -> Tree:
                 labels=(None,) + tuple(f"x{i}" for i in range(1, k + 1)))
 
 
-def tree_idp_check(tree: Tree, model, max_degree: int = None,
-                   cap: int = _CAP) -> IdpReport:
-    """idp_check of the abelian polytope P of model on tree, decided on
-    its claws, the standard k-claw for each degree k of an inner vertex,
-    instead of on a scan of P, with the same report. The ceiling is
-    _ceiling's on P, and it is checked before any polytope is built; cap
-    bounds the networks of P and of each claw, as in build_polytope.
+def _claw_columns(tree: Tree, model, flavor: str) -> tuple:
+    """For each inner vertex v of tree, in star_columns' order, the column
+    of the standard claw (_star) that each column of v's star maps to.
 
-    Why it is sound. Every inner vertex v keeps its star, the edges at v,
-    whose polytope P_v is the projection of P onto their blocks. A network
-    of the tree is a tuple of networks of the stars that agree on the inner
-    edges, so a vertex of P is a tuple of vertices of the P_v that agree
-    on the inner-edge blocks, each such block a simplex vertex e_g: P is
-    the fiber product of the P_v over the inner edges. By the fiber-product
-    lemma (star_idp_check), the lattice points of nP are the tuples of
-    lattice points of the nP_v that agree on the inner-edge blocks, such a
-    tuple is a sum of n points of P exactly when every part is, and every
-    point of nP_v is a part of one. So the least failing degree of P is
-    the least over its stars. The star
-    of v is the standard k-claw, whose edges all leave its centre, after a
-    permutation of the blocks and chi -> -chi on the block of the edge from
-    v's parent, where the network's signed sum has -chi. Both maps are
-    unimodular, so they keep the failing degree and the point counts.
+    Block i of the star, its i-th edge, maps to the claw's block i, by
+    chi -> -chi on the block of the edge from v's parent and the identity
+    elsewhere: a network's signed sum at v has -chi on that edge, where the
+    claw's, whose edges all leave its centre, has chi. In the projected
+    flavor it permutes the dual orbits, which are orbits of automorphisms
+    of the character group, and those commute with chi -> -chi. Each map
+    is an involution, so it takes the claw's columns back to the star's
+    too."""
+    group = model.group
+    orbits = model.dual_orbits if flavor == "projected" else \
+        [(chi,) for chi in group.elements()]
+    where = {chi: i for i, orbit in enumerate(orbits) for chi in orbit}
+    neg = [where[group.neg(orbit[0])] for orbit in orbits]
+    return tuple(tuple(b * len(neg) + (neg[t] if tree.edges[e][1] == v else t)
+                       for b, e in enumerate(e for e, edge in
+                                             enumerate(tree.edges)
+                                             if v in edge)
+                       for t in range(len(neg)))
+                 for v in tree.inner)
 
-    The route. With fewer than two inner vertices P is a claw (or an edge),
-    decided by pulling_idp_check. Otherwise each distinct claw is decided
-    as a lone claw is, by pulling_idp_check(claw, max_degree): on its
-    pulling triangulation, which hands a failing degree n back to
-    idp_check(claw, max_degree=n), or on the scan where that costs less.
-    When a claw fails, P is Normal below the least failing degree n and
-    fails at n, so the result is idp_check(P, max_degree=n), which gives
-    the same verdict, least witness and counts as idp_check(P); P carries
-    its stars, so its facets are pulled back from them. Otherwise
-    P's count at each degree n is the sum-product over its star tree
-    (_star_tree of P's stars, _sum_product) of the claws' tallies: each
-    claw's points of nP counted by their key codes over the claw's first m
-    blocks, m the most inner edges at a vertex of that degree. A star with
-    u inner edges reads the tally of its claw marginalized to the first u
-    blocks, decoded block by block: the claw is symmetric under block
-    permutation, so they count any u of its blocks. The blocks are glued
-    as the claw has them, with no chi -> -chi on an edge from a parent:
-    negating every block on one side of an edge is a unimodular map of P
-    onto that gluing, so the counts are the same, at any root of the star
-    tree. P is 0/1, so its lattice points are its points, and the count at
-    n = 1 must be len(P.points), or this raises AssertionError. Which route
-    counts the tallies:
-    - m = 1 (every claw of a tree with exactly two inner vertices) and the
-      claw decided on its triangulation: _class_tallies, off the classes
-      of the same stream (_pulling), with no dilate scanned. The tallies of
-      each degree sum to the claw's L(n) from h*, and the classes'
-      multiplicities to h*; either check raises AssertionError.
-    - m >= 2, or a claw that the route rule sends to the scan:
-      _scan_tallies, a plain scan of each nP coded by _key_weights. A
-      claw's nP_v has at most as many points as nP, since each extends to
-      one, so the claws' scans meet no point cap that P's would not."""
+
+def _claw_degrees(claw: LatticePolytope, top: int, m: int, w: int,
+                  pulled):
+    """Yield, for n = 1..top, (key codes, counts, marks, rows) of the claw's
+    dilate nP, for tree_idp_check: its points counted by their key codes
+    over its first m blocks of width w (_key_weights), as _summed gives
+    them. pulled is _pulling's (report, classes, bad) on P through top.
+
+    - P triangulated, with classes: the tallies are _class_tallies', and
+      no dilate is scanned.
+    - P triangulated, without: each nP is scanned once, and no point is
+      split-tested, since the triangulation showed P Normal.
+    - P handed to the scan: each nP, n >= 2, is scanned and split-tested
+      once (_split_scan, every mark kept) through bad, or top with bad
+      None, and must fail by degree bad, or this raises AssertionError.
+      marks then flags its points that are no sum of n points of P, in
+      scan order, none at n = 1, and rows returns its rows of lattice
+      coordinates, in the same order, decoded from the codes of the split
+      test (_decode), so that no degree's rows are held.
+
+    Otherwise marks and rows are None. nP at n = 1 is P's lattice points."""
+    report, classes, bad = pulled
+    if classes:
+        for tally in _class_tallies(classes, w, [
+                count for _, count in report.points_per_degree]):
+            yield (*tally, None, None)
+        return
+    weights, degrees = (None, None) if report else \
+        _split_scan(claw, bad or top, first=False)
+    for n in range(1, (bad or top) + 1):
+        g, offset = _key_weights(claw, m, w, n)
+        blocks = next(degrees)[1] if degrees else (
+            (ys, None, None) for ys in ([claw.lattice_points] if n == 1
+                                        else _dilate_blocks(claw, n)))
+        parts, held, marks = [], [], []
+        for ys, codes, at in blocks:
+            parts.append(np.unique(ys @ g + offset, return_counts=True))
+            if codes is not None:
+                held.append(codes)
+                marks.append(np.bincount(at, minlength=len(ys)) > 0)
+        keys, counts = _summed(*map(np.concatenate, zip(*parts)))
+        if not held:
+            yield keys, counts, None, None
+            continue
+        marks = np.concatenate(marks)
+        if n == bad and not marks.any():
+            raise AssertionError(_DECOMPOSED.format(bad))
+        yield keys, counts, marks, partial(_decode, held, n, claw.low,
+                                           weights)
+
+
+def tree_idp_check(tree: Tree, model, flavor: str = "abelian",
+                   max_degree: int = None, cap: int = _CAP) -> IdpReport:
+    """idp_check's report on the polytope P of model on tree, abelian or
+    projected (flavor), decided on its claws, the standard k-claw (_star),
+    projected with P, for each degree k of an inner vertex, instead of on a
+    scan of P. The ceiling is _ceiling's on P, and it is checked before any
+    polytope is built; cap bounds the networks of P and of each claw, as in
+    build_polytope. With fewer than two inner vertices P is a claw (or an
+    edge), decided by pulling_idp_check.
+
+    The fiber-product lemma. Every inner vertex v keeps its star, the
+    edges at v, whose polytope P_v is the projection of P onto their
+    blocks. A network of the tree is a tuple of networks of the stars that
+    agree on the inner edges, so P is the fiber product of the P_v over the
+    inner-edge blocks (_star_tree), each block a unit vector e_g at every
+    point. In the projected flavor, P and the P_v are their images under
+    the sum over the dual orbits in each block, which sends e_g to the
+    unit vector of g's orbit; the orbits are those of automorphisms of
+    the character group, which map networks to networks and fix that sum,
+    so two lifts that agree on a link's orbit can be made to agree on its
+    character by one automorphism of one side, one link at a time. Then
+    for n >= 1: (a) the lattice points of nP are the tuples of lattice
+    points of the nP_v that agree on the shared blocks; (b) such a tuple
+    is a sum of n lattice points of P exactly when every part is a sum of
+    n lattice points of its P_v.
+    - (a) Each nP_v, and its lattice, spanned by the projections of P's
+      points, is a projection of nP and of its lattice. Conversely, glue
+      one link at a time: P is the fiber product of its projections P_1,
+      P_2 onto the two sides of the link, and a value e_g of the block at
+      a point of either side is that of a point of P, so both sides have
+      it. For parts q_1, q_2 that agree on the block, write q_1 = sum c_u u
+      and q_2 = sum d_x x as integer combinations of points with
+      coefficient sum n, let a be the block, and take points u_g, x_g with
+      block e_g. Then (q_1, q_2) = sum c_u (u, x_g(u)) + sum d_x (u_g(x), x)
+      - sum a_g (u_g, x_g), g(u) the value of u on the block: a combination
+      of points of P with sum n, so (q_1, q_2) lies in the lattice of nP.
+      With real weights summing to n instead, a_g is the weight of the
+      points with block e_g on each side, and (q_1, q_2) is the sum of
+      lam_u*mu_x/a_g (u, x) over the pairs of equal block e_g: a point of
+      nP.
+    - (b) A split of the tuple into n points of P restricts to one of each
+      part. If each part is a sum of n points of its P_v, the summands at
+      both ends of a link carry e_g on it a_g times each; pair them by that
+      value, link by link from the root of the star tree: that makes n
+      tuples that agree on every link, points of P, summing to the tuple.
+    So nP counts the sum-product over the star tree (_sum_product) of the
+    points of the nP_v, keyed by their shared blocks, and a point of nP is
+    undecomposable exactly when some part is. Every point q_v of nP_v is a
+    part of one, by (a): past each link, with block a, extend it by
+    sum_g a_g times the far side of a point of P with e_g there. So P first
+    fails at the least degree at which some P_v does.
+
+    The claws. P_v is the k-claw after the column map of _claw_columns, a
+    permutation, so it has the claw's failing degree and point counts, and
+    the stars of one degree share one claw. Each claw is decided once by
+    _pulling and its dilates counted once per degree (_claw_degrees), keyed
+    by its first m blocks, m the most inner edges at a vertex of its
+    degree. Degree by degree, a star with u inner edges reads its claw's
+    tally marginalized to the first u blocks, decoded block by block: the
+    claw is symmetric under block permutation, so they count any u of its
+    blocks. These tallies glue the blocks as the claw has them, with no
+    chi -> -chi on an edge from a parent; negating every block of the
+    stars at odd depth in the star tree maps that gluing onto P, a
+    permutation within each block, so the counts are the same. P is 0/1,
+    so its lattice points are its points, and the count at n = 1 must be
+    len(P.points), or this raises AssertionError. The claws handed to the
+    scan are counted first; below the least degree at which one of them
+    marks a point, every claw is Normal, so P is.
+
+    The witness. At that degree n each claw's rows of nP are taken: the
+    marked claws' from their split test, the others' from one scan of nP.
+    Each star reads its claw's rows through its column map, in P's
+    columns, and P's count at n is the sum-product of their link blocks.
+    The witness, the least undecomposable point of nP in ambient order, is
+    found by a greedy descent over P's columns in ambient order (_descent):
+    each column takes its least value for which the tuples that agree with
+    the values fixed so far, less those whose parts are all unmarked, stay
+    above 0. Once every column is fixed one tuple remains, with a marked
+    part. It is certified without P's facets: it
+    lies in P's lattice at scale n, each part, in its claw's columns, lies
+    in the claw's halfspaces, and decompose finds no split of its first
+    marked part in its claw; each failure raises AssertionError. With the
+    lemma, that makes it an undecomposable point of nP."""
     _ceiling(max_degree)   # before any polytope is built
-    w = model.group.size
-    poly = LatticePolytope(build_polytope(tree, model, cap=cap).vertices,
-                           stars=star_columns(tree, w))
+    whole = _projected(build_polytope(tree, model, cap=cap), model, flavor)
+    poly = LatticePolytope(whole.vertices)
     if len(tree.inner) < 2:
         return pulling_idp_check(poly, max_degree)
     max_degree = _ceiling(max_degree, poly)
-    plan = _star_tree(poly.stars)
-    shape = {s: (len(poly.stars[s]) // w, (1 if up else 0) + len(kids))
+    w = whole.block_width
+    stars, maps = star_columns(tree, w), _claw_columns(tree, model, flavor)
+    plan = _star_tree(stars)
+    shape = {s: (len(stars[s]) // w, (1 if up else 0) + len(kids))
              for s, up, kids in plan}   # star -> (claw degree, inner edges)
-    keyed = {}   # claw degree -> blocks its tally keys
-    for k, used in shape.values():
-        keyed[k] = max(keyed.get(k, 0), used)
-    claws = {k: _as_polytope(build_polytope(_star(k), model, cap=cap))
-             for k in keyed}
-    decided = {k: _pulling(claw, max_degree, w if keyed[k] == 1 else 0)
-               for k, claw in claws.items()}
-    failed = [r.witness_degree for r, _ in decided.values() if not r.normal]
-    if failed:
-        return idp_check(poly, max_degree=min(failed))
-    tallies = {}   # claw degree -> its tallies, degree by degree
-    for k, (report, classes) in decided.items():
-        if classes is None:
-            tallies[k] = _scan_tallies(claws[k], keyed[k], w, max_degree)
-        else:
-            tallies[k] = _class_tallies(
-                classes, w, [c for _, c in report.points_per_degree])
+    keyed = {k: max(u for j, u in shape.values() if j == k)
+             for k, _ in shape.values()}   # claw degree -> blocks it keys
+    claws = {k: LatticePolytope(_projected(build_polytope(
+        _star(k), model, cap=cap), model, flavor).vertices) for k in keyed}
+    pulled = {k: _pulling(claw, max_degree, w if keyed[k] == 1 else 0)
+              for k, claw in claws.items()}
+    degrees = {k: _claw_degrees(claws[k], max_degree, keyed[k], w,
+                                pulled[k]) for k in claws}
+    tested = [k for k in claws if pulled[k][0] is None]
     counts = []
     for n in range(1, max_degree + 1):
+        got = {k: next(degrees[k]) for k in tested}
+        if any(got[k][2].any() for k in tested):
+            break
+        got.update((k, next(degrees[k])) for k in claws if k not in got)
         q = (n + 1) ** (w - 1)   # one block's key codes are 0..q-1
-        got = {k: next(t) for k, t in tallies.items()}
         tables = {}
         for s, (k, used) in shape.items():
             keys, tally = _summed(got[k][0] // q ** (keyed[k] - used),
@@ -2055,12 +2011,83 @@ def tree_idp_check(tree: Tree, model, max_degree: int = None,
                       for i in range(used)]
             tables[s] = zip(zip(*blocks), tally.tolist())
         counts.append((n, _sum_product(plan, tables)))
-    if counts[0][1] != len(poly.points):
-        raise AssertionError(f"the claws count {counts[0][1]} points of P, "
-                             f"P has {len(poly.points)}")
-    return IdpReport(verdict="Normal",
-                     degrees_checked=tuple(range(2, max_degree + 1)),
-                     points_per_degree=tuple(counts))
+        if n == 1 and counts[0][1] != len(poly.points):
+            raise AssertionError(f"the claws count {counts[0][1]} points "
+                                 f"of P, P has {len(poly.points)}")
+    else:
+        return _report(counts)
+    rows = {}   # per claw: its rows of nP, in ambient coordinates, and marks
+    for k, claw in claws.items():
+        ys = got[k][3]() if k in got else _dilate_array(claw, n)
+        rows[k] = (_ambient(ys, n, claw.lattice),
+                   got[k][2] if k in got else np.zeros(len(ys), dtype=bool))
+    count, witness, first = _descent(plan, stars, [
+        (rows[shape[s][0]][0][:, maps[s]], rows[shape[s][0]][1])
+        for s in range(len(stars))])
+    counts.append((n, count))
+    # each star's part in its claw's columns, the maps being involutions
+    parts = [(claws[shape[s][0]], tuple(witness[cols[i]] for i in maps[s]))
+             for s, cols in enumerate(stars)]
+    for claw, part in parts:
+        if not claw.hrep.contains(part, n):
+            raise AssertionError("witness fails the halfspace check")
+    if not poly.lattice.contains(witness, n):
+        raise AssertionError("witness fails the lattice check")
+    if decompose(parts[first][1], n, parts[first][0]).found is not None:
+        raise AssertionError("witness decomposed on re-verification")
+    return _report(counts, witness)
+
+
+def _descent(plan, stars, parts):
+    """(count, witness, s) at a failing degree n of a tree, for
+    tree_idp_check: parts[s] = (rows, marks) holds the points of nP_s of
+    star s, in the star's columns, and the marks of the undecomposable
+    ones. count is the tuples of rows, one per star, that agree on every
+    link of the star tree plan (_sum_product); the witness is the least
+    such tuple in ambient order with a marked part, found by the greedy
+    descent over the tree's columns; s is the first star whose part of it
+    is marked. Every link is the block of one edge, so all have one
+    width."""
+    at = [{c: i for i, c in enumerate(cols)} for cols in stars]
+    rows, marks = zip(*parts)
+    codes, heads = {}, {}   # per star: a link code per row, the blocks of each
+    for s, up, kids in plan:
+        pos = [at[s][c] for link in ([up] if up else []) + [c for _, c in kids]
+               for c in link]
+        keys, code = np.unique(rows[s][:, pos], axis=0, return_inverse=True)
+        codes[s], w = code.reshape(-1), len(kids[0][1] if kids else up)
+        heads[s] = [tuple(tuple(row[i:i + w]) for i in range(0, len(row), w))
+                    for row in keys.tolist()]
+
+    def count(keep):
+        """The agreeing tuples of rows, one per star s among those keep[s]
+        marks."""
+        return _sum_product(plan, {s: [
+            (heads[s][c], k) for c, k in enumerate(np.bincount(
+                codes[s][keep[s]], minlength=len(heads[s])).tolist()) if k]
+            for s in codes})
+
+    keep = [np.ones(len(r), dtype=bool) for r in rows]
+    total = count(keep)
+    witness = []
+    for c in range(max(map(max, stars)) + 1):
+        column = {s: rows[s][:, at[s][c]] for s in range(len(stars))
+                  if c in at[s]}
+        first = next(iter(column))
+        for value in sorted(set(column[first][keep[first]].tolist())):
+            trial = list(keep)
+            for s, values in column.items():
+                trial[s] = keep[s] & (values == value)
+            plain = [k & ~mark for k, mark in zip(trial, marks)]
+            if count(trial) > count(plain):
+                break
+        else:
+            raise AssertionError("no value of a column keeps an "
+                                 "undecomposable point")
+        keep = trial
+        witness.append(value)
+    return total, tuple(witness), next(
+        s for s, mark in enumerate(marks) if mark[keep[s]].any())
 
 
 def fiber_product(p1: ModelPolytope, block1: int, p2: ModelPolytope,

@@ -219,6 +219,20 @@ def project_orbits(poly: ModelPolytope, model: GroupModel) -> ModelPolytope:
                          block_width=len(orbits), flavor="projected")
 
 
+def _projected(poly: ModelPolytope, model: GroupModel,
+               flavor: str) -> ModelPolytope:
+    """poly in the given flavor: itself for "abelian", its orbit sums for
+    "projected", which a model with no symmetry beyond its abelian core
+    rejects with ValueError."""
+    if flavor != "projected":
+        return poly
+    if model.is_abelian:
+        raise ValueError(
+            "projected flavor needs a model with a symmetry group larger "
+            "than its abelian core; use the abelian flavor here")
+    return project_orbits(poly, model)
+
+
 def vertex_file_text(poly: ModelPolytope, group_spec: str, tree_text: str) -> str:
     """Bit-exact text form: a header then one line per vertex, in the
     polytope's increasing vertex order."""

@@ -7,7 +7,7 @@ from math import gcd, lcm
 from phylotope.cyclotomic import (CycRational, CyclotomicInt,
                                   cyclotomic_polynomial)
 from phylotope.errors import UnknownVertexError
-from phylotope.groups import parse_group_spec
+from phylotope.groups import parse_group_file, parse_group_spec
 from phylotope.lattice import LatticePolytope, lattice_points_in_dilate
 from phylotope.polytope import build_polytope, project_orbits
 from phylotope.trees import Tree, _orient_from, parse_newick
@@ -22,6 +22,23 @@ SCAN_CASES = {
     "z2-caterpillar6": ("Z2", "((a,b),(c,(d,(e,f))));", False),
     "k3p-4claw": ("K3P", "(a,b,c,d);", False),
 }
+
+
+# Z7 with the automorphism x -> 2x as its extra symmetry: its dual orbits
+# {1, 2, 4} and {3, 5, 6} are swapped by chi -> -chi, which fixes the dual
+# orbits of every preset model.
+Z7_TWICE = """states: 0 1 2 3 4 5 6
+orders: 7
+h: (1,2,3,4,5,6,7)
+g: (2,3,5)(4,7,6)
+name: Z7-2x
+"""
+
+
+def model_of(spec):
+    """The model of a group spec, or of Z7_TWICE for "Z7-2x"."""
+    return parse_group_file(Z7_TWICE) if spec == "Z7-2x" \
+        else parse_group_spec(spec)
 
 
 @cache
@@ -379,3 +396,46 @@ def decompose_reference(q, n, points):
 
     found = rec(tuple(q), n, 0)
     return None if found is None else tuple(found), examined
+
+
+def least_witness_reference(poly, n):
+    """The least point of nP in ambient order that is no sum of n lattice
+    points of P, or None, for a LatticePolytope P that carries two or more
+    stars: the oracle of the tree route's witness.
+
+    The points of nP are joined lazily from the points of its stars' nP_s
+    (lattice_points_in_dilate of each star projection), one column at a
+    time in ambient order: a column takes, in increasing order, each value
+    that every star holding it still has at some point agreeing with the
+    columns fixed so far. By the fiber-product lemma (tree_idp_check) these
+    tuples are the lattice points of nP, and one is undecomposable exactly
+    when one of its parts is in its star, which decompose_reference tests,
+    part by part, as each tuple is reached."""
+    stars = poly.stars
+    projections = [LatticePolytope(p) for p in poly.star_projections]
+    at = [{c: i for i, c in enumerate(cols)} for cols in stars]
+    dim = len(poly.points[0])
+    undecomposable = {}
+
+    def join(c, alive):
+        if c == dim:
+            yield ()
+            return
+        holders = [s for s in range(len(stars)) if c in at[s]]
+        for x in sorted(set.intersection(*({p[at[s][c]] for p in alive[s]}
+                                           for s in holders))):
+            rest = list(alive)
+            for s in holders:
+                rest[s] = [p for p in alive[s] if p[at[s][c]] == x]
+            for tail in join(c + 1, rest):
+                yield (x,) + tail
+
+    for q in join(0, [lattice_points_in_dilate(p, n) for p in projections]):
+        for s, cols in enumerate(stars):
+            part = tuple(q[c] for c in cols)
+            if (s, part) not in undecomposable:
+                undecomposable[s, part] = decompose_reference(
+                    part, n, projections[s])[0] is None
+            if undecomposable[s, part]:
+                return q
+    return None

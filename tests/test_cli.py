@@ -10,7 +10,7 @@ import phylotope.lattice
 import phylotope.verify
 from phylotope.cli import main
 from phylotope.groups import parse_group_spec
-from phylotope.lattice import IdpReport, LatticePolytope, _star, star_columns
+from phylotope.lattice import _star, star_columns
 from phylotope.polytope import build_polytope, project_orbits
 from phylotope.trees import parse_newick
 
@@ -135,41 +135,45 @@ def test_z6_quartet_is_decided_through_its_claw(capsys):
                    "points per degree: 1=216 2=22086 3=1378784\n")
 
 
-def test_a_failing_claw_hands_its_degree_to_the_tree_scan(capsys,
-                                                          monkeypatch):
-    # The Z6 3-claw first fails at degree 4: its triangulation hands that
-    # degree to the claw's scan, and then the whole tree is scanned through
-    # degree 4 only; that scan stops at the facet cap, as it does with no
-    # claws.
+def _spy(monkeypatch, *names):
+    """The calls of the named functions of phylotope.lattice, as they run:
+    (name, the points of the polytope each is called on, its other
+    arguments)."""
     calls = []
-    scan = phylotope.lattice.idp_check
+    for name in names:
+        real = getattr(phylotope.lattice, name)
 
-    def spy(poly, max_degree=None):
-        calls.append((poly, max_degree))
-        return scan(poly, max_degree)
+        def spy(poly, *args, real=real, name=name):
+            calls.append((name, phylotope.lattice._as_polytope(poly).points,
+                          args))
+            return real(poly, *args)
 
-    monkeypatch.setattr(phylotope.lattice, "idp_check", spy)
-    code, out, err = run(capsys, *Z6_QUARTET)
-    assert (code, out) == (3, "")
-    assert err == "resource cap: dimension 25 exceeds cap 24\n"
-    z6 = parse_group_spec("Z6")
-    claw = LatticePolytope(build_polytope(_star(3), z6).vertices)
-    tree = LatticePolytope(build_polytope(parse_newick("((a,b),(c,d));"),
-                                          z6).vertices)
-    assert calls == [(claw, 4), (tree, 4)]
+        monkeypatch.setattr(phylotope.lattice, name, spy)
+    return calls
 
 
-def _facets_from_stars(monkeypatch):
-    """The list of the stars of every polytope whose facets facet_description
-    pulls back from its stars, as it runs."""
-    seen, star_rays = [], phylotope.lattice._star_rays
-
-    def spy(poly, *args):
-        seen.append(poly.stars)
-        return star_rays(poly, *args)
-
-    monkeypatch.setattr(phylotope.lattice, "_star_rays", spy)
-    return seen
+def test_a_failing_claw_gives_the_tree_its_witness(capsys, monkeypatch):
+    # The Z6 3-claw first fails at degree 4; the tree fails there too, and
+    # its witness is found on the claw's marked points of degree 4. The
+    # whole tree polytope, of dimension 25, past the facet cap of 24, is
+    # never described, scanned or handed to idp_check: every facet
+    # description and dilate scan runs on the claw, each dilate once.
+    calls = _spy(monkeypatch, "facet_description", "_dilate_blocks",
+                 "idp_check", "_star_rays")
+    code, out, err = run(capsys, *Z6_QUARTET, "--max-degree", "4")
+    assert (code, err) == (1, "")
+    assert out == ("verdict: NotNormal\n"
+                   "degrees checked: 2..4\n"
+                   "witness degree: 4\n"
+                   "witness: 0 0 0 0 0 4 0 1 1 0 1 1 1 0 1 1 0 1 0 1 1 0 1 "
+                   "1 1 0 1 1 0 1\n"
+                   "points per degree: 1=216 2=22086 3=1378784 4=56359125\n")
+    claw = build_polytope(_star(3), parse_group_spec("Z6")).vertices
+    assert {name for name, _, _ in calls} == {"facet_description",
+                                              "_dilate_blocks"}
+    assert all(points == claw for _, points, _ in calls)
+    scans = [args for name, _, args in calls if name == "_dilate_blocks"]
+    assert scans == [(2,), (3,), (4,)]
 
 
 def test_projected_facets_come_from_the_stars(capsys, monkeypatch):
@@ -200,17 +204,23 @@ def test_projected_facets_come_from_the_stars(capsys, monkeypatch):
     assert all(pts != points for _, pts in seen)
 
 
-def test_a_scanned_tree_takes_its_facets_from_its_stars(monkeypatch):
-    # a claw reported failing at degree 2 hands the whole tree to the scan
-    seen = _facets_from_stars(monkeypatch)
-    failing = IdpReport(verdict="NotNormal", degrees_checked=(2,),
-                        witness=(), witness_degree=2)
-    monkeypatch.setattr(phylotope.lattice, "_pulling",
-                        lambda claw, max_degree, width=0: (failing, None))
-    tree = parse_newick("((a,b),(c,d));")
-    report = phylotope.lattice.tree_idp_check(tree, parse_group_spec("Z3"))
-    assert report.degrees_checked == (2,)
-    assert seen == [star_columns(tree, 3)]
+@pytest.mark.parametrize("argv", [
+    # the route rule sends the claw of a low ceiling to the scan
+    ("--group", "K3P", "--tree", "((a,b),(c,d));", "--max-degree", "3"),
+    ("--group", "Z6", "--tree", "((a,b),(c,d));", "--max-degree", "3"),
+    # a claw keyed by two blocks, triangulated, and scanned for its tallies
+    ("--group", "Z2", "--tree", "((a,b),(c,(d,(e,f))));", "--max-degree",
+     "6"),
+    # one projected claw for three stars, failing at degree 2
+    ("--group", "K2P", "--tree", "((a,b),(c,d),(e,f));", "--flavor",
+     "projected"),
+])
+def test_each_claw_dilate_is_scanned_once(capsys, monkeypatch, argv):
+    calls = _spy(monkeypatch, "_dilate_blocks")
+    code, _, err = run(capsys, "normality", *argv)
+    assert code in (0, 1) and err == ""
+    scans = [(points, args) for _, points, args in calls]
+    assert scans and len(set(scans)) == len(scans)
 
 
 @pytest.mark.parametrize("degree", ["1", "0", "-5"])

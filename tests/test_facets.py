@@ -15,15 +15,16 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from helpers import (SCAN_CASES, dual_dd_reference, kernel_reference,
-                     levels_reference, primitive, reorient, row_reduce_pivots,
-                     scan_case)
+                     levels_reference, model_of, primitive, reorient,
+                     row_reduce_pivots, scan_case)
 from phylotope import lattice
 from phylotope.groups import abelian_model, parse_group_spec
-from phylotope.lattice import (LatticePolytope, _dual_dd, _eliminate,
-                               _int_array, _kernel, _star_tree, _sum_product,
-                               _tight_ranks, facet_description, idp_check,
-                               star_columns)
-from phylotope.polytope import build_polytope, project_orbits
+from phylotope.lattice import (LatticePolytope, _check_fiber_product,
+                               _claw_columns, _dual_dd, _eliminate,
+                               _int_array, _kernel, _star, _star_tree,
+                               _sum_product, _tight_ranks, facet_description,
+                               idp_check, star_columns)
+from phylotope.polytope import _projected, build_polytope, project_orbits
 from phylotope.trees import Tree, parse_newick
 
 
@@ -479,3 +480,33 @@ def test_stars_must_cover_the_columns_and_form_a_tree():
     for bad in ((stars[0], (6, 7, 8, 9)), stars + ((0, 1, 8, 9),)):
         with pytest.raises(AssertionError, match="form no tree"):
             facet_description(LatticePolytope(points, stars=bad))
+
+
+# Rooted at an inner vertex, with a root of degree 2 suppressed or not, and
+# at a leaf. chi -> -chi moves four characters of Z6 and two of Z4, fixes
+# the dual orbits of K2P and JC, and swaps two of Z7-2x's.
+@pytest.mark.parametrize("spec, flavor", [
+    ("Z3", "abelian"), ("Z4", "abelian"), ("Z6", "abelian"),
+    ("Z2xZ2", "abelian"), ("K2P", "projected"), ("JC", "projected"),
+    ("Z7-2x", "projected")])
+@pytest.mark.parametrize("newick", [
+    "((a,b),(c,d));", "((a,b),c,(d,e));", "(a,((b,c),(d,e)));",
+    "(a,(b,(c,d)));"])
+def test_each_star_is_its_claw_under_the_column_map(spec, flavor, newick):
+    # Every star projection of P is its claw read through the tree route's
+    # column map, and those maps' images glue to P (_check_fiber_product,
+    # on P's stars).
+    group, tree = model_of(spec), parse_newick(newick)
+    whole = _projected(build_polytope(tree, group), group, flavor)
+    w = whole.block_width
+    stars = star_columns(tree, w)
+    poly = LatticePolytope(whole.vertices, stars=stars)
+    images = []
+    for cols, columns in zip(stars, _claw_columns(tree, group, flavor)):
+        claw = _projected(build_polytope(_star(len(cols) // w), group),
+                          group, flavor)
+        images.append(tuple(sorted({tuple(v[c] for c in columns)
+                                    for v in claw.vertices})))
+    assert tuple(images) == poly.star_projections
+    _check_fiber_product(images, stars, len(whole.vertices[0]),
+                         len(whole.vertices))

@@ -14,16 +14,17 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import phylotope.lattice
-from helpers import SCAN_CASES, scan_case
+from helpers import (SCAN_CASES, least_witness_reference, model_of,
+                     scan_case)
 from phylotope.groups import abelian_model, parse_group_spec, preset_model
 from phylotope.lattice import (LatticePolytope, _ambient_rows,
                                _code_weights, _codes, _dilate_array,
                                _dilate_blocks, _star, _undecomposable,
                                decompose, facet_description, idp_check,
                                lattice_points_in_dilate, spanned_lattice,
-                               star_columns, star_idp_check, tree_idp_check)
+                               star_columns, tree_idp_check)
 from phylotope.polytope import build_polytope, project_orbits
-from phylotope.trees import parse_newick
+from phylotope.trees import Tree, parse_newick
 
 # About a third of these sets in dimension 3 and 4 are not IDP.
 point_sets = st.integers(1, 4).flatmap(lambda d: st.lists(
@@ -523,22 +524,60 @@ def _projected_tree(spec, newick):
 @settings(max_examples=15, deadline=None)
 @given(random_trees(PROJECTED_LIMITS))
 def test_star_route_matches_the_projected_tree_scan(case):
-    # idp_check scans the whole projected tree; the star route builds
-    # nothing of it but its lattice and its star projections
+    # idp_check scans the whole projected tree; the claw route builds
+    # nothing of it but its points and its lattice
     spec, newick, degree = case
     assume(len(parse_newick(newick).inner) >= 2)
-    assert star_idp_check(_projected_tree(spec, newick), degree) == \
+    assert tree_idp_check(parse_newick(newick), parse_group_spec(spec),
+                          "projected", degree) == \
         idp_check(_projected_tree(spec, newick), degree)
 
 
 def test_a_witness_whose_marked_part_decomposes_raises(monkeypatch):
-    # Every point marked undecomposable: the least point of 2P is taken as
-    # the witness, and its marked part is a sum of two points of its star.
+    # The claw goes to the scan (a triangulation cap of 0), and every point
+    # is marked undecomposable there: the least point of 2P is taken as the
+    # witness, and its marked part is a sum of two points of its claw.
+    monkeypatch.setattr(phylotope.lattice, "_PULL_CAP", 0)
     monkeypatch.setattr(phylotope.lattice, "_undecomposable",
                         lambda codes, vcodes, prev: np.arange(len(codes)))
     with pytest.raises(AssertionError, match=re.escape(
             "witness decomposed on re-verification")):
-        star_idp_check(_projected_tree("JC", "((a,b),(c,d));"))
+        tree_idp_check(parse_newick("((a,b),(c,d));"), preset_model("JC"),
+                       "projected")
+
+
+def test_a_normal_claw_beside_a_failing_one_is_scanned_at_its_degree():
+    # A root of degree 2 joins two cherries: its 2-claw is Normal, and is
+    # scanned at degree 2 only for the descent, where the K2P 3-claws fail.
+    tree = Tree(root=0, edges=((0, 1), (0, 2), (1, 3), (1, 4), (2, 5),
+                               (2, 6)),
+                labels=(None, None, None, "a", "b", "c", "d"))
+    k2p = preset_model("K2P")
+    report = tree_idp_check(tree, k2p, "projected")
+    assert report.witness_degree == 2
+    assert report == idp_check(project_orbits(build_polytope(tree, k2p),
+                                              k2p).vertices, 2)
+
+
+@pytest.mark.parametrize("check", ["halfspace", "lattice"])
+def test_a_witness_failing_its_certificate_raises(monkeypatch, check):
+    # a witness moved off its claws' halfspaces, or a lattice that holds no
+    # point, must stop the report
+    if check == "halfspace":
+        descent = phylotope.lattice._descent
+
+        def moved(*args):
+            count, witness, first = descent(*args)
+            return count, (-1,) + witness[1:], first
+
+        monkeypatch.setattr(phylotope.lattice, "_descent", moved)
+    else:
+        monkeypatch.setattr(phylotope.lattice.AffineLattice, "contains",
+                            lambda lattice, point, scale=1: False)
+    with pytest.raises(AssertionError, match=re.escape(
+            f"witness fails the {check} check")):
+        tree_idp_check(parse_newick("((a,b),(c,d));"), preset_model("K2P"),
+                       "projected")
 
 
 def test_a_triangulated_claw_is_tallied_without_a_split_test(monkeypatch):
@@ -564,6 +603,21 @@ def test_a_triangulated_claw_is_tallied_without_a_split_test(monkeypatch):
     assert report.verdict == "Normal"
     assert report.degrees_checked == tuple(range(2, 11))
     assert dict(report.points_per_degree)[8] == 637978725
+    # The caterpillar's middle stars key its Z2 3-claw by two blocks, so
+    # the claw's dilates are scanned for their tallies, each degree once,
+    # and still none is split-tested.
+    scanned = []
+
+    def tally_scan(poly, n):
+        scanned.append(n)
+        return scan(poly, n)
+
+    monkeypatch.setattr(phylotope.lattice, "_dilate_blocks", tally_scan)
+    report = tree_idp_check(parse_newick("((a,b),(c,(d,(e,f))));"),
+                            parse_group_spec("Z2"), max_degree=6)
+    assert report.points_per_degree == tuple(enumerate(
+        (32, 396, 2848, 14411, 57024, 188200), 1))
+    assert scanned == [2, 3, 4, 5, 6]
 
 
 def test_k3p_quartet_counts_are_a_polynomial_of_degree_15():
@@ -607,6 +661,49 @@ def test_a_normal_trees_count_at_degree_one_is_its_points(monkeypatch):
             "the claws count 28 points of P, P has 27")):
         tree_idp_check(parse_newick("((a,b),(c,d));"),
                        parse_group_spec("Z3"))
+
+
+@pytest.mark.parametrize("spec, newick, points", [
+    ("JC", "((a,b),(c,d));", 13), ("K2P", "((a,b),c,(d,e));", 116)])
+def test_a_projected_trees_count_at_degree_one_is_its_points(monkeypatch,
+                                                             spec, newick,
+                                                             points):
+    # projected P is 0/1 too; the K2P tree fails at degree 2, after the
+    # check
+    sum_product = phylotope.lattice._sum_product
+    monkeypatch.setattr(phylotope.lattice, "_sum_product",
+                        lambda plan, tables: sum_product(plan, tables) + 1)
+    with pytest.raises(AssertionError, match=re.escape(
+            f"the claws count {points + 1} points of P, P has {points}")):
+        tree_idp_check(parse_newick(newick), preset_model(spec),
+                       "projected")
+
+
+# Small projected trees, rooted at an inner vertex and at a leaf; the K2P
+# trees fail at degree 2, the JC tree is Normal.
+@pytest.mark.parametrize("spec, newick", [
+    ("K2P", "((a,b),(c,d));"), ("K2P", "((a,b),c,(d,e));"),
+    ("K2P", "(a,((b,c),(d,e)));"), ("JC", "((a,b),c,(d,e));")])
+def test_the_least_witness_matches_the_join_of_the_stars(spec, newick):
+    # The lazy join of the stars (helpers.least_witness_reference) finds
+    # idp_check's witness on the whole projected tree, or none where it is
+    # Normal; the claw route reports the same.
+    poly = _projected_tree(spec, newick)
+    report = idp_check(poly, 3)
+    degree = report.witness_degree or 3
+    assert least_witness_reference(poly, degree) == report.witness
+    assert tree_idp_check(parse_newick(newick), preset_model(spec),
+                          "projected", 3) == report
+
+
+@pytest.mark.parametrize("newick", ["((a,b),(c,d));", "(a,(b,(c,d)));"])
+def test_claw_route_reads_its_stars_through_swapped_orbits(newick):
+    # chi -> -chi swaps two dual orbits of Z7-2x, so the star of a vertex
+    # with a parent is its claw with the parent's block permuted
+    group, tree = model_of("Z7-2x"), parse_newick(newick)
+    poly = project_orbits(build_polytope(tree, group), group)
+    assert tree_idp_check(tree, group, "projected", 3) == \
+        idp_check(poly.vertices, 3)
 
 
 # Each gluing at an inner edge is a fiber product over the simplex of the

@@ -9,12 +9,12 @@ from phylotope import lattice
 from phylotope.cli import main
 from phylotope.errors import ScaleExceededError
 from phylotope.groups import parse_group_spec, preset_model
-from helpers import scan_tally
+from helpers import model_of, scan_tally
 from phylotope.lattice import (LatticePolytope, _class_tallies, _half_open,
                                _pulling, _star, ehrhart_counts, idp_check,
                                lattice_points_in_dilate, pulling_idp_check,
                                tree_idp_check)
-from phylotope.polytope import build_polytope, project_orbits
+from phylotope.polytope import _projected, build_polytope, project_orbits
 from phylotope.trees import parse_newick
 
 CLAW = parse_newick("(a,b,c);")
@@ -134,13 +134,14 @@ def test_claws_decided_on_the_triangulation_match_the_scan(spec, leaves,
         idp_check(build_polytope(tree, model))
 
 
-def _claw_classes(spec, leaves, top):
+def _claw_classes(spec, leaves, top, flavor="abelian"):
     """(the claw polytope, its block width, its pulling report through top,
     its classes by the first block)."""
-    model = parse_group_spec(spec)
-    claw = LatticePolytope(build_polytope(_star(leaves), model).vertices)
-    w = model.group.size
-    return (claw, w, *_pulling(claw, top, w))
+    group = model_of(spec)
+    claw = _projected(build_polytope(_star(leaves), group), group, flavor)
+    w = claw.block_width
+    claw = LatticePolytope(claw.vertices)
+    return (claw, w, *_pulling(claw, top, w)[:2])
 
 
 def _decoded(tallies, w):
@@ -163,6 +164,19 @@ def _decoded(tallies, w):
     ("Z2", 4, 4), ("Z3", 4, 4)])
 def test_class_tallies_match_the_scan(spec, leaves, top, triangulate):
     claw, w, report, classes = _claw_classes(spec, leaves, top)
+    assert report.normal and classes
+    totals = [count for _, count in report.points_per_degree]
+    assert _decoded(_class_tallies(classes, w, totals), w) == [
+        scan_tally(claw, w, n) for n in range(1, top + 1)]
+
+
+# A projected claw is 0/1 too, with a unit vector of orbits as each block,
+# so its classes group by first block as the abelian claw's do.
+@pytest.mark.parametrize("spec,leaves,top", [
+    ("JC", 3, 5), ("JC", 4, 4), ("Z7-2x", 3, 4)])
+def test_projected_class_tallies_match_the_scan(spec, leaves, top,
+                                                triangulate):
+    claw, w, report, classes = _claw_classes(spec, leaves, top, "projected")
     assert report.normal and classes
     totals = [count for _, count in report.points_per_degree]
     assert _decoded(_class_tallies(classes, w, totals), w) == [
@@ -307,3 +321,21 @@ def test_pull_cap_then_row_cap_exits_3(monkeypatch, capsys):
     out, err = capsys.readouterr()
     assert (code, out) == (3, "")
     assert err.startswith("resource cap: dilate of degree 4")
+
+
+@pytest.mark.parametrize("newick", ["(a,b,c);", "((a,b),(c,d));"])
+def test_an_irreducible_point_that_decomposes_raises(monkeypatch, newick):
+    # A stream that reports an irreducible point of degree 2 on the Normal
+    # Z3 claw: the claw's scan through degree 2 finds no undecomposable
+    # point, for a lone claw and for the claw of a tree alike.
+    stream = lattice._half_open
+
+    def false_alarm(poly, top, width=0):
+        for volume, degrees, _, key in stream(poly, top, width):
+            yield volume, degrees, 2, key
+
+    monkeypatch.setattr(lattice, "_half_open", false_alarm)
+    with pytest.raises(AssertionError, match="an irreducible point of "
+                                             "degree 2 decomposed in the "
+                                             "scan"):
+        tree_idp_check(parse_newick(newick), parse_group_spec("Z3"))
