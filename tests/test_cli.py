@@ -177,18 +177,11 @@ def test_a_failing_claw_gives_the_tree_its_witness(capsys, monkeypatch):
 
 
 def test_projected_facets_come_from_the_stars(capsys, monkeypatch):
-    # A projected tree is decided on its star projections: every facet
-    # description and every dilate scan of the run is on the points of one
-    # of them, never on those of the tree's polytope P.
-    seen = []
-    for name in ("facet_description", "_dilate_blocks"):
-        real = getattr(phylotope.lattice, name)
-
-        def spy(poly, *args, real=real, name=name):
-            seen.append((name, phylotope.lattice._as_polytope(poly).points))
-            return real(poly, *args)
-
-        monkeypatch.setattr(phylotope.lattice, name, spy)
+    # A projected tree is decided on its claw, which is each of its star
+    # projections here: every facet description and every dilate scan of
+    # the run is on the points of one of them, never on those of the tree's
+    # polytope P.
+    seen = _spy(monkeypatch, "facet_description", "_dilate_blocks")
     newick = "((a,b),c,(d,e));"
     code, out, _ = run(capsys, "normality", "--group", "K2P", "--tree",
                        newick, "--flavor", "projected")
@@ -198,10 +191,10 @@ def test_projected_facets_come_from_the_stars(capsys, monkeypatch):
                             k2p).vertices
     projections = {tuple(sorted({tuple(p[c] for c in cols) for p in points}))
                    for cols in star_columns(parse_newick(newick), 3)}
-    assert {name for name, _ in seen} == {"facet_description",
-                                          "_dilate_blocks"}
-    assert all(pts in projections for _, pts in seen)
-    assert all(pts != points for _, pts in seen)
+    assert {name for name, _, _ in seen} == {"facet_description",
+                                             "_dilate_blocks"}
+    assert all(pts in projections for _, pts, _ in seen)
+    assert all(pts != points for _, pts, _ in seen)
 
 
 @pytest.mark.parametrize("argv", [
@@ -211,7 +204,7 @@ def test_projected_facets_come_from_the_stars(capsys, monkeypatch):
     # a claw keyed by two blocks, triangulated, and scanned for its tallies
     ("--group", "Z2", "--tree", "((a,b),(c,(d,(e,f))));", "--max-degree",
      "6"),
-    # one projected claw for three stars, failing at degree 2
+    # one projected claw for four stars, failing at degree 2
     ("--group", "K2P", "--tree", "((a,b),(c,d),(e,f));", "--flavor",
      "projected"),
 ])
